@@ -93,9 +93,11 @@ def _simulate_config(config: RunConfig) -> None:
             result = run_point(config, eps, phi)
             files = write_point_outputs(result, out)
             if result.noisy is not None:
-                reference = _simulate_system(
-                    config, config.rows, config.cols, 0.0, clifford_reference(phi)
-                )
+                reference = result.reference
+                if reference is None:  # noise without recovery
+                    reference = _simulate_system(
+                        config, config.rows, config.cols, 0.0, clifford_reference(phi)
+                    )
                 files.append(write_raw_bundle(result, reference, out))
             for path in files:
                 print(path)

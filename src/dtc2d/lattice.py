@@ -170,8 +170,8 @@ def color_layers_from_sites(
 
     The two halves of each vertical brick side get layers ``(r + k) mod 3``
     and ``(r + k + 2) mod 3`` (row r, side k). Cycling in k keeps the number
-    of same-layer gates crossing any chain cut small, which bounds the MPO
-    bond dimension after unrolling. Horizontal edges are colored greedily
+    of same-layer gates crossing any chain cut small, which keeps the gate
+    spans short after unrolling. Horizontal edges are colored greedily
     left to right; attachment points of vertical edges are at least two
     columns apart, so a free layer always exists.
     """
@@ -228,8 +228,8 @@ def unroll(lattice: HeavyHexLattice) -> UnrollOrder:
 
     Bands alternate: each horizontal line is traversed left to right, the
     connector row below it right to left. Any deterministic ordering yields
-    correct MPS results; this one keeps the same-layer gate overlap at any
-    chain cut small (max MPO bond 64 on the 2x2 lattice).
+    correct MPS results; the MPS cost of a cycle grows with the sum of its
+    gate spans (98 chain sites per cycle on the 2x2 lattice, 1036 on 3x7).
     """
     index = {site: q for q, site in enumerate(lattice.sites)}
     chain: list[int] = []

@@ -1,19 +1,24 @@
 """Matrix-product-state evolution of the unrolled lattice.
 
-Site tensors have shape (left_bond, 2, right_bond). The state is kept
-right-canonical with the orthogonality center at site 0, so expectation
-values close with identity environments on the right.
+Site tensors have shape (left_bond, 2, right_bond). Between cycles the
+state is right-canonical with the orthogonality center at site 0, so
+expectation values close with identity environments on the right.
 
-MPO application uses a left-to-right zip-up contraction (truncating as it
-goes) followed by a right-to-left SVD sweep that restores canonical form,
-enforces the bond cap, and accumulates the discarded weight. When chi_max
-exceeds the entanglement requirement the result is exact up to the
-singular-value floor.
+A two-qubit gate on chain positions a < b is applied over its span only.
+The center moves to a by QR; the 4x4 gate is split by SVD into two site
+tensors joined by a bond of at most 4, which passes through the sites
+between a and b. An exact QR sweep a -> b absorbs the gate, then a
+truncating SVD sweep b -> a restores right-canonical form on the span and
+leaves the center at a. Every cut of that sweep is a Schmidt cut of the
+whole state, so keeping the chi_max largest singular values is the optimal
+truncation there. When chi_max exceeds the entanglement requirement the
+result is exact up to the singular-value floor.
 """
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 
 from .circuit import GateSequence, ProductState
 from .lattice import UnrollOrder
@@ -31,113 +36,49 @@ def _svd(matrix: np.ndarray):
         )
 
 
-class MPO:
-    """Operator as a chain of (left, phys_out, phys_in, right) tensors."""
-
-    def __init__(self, tensors: list[np.ndarray]):
-        self.tensors = tensors
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.tensors)
-
-    @property
-    def bond_dims(self) -> list[int]:
-        return [t.shape[3] for t in self.tensors[:-1]]
-
-    @classmethod
-    def identity(cls, n_sites: int) -> "MPO":
-        eye = np.eye(2, dtype=complex).reshape(1, 2, 2, 1)
-        return cls([eye.copy() for _ in range(n_sites)])
+def _qr(matrix: np.ndarray):
+    return scipy.linalg.qr(matrix, mode="economic", check_finite=False)
 
 
-def gate_mpo(n_sites: int, pos_a: int, pos_b: int, gate: np.ndarray) -> MPO:
-    """MPO of a single two-qubit gate acting on chain positions a < b.
+def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Contract the last axis of ``a`` with the first axis of ``b``.
 
-    The 4x4 gate is split by SVD into two site tensors with bond <= 4;
-    identity pass-through tensors fill the chain positions in between.
+    Runs in the BLAS that scipy.linalg uses. numpy and scipy each bundle
+    their own threaded BLAS; the engine's factorizations run in scipy's, and
+    keeping its products there too stops the two thread pools from
+    contending (about 3x on a 2-core machine at chi 32).
     """
-    if not 0 <= pos_a < pos_b < n_sites:
-        raise ValueError(f"invalid gate span ({pos_a}, {pos_b}) on {n_sites} sites")
-    g = gate.reshape(2, 2, 2, 2)  # (out_a, out_b, in_a, in_b)
+    a2 = np.ascontiguousarray(a.reshape(-1, a.shape[-1]), dtype=complex)
+    b2 = np.ascontiguousarray(b.reshape(b.shape[0], -1), dtype=complex)
+    # row-major a2 @ b2 is column-major b2.T @ a2.T, without copies
+    product = scipy.linalg.blas.zgemm(1.0, b2.T, a2.T).T
+    return product.reshape(a.shape[:-1] + b.shape[1:])
+
+
+def _split_gate(gate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split a gate indexed (out_a, out_b, in_a, in_b) across its two qubits.
+
+    Returns the factors (out_a, in_a, k) and (k, out_b, in_b), joined by a
+    bond k of at most 4 (the gate's operator Schmidt rank).
+    """
+    g = gate.reshape(2, 2, 2, 2)
     m = g.transpose(0, 2, 1, 3).reshape(4, 4)  # (out_a in_a), (out_b in_b)
     u, s, vh = _svd(m)
     rank = max(1, int(np.sum(s > _GATE_SPLIT_TOL)))
     left = (u[:, :rank] * np.sqrt(s[:rank])).reshape(2, 2, rank)
     right = (np.sqrt(s[:rank])[:, None] * vh[:rank]).reshape(rank, 2, 2)
-
-    tensors = []
-    passthrough = np.einsum(
-        "ab,pq->apqb", np.eye(rank, dtype=complex), np.eye(2, dtype=complex)
-    )
-    eye = np.eye(2, dtype=complex).reshape(1, 2, 2, 1)
-    for pos in range(n_sites):
-        if pos == pos_a:
-            tensors.append(left.reshape(1, 2, 2, rank))
-        elif pos == pos_b:
-            tensors.append(right.reshape(rank, 2, 2, 1))
-        elif pos_a < pos < pos_b:
-            tensors.append(passthrough.copy())
-        else:
-            tensors.append(eye.copy())
-    return MPO(tensors)
-
-
-def mpo_product(after: MPO, before: MPO) -> MPO:
-    """Compose MPOs: (after . before) applies ``before`` first."""
-    if after.n_sites != before.n_sites:
-        raise ValueError("MPO lengths differ")
-    tensors = []
-    for a, b in zip(after.tensors, before.tensors):
-        c = np.einsum("apmr,bmqs->abpqrs", a, b)
-        wl = a.shape[0] * b.shape[0]
-        wr = a.shape[3] * b.shape[3]
-        tensors.append(c.reshape(wl, 2, 2, wr))
-    return MPO(tensors)
-
-
-def layer_to_mpo(
-    layer: tuple[tuple[int, int, np.ndarray], ...],
-    order: UnrollOrder,
-) -> MPO:
-    """Build the MPO of one gate layer on the unrolled chain.
-
-    Gate endpoints are lattice qubit indices; they are mapped to chain
-    positions and the gate is reindexed when the chain order reverses the
-    pair. Gates must act on disjoint qubits.
-    """
-    n = order.n_sites
-    seen: set[int] = set()
-    mpo = MPO.identity(n)
-    for i, j, gate in layer:
-        if i in seen or j in seen or i == j:
-            raise ValueError(f"layer gates overlap at qubits ({i}, {j})")
-        seen.update((i, j))
-        pos_i, pos_j = order.position[i], order.position[j]
-        if pos_i < pos_j:
-            oriented = gate
-            a, b = pos_i, pos_j
-        else:
-            oriented = (
-                gate.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-            )
-            a, b = pos_j, pos_i
-        mpo = mpo_product(gate_mpo(n, a, b, oriented), mpo)
-    return mpo
+    return left, right
 
 
 class MPS:
     """MPS with bond cap ``chi_max`` and singular-value floor ``cutoff``.
 
-    ``truncation_error`` accumulates the discarded weight of every SVD
-    (sum over truncations of the discarded squared singular values,
-    normalized per truncation); it stays 0 while chi_max never binds.
-
-    During the zip-up contraction the working bond is allowed to grow to
-    ``zip_factor * chi_max``: intermediate ranks legitimately exceed the
-    final state rank because the MPO tail is not yet applied, and capping
-    them at chi_max would discard real weight. The closing sweep enforces
-    chi_max where the singular values are genuine Schmidt coefficients.
+    ``center`` is the site of the orthogonality center: sites left of it
+    are left-isometries, sites right of it right-isometries, and the center
+    tensor carries the norm. ``truncation_error`` accumulates the discarded
+    weight of every SVD (sum over truncations of the discarded squared
+    singular values, normalized per truncation); it stays 0 while chi_max
+    never binds.
     """
 
     def __init__(
@@ -145,13 +86,12 @@ class MPS:
         tensors: list[np.ndarray],
         chi_max: int = 64,
         cutoff: float = 1e-12,
-        zip_factor: int = 4,
     ):
         self.tensors = tensors
         self.chi_max = int(chi_max)
         self.cutoff = float(cutoff)
-        self.zip_factor = int(zip_factor)
         self.truncation_error = 0.0
+        self.center = 0
 
     @classmethod
     def from_product(
@@ -159,14 +99,13 @@ class MPS:
         bits: np.ndarray,
         chi_max: int = 64,
         cutoff: float = 1e-12,
-        zip_factor: int = 4,
     ) -> "MPS":
         tensors = []
         for b in bits:
             t = np.zeros((1, 2, 1), dtype=complex)
             t[0, int(b), 0] = 1.0
             tensors.append(t)
-        return cls(tensors, chi_max=chi_max, cutoff=cutoff, zip_factor=zip_factor)
+        return cls(tensors, chi_max=chi_max, cutoff=cutoff)
 
     @property
     def n_sites(self) -> int:
@@ -187,64 +126,86 @@ class MPS:
             [t.copy() for t in self.tensors],
             chi_max=self.chi_max,
             cutoff=self.cutoff,
-            zip_factor=self.zip_factor,
         )
         clone.truncation_error = self.truncation_error
+        clone.center = self.center
         return clone
 
     def apply_1q(self, site: int, gate: np.ndarray) -> None:
         self.tensors[site] = np.einsum("qp,apb->aqb", gate, self.tensors[site])
 
-    def apply_mpo(self, mpo: MPO) -> None:
-        if mpo.n_sites != self.n_sites:
-            raise ValueError("MPO and MPS lengths differ")
+    def apply_2q(self, site_a: int, site_b: int, gate: np.ndarray) -> None:
+        """Apply a gate indexed (out_a, out_b, in_a, in_b) to chain sites a, b.
+
+        Touches only the sites between the two ends and leaves the
+        orthogonality center at the left end of the span.
+        """
         n = self.n_sites
-        new: list[np.ndarray] = []
-        zip_cap = self.zip_factor * self.chi_max
-        carry = np.ones((1, 1, 1), dtype=complex)  # (new_bond, mps_bond, mpo_bond)
-        for i in range(n):
-            a, w = self.tensors[i], mpo.tensors[i]
-            t1 = np.tensordot(carry, a, axes=([1], [0]))  # (k, w, p, b)
-            t2 = np.tensordot(t1, w, axes=([1, 2], [0, 2]))  # (k, b, po, y)
-            t = t2.transpose(0, 2, 1, 3)  # (k, po, b, y)
-            k = t.shape[0]
-            if i == n - 1:
-                new.append(t.reshape(k, 2, 1))
-                break
-            m = t.reshape(k * 2, t.shape[2] * t.shape[3])
-            u, s, vh = _svd(m)
-            rank = self._keep(s, zip_cap)
-            total = float(np.sum(s**2))
-            if total > 0:
-                self.truncation_error += float(np.sum(s[rank:] ** 2)) / total
-            new.append(u[:, :rank].reshape(k, 2, rank))
-            carry = (s[:rank, None] * vh[:rank]).reshape(rank, t.shape[2], t.shape[3])
-        self.tensors = new
-        self._canonicalize()
+        if site_a == site_b or not (0 <= site_a < n and 0 <= site_b < n):
+            raise ValueError(f"invalid gate span ({site_a}, {site_b}) on {n} sites")
+        if site_a > site_b:
+            gate = gate.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+            site_a, site_b = site_b, site_a
+        left, right = _split_gate(gate)
+        rank = left.shape[2]
+        self._move_center(site_a)
 
-    def _keep(self, s: np.ndarray, cap: int | None = None) -> int:
-        cap = self.chi_max if cap is None else cap
-        return max(1, min(cap, int(np.sum(s > self.cutoff))))
-
-    def _canonicalize(self) -> None:
-        """Right-to-left SVD sweep: right-canonical form, center at site 0."""
-        for i in range(self.n_sites - 1, 0, -1):
-            t = self.tensors[i]
+        # exact QR sweep a -> b; the gate bond k rides on each right bond
+        t = np.einsum("qpk,lpr->lqkr", left, self.tensors[site_a])
+        for i in range(site_a, site_b):
             dl = t.shape[0]
-            m = t.reshape(dl, -1)
-            u, s, vh = _svd(m)
+            q, r = _qr(t.reshape(dl * 2, -1))
+            self.tensors[i] = q.reshape(dl, 2, -1)
+            r = r.reshape(r.shape[0], rank, -1)  # (m, k, bond)
+            t = _contract(r, self.tensors[i + 1])  # (m, k, p, s)
+            if i + 1 < site_b:
+                t = t.transpose(0, 2, 1, 3)  # (m, p, k, s)
+            else:
+                t = np.einsum("kqp,mkps->mqs", right, t)
+        self.tensors[site_b] = t
+        self.center = site_b
+        self._truncate_to(site_a)
+
+    def _move_center(self, site: int) -> None:
+        """Move the orthogonality center to ``site`` by exact QR steps."""
+        while self.center < site:
+            i = self.center
+            t = self.tensors[i]
+            q, r = _qr(t.reshape(-1, t.shape[2]))
+            self.tensors[i] = q.reshape(t.shape[0], 2, -1)
+            self.tensors[i + 1] = _contract(r, self.tensors[i + 1])
+            self.center = i + 1
+        while self.center > site:
+            i = self.center
+            t = self.tensors[i]
+            q, r = _qr(t.reshape(t.shape[0], -1).T)
+            self.tensors[i] = q.T.reshape(-1, 2, t.shape[2])
+            self.tensors[i - 1] = _contract(self.tensors[i - 1], r.T)
+            self.center = i - 1
+
+    def _truncate_to(self, site: int) -> None:
+        """Truncating SVD sweep from the center leftward to ``site``.
+
+        Each bond it crosses is cut at a Schmidt decomposition of the whole
+        state; the state is renormalized on the new center afterwards.
+        """
+        for i in range(self.center, site, -1):
+            t = self.tensors[i]
+            u, s, vh = _svd(t.reshape(t.shape[0], -1))
             rank = self._keep(s)
             total = float(np.sum(s**2))
             if total > 0:
                 self.truncation_error += float(np.sum(s[rank:] ** 2)) / total
             self.tensors[i] = vh[:rank].reshape(rank, 2, t.shape[2])
             factor = u[:, :rank] * s[:rank]
-            self.tensors[i - 1] = np.tensordot(
-                self.tensors[i - 1], factor, axes=([2], [0])
-            )
-        nrm = np.linalg.norm(self.tensors[0])
+            self.tensors[i - 1] = _contract(self.tensors[i - 1], factor)
+        self.center = site
+        nrm = np.linalg.norm(self.tensors[site])
         if nrm > 0:
-            self.tensors[0] = self.tensors[0] / nrm
+            self.tensors[site] = self.tensors[site] / nrm
+
+    def _keep(self, s: np.ndarray) -> int:
+        return max(1, min(self.chi_max, int(np.sum(s > self.cutoff))))
 
     def canonical_defect(self) -> float:
         """Max deviation of the right-isometry identities over sites 1..n-1."""
@@ -322,8 +283,8 @@ class MPS:
     def sample_bits(self, shots: int, seed: int) -> np.ndarray:
         """Perfect sampling from the MPS; returns (shots, n) bit array.
 
-        Requires right-canonical form (center at site 0), which apply_mpo
-        maintains. Vectorized over shots.
+        Requires right-canonical form (center at site 0), which
+        evolve_cycle_mps restores after every cycle. Vectorized over shots.
         """
         if shots < 1:
             raise ValueError("shots must be >= 1")
@@ -367,28 +328,28 @@ def _transfer(
     return np.tensordot(tensor.conj(), t1, axes=([0, 1], [0, 1])).T  # (bk, bb)
 
 
-def build_cycle_mpos(cycle: GateSequence, order: UnrollOrder) -> list[MPO]:
-    """Per-layer MPOs of one Floquet cycle (reusable across cycles)."""
-    return [layer_to_mpo(layer, order) for layer in cycle.layers]
-
-
-def evolve_cycle_mps(
-    mps: MPS,
-    cycle: GateSequence,
-    order: UnrollOrder,
-    layer_mpos: list[MPO] | None = None,
-) -> None:
+def evolve_cycle_mps(mps: MPS, cycle: GateSequence, order: UnrollOrder) -> None:
     """Apply one Floquet cycle in place: local kicks, then the three layers.
 
-    Single-qubit kicks act directly on site tensors (exact, no truncation);
-    each layer MPO contraction is followed by SVD truncation.
+    Single-qubit kicks act directly on site tensors (exact, no truncation).
+    The gates of a layer act on disjoint qubits, so they commute; they are
+    applied in order of their left chain end, which keeps the center moving
+    rightward. The cycle ends with the center back at site 0.
     """
-    if layer_mpos is None:
-        layer_mpos = build_cycle_mpos(cycle, order)
     for site in range(mps.n_sites):
         mps.apply_1q(site, cycle.kick)
-    for mpo in layer_mpos:
-        mps.apply_mpo(mpo)
+    for layer in cycle.layers:
+        seen: set[int] = set()
+        spans = []
+        for i, j, gate in layer:
+            if i in seen or j in seen or i == j:
+                raise ValueError(f"layer gates overlap at qubits ({i}, {j})")
+            seen.update((i, j))
+            spans.append((order.position[i], order.position[j], gate))
+        spans.sort(key=lambda span: min(span[0], span[1]))
+        for pos_i, pos_j, gate in spans:
+            mps.apply_2q(pos_i, pos_j, gate)
+    mps._move_center(0)
 
 
 class MPSState:
@@ -405,13 +366,10 @@ class MPSState:
         order: UnrollOrder,
         chi_max: int = 64,
         cutoff: float = 1e-12,
-        zip_factor: int = 4,
     ):
         self.order = order
         bits_chain = state.bits[list(order.qubit_at)]
-        self.mps = MPS.from_product(
-            bits_chain, chi_max=chi_max, cutoff=cutoff, zip_factor=zip_factor
-        )
+        self.mps = MPS.from_product(bits_chain, chi_max=chi_max, cutoff=cutoff)
 
     @property
     def n_qubits(self) -> int:
@@ -421,8 +379,8 @@ class MPSState:
     def truncation_error(self) -> float:
         return self.mps.truncation_error
 
-    def apply_cycle(self, cycle: GateSequence, layer_mpos: list[MPO] | None = None):
-        evolve_cycle_mps(self.mps, cycle, self.order, layer_mpos)
+    def apply_cycle(self, cycle: GateSequence) -> None:
+        evolve_cycle_mps(self.mps, cycle, self.order)
 
     def per_site_z(self) -> np.ndarray:
         chain_values = self.mps.per_site_z()

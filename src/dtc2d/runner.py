@@ -14,8 +14,10 @@ byte, serial or parallel.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
@@ -32,7 +34,7 @@ from .circuit import (
 )
 from .exact import StateVector
 from .lattice import build_lattice, unroll
-from .mps import MPSState, build_cycle_mpos
+from .mps import MPSState
 from .noise import NoiseSpec, corrupt_bits, corrupt_correlators, corrupt_expectations
 from .observables import (
     PhasePoint,
@@ -74,7 +76,6 @@ RECOVERED_COLUMNS = [
 class MPSOptions:
     chi_max: int = 64
     cutoff: float = 1e-12
-    zip_factor: int = 4
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,16 @@ class RunConfig:
     def from_json(cls, text: str) -> "RunConfig":
         payload = json.loads(text)
         if payload.get("mps"):
-            payload["mps"] = MPSOptions(**payload["mps"])
+            mps = dict(payload["mps"])
+            # older configs carry the zip-up factor of the layer-MPO
+            # contraction that the span-local gate engine replaced
+            if "zip_factor" in mps:
+                del mps["zip_factor"]
+                warnings.warn(
+                    "config key mps.zip_factor no longer has any effect; ignoring it",
+                    stacklevel=2,
+                )
+            payload["mps"] = MPSOptions(**mps)
         if payload.get("noise"):
             payload["noise"] = NoiseSpec.from_dict(payload["noise"])
         if payload.get("recovery"):
@@ -190,6 +200,7 @@ class PointResult:
     clean: TimeSeries
     noisy: TimeSeries | None = None
     recovery: RecoveryReport | None = None
+    reference: PointResult | None = None  # Clifford-point run used by recovery
 
     def phase_point(self) -> PhasePoint:
         return phase_order_params(
@@ -216,43 +227,6 @@ def _shot_seed(config: RunConfig, eps: float, phi: float, t: int, channel: int) 
     return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
 
-class _Backend:
-    """Uniform evolution interface over the dense and MPS backends."""
-
-    def __init__(self, config: RunConfig, lattice, order, state: ProductState, cycle):
-        self.cycle = cycle
-        if config.backend == "exact":
-            self.state = StateVector.from_product(state)
-            self.mpos = None
-        else:
-            self.state = MPSState(
-                state,
-                order,
-                chi_max=config.mps.chi_max,
-                cutoff=config.mps.cutoff,
-                zip_factor=config.mps.zip_factor,
-            )
-            self.mpos = build_cycle_mpos(cycle, order)
-
-    def step(self) -> None:
-        if self.mpos is None:
-            self.state.apply_cycle(self.cycle)
-        else:
-            self.state.apply_cycle(self.cycle, self.mpos)
-
-    def per_site_z(self) -> np.ndarray:
-        return self.state.per_site_z()
-
-    def zz_pairs(self, pairs) -> np.ndarray:
-        return self.state.zz_pairs(pairs)
-
-    def zz_matrix(self) -> np.ndarray:
-        return self.state.zz_matrix()
-
-    def sample_bits(self, shots: int, seed: int) -> np.ndarray:
-        return self.state.sample_bits(shots, seed)
-
-
 def _simulate_system(
     config: RunConfig,
     rows: int,
@@ -276,31 +250,38 @@ def _simulate_system(
         config.noise.build(lattice.n_qubits, s0.spins) if config.noise else None
     )
 
-    backend = _Backend(config, lattice, order, s0, cycle)
+    if config.backend == "exact":
+        state = StateVector.from_product(s0)
+    else:
+        state = MPSState(
+            s0, order, chi_max=config.mps.chi_max, cutoff=config.mps.cutoff
+        )
     clean = TimeSeries()
     noisy = TimeSeries() if noise_model else None
     edges = list(lattice.edges)
 
     start_t = 0
-    if checkpoint_dir and config.backend == "mps":
-        start_t = _try_resume(backend, checkpoint_dir, config, eps, phi, clean, noisy)
+    checkpointed = checkpoint_dir is not None and config.backend == "mps"
+    if checkpointed:
+        key = _checkpoint_key(config, rows, cols, eps, phi)
+        start_t = _try_resume(state, checkpoint_dir, key, config.cycles, clean, noisy)
 
     for t in range(start_t, config.cycles + 1):
         if t > 0:
-            backend.step()
-        z = backend.per_site_z()
-        zz_nn = backend.zz_pairs(edges)
+            state.apply_cycle(cycle)
+        z = state.per_site_z()
+        zz_nn = state.zz_pairs(edges)
         clean.per_site_z.append(z)
         clean.delta.append(delta(z, s0.spins))
         clean.chi_nn.append(chi(zz_nn))
         clean.corr_avg.append(correlator_average(zz_nn))
         if config.full_correlations:
-            zz = backend.zz_matrix()
+            zz = state.zz_matrix()
             clean.chi_sg.append(chi_from_matrix(zz))
             clean.qfi.append(qfi(z, zz, s0.spins))
         samples = None
         if config.shots > 0:
-            samples = backend.sample_bits(
+            samples = state.sample_bits(
                 config.shots, _shot_seed(config, eps, phi, t, 0)
             )
             clean.hamming.append(hamming_distribution(samples, s0.spins))
@@ -326,8 +307,8 @@ def _simulate_system(
                 rng = np.random.default_rng(_shot_seed(config, eps, phi, t, 1))
                 corrupted = corrupt_bits(samples, noise_model, t, rng)
                 noisy.hamming.append(hamming_distribution(corrupted, s0.spins))
-        if checkpoint_dir and config.backend == "mps":
-            _save_checkpoint(backend, checkpoint_dir, config, eps, phi, t, clean, noisy)
+        if checkpointed:
+            _save_checkpoint(state, checkpoint_dir, key, t, clean, noisy)
 
     return PointResult(
         epsilon=eps,
@@ -437,6 +418,7 @@ def run_point(config: RunConfig, eps: float, phi: float) -> PointResult:
             report.deconvolved = trials
 
     result.recovery = report
+    result.reference = reference
     return result
 
 
@@ -672,10 +654,30 @@ def recover_from_raw(
 # --- MPS checkpointing ---
 
 
-def _checkpoint_key(config: RunConfig, eps: float, phi: float) -> str:
-    return (
-        f"s{config.seed}_{point_tag(eps, phi)}_chi{config.mps.chi_max}"
-    )
+def _checkpoint_key(
+    config: RunConfig, rows: int, cols: int, eps: float, phi: float
+) -> str:
+    """Name prefix of a point's checkpoints.
+
+    It hashes every setting that determines the evolved state and the
+    recorded series, so a checkpoint resumes only the run it was written by.
+    The cycle count is left out: a longer run resumes a shorter one.
+    """
+    spec = {
+        "rows": rows,
+        "cols": cols,
+        "initial_state": config.initial_state,
+        "seed": config.seed,
+        "eps": float(eps).hex(),
+        "phi": float(phi).hex(),
+        "chi_max": config.mps.chi_max,
+        "cutoff": float(config.mps.cutoff).hex(),
+        "noise": config.noise.to_dict() if config.noise else None,
+        "shots": config.shots,
+        "full_correlations": config.full_correlations,
+    }
+    digest = hashlib.sha256(json.dumps(spec, sort_keys=True).encode()).hexdigest()
+    return f"{point_tag(eps, phi)}_{digest[:16]}"
 
 
 def _series_arrays(series: TimeSeries | None, prefix: str) -> dict:
@@ -707,39 +709,41 @@ def _restore_series(series: TimeSeries, data, prefix: str) -> None:
         series.hamming = list(data[f"{prefix}_hamming"])
 
 
-def _save_checkpoint(backend, directory, config, eps, phi, t, clean, noisy) -> None:
-    key = _checkpoint_key(config, eps, phi)
+def _save_checkpoint(state, directory, key, t, clean, noisy) -> None:
     path = os.path.join(directory, f"{key}_t{t}.npz")
-    tensors = {f"site_{i}": a for i, a in enumerate(backend.state.mps.tensors)}
+    tensors = {f"site_{i}": a for i, a in enumerate(state.mps.tensors)}
     arrays = _series_arrays(clean, "clean")
     arrays.update(_series_arrays(noisy, "noisy"))
-    np.savez(
-        path,
-        t=np.array(t),
-        truncation_error=np.array(backend.state.mps.truncation_error),
-        **tensors,
-        **arrays,
-    )
+    # write aside and rename, so a crash never leaves a truncated checkpoint
+    partial = f"{path}.{os.getpid()}.tmp"
+    with open(partial, "wb") as fh:
+        np.savez(
+            fh,
+            t=np.array(t),
+            truncation_error=np.array(state.mps.truncation_error),
+            **tensors,
+            **arrays,
+        )
+    os.replace(partial, path)
     previous = os.path.join(directory, f"{key}_t{t - 1}.npz")
     if os.path.exists(previous):
         os.remove(previous)
 
 
-def _try_resume(backend, directory, config, eps, phi, clean, noisy) -> int:
-    key = _checkpoint_key(config, eps, phi)
+def _try_resume(state, directory, key, cycles, clean, noisy) -> int:
     best_t, best_path = -1, None
     for name in os.listdir(directory):
         if name.startswith(key + "_t") and name.endswith(".npz"):
             t = int(name[len(key) + 2 : -4])
-            if t <= config.cycles and t > best_t:
+            if t <= cycles and t > best_t:
                 best_t, best_path = t, os.path.join(directory, name)
     if best_path is None:
         return 0
-    data = np.load(best_path)
-    n_sites = backend.state.mps.n_sites
-    backend.state.mps.tensors = [data[f"site_{i}"] for i in range(n_sites)]
-    backend.state.mps.truncation_error = float(data["truncation_error"])
-    _restore_series(clean, data, "clean")
-    if noisy is not None and "noisy_delta" in data:
-        _restore_series(noisy, data, "noisy")
+    with np.load(best_path) as data:
+        n_sites = state.mps.n_sites
+        state.mps.tensors = [data[f"site_{i}"] for i in range(n_sites)]
+        state.mps.truncation_error = float(data["truncation_error"])
+        _restore_series(clean, data, "clean")
+        if noisy is not None and "noisy_delta" in data:
+            _restore_series(noisy, data, "noisy")
     return best_t + 1

@@ -19,7 +19,7 @@ from dtc2d import (
     unroll,
 )
 from dtc2d.exact import StateVector
-from dtc2d.mps import MPSState, build_cycle_mpos
+from dtc2d.mps import MPSState
 from dtc2d.noise import NoiseSpec, corrupt_bits, uniform_noise
 from dtc2d.observables import (
     chi,
@@ -72,12 +72,11 @@ def mps_deltas(rows, cols, eps, phi, cycles, chi_max=8):
     cycle = build_cycle(
         lattice, sample_disorder(lattice, SEED), FloquetParams(eps, phi)
     )
-    mpos = build_cycle_mpos(cycle, order)
     s0 = neel_state(lattice)
     state = MPSState(s0, order, chi_max=chi_max)
     z_rows = [state.per_site_z()]
     for _ in range(cycles):
-        state.apply_cycle(cycle, mpos)
+        state.apply_cycle(cycle)
         z_rows.append(state.per_site_z())
     return np.array(z_rows), s0.spins
 
@@ -116,12 +115,11 @@ def test_criterion_02_oracle_equivalence():
         for _ in range(5):
             params = FloquetParams(rng.uniform(0, 0.4), rng.uniform(0, np.pi / 2))
             cycle = build_cycle(lattice, disorder, params)
-            mpos = build_cycle_mpos(cycle, order)
             sv = StateVector.from_product(s0)
             state = MPSState(s0, order, chi_max=256)
             for _ in range(10):
                 sv.apply_cycle(cycle)
-                state.apply_cycle(cycle, mpos)
+                state.apply_cycle(cycle)
             z_e, z_m = sv.per_site_z(), state.per_site_z()
             zz_e, zz_m = sv.zz_matrix(), state.zz_matrix()
             assert abs(delta(z_e, s0.spins) - delta(z_m, s0.spins)) < 1e-6
@@ -204,7 +202,7 @@ def test_criterion_06_offset_transfer():
     with criterion(6, "offsets learned on 12q improve 35q recovery >= 2x"):
         config = RunConfig(
             rows=2, cols=2, epsilons=(DTC_EPS,), phis=(DTC_PHI,), cycles=20,
-            backend="mps", mps=MPSOptions(chi_max=16, cutoff=1e-12, zip_factor=2),
+            backend="mps", mps=MPSOptions(chi_max=16, cutoff=1e-12),
             seed=SEED, full_correlations=False, shots=0,
             noise=NoiseSpec(kind="uniform", decay=0.97,
                             bias_even=0.03, bias_odd=-0.03),

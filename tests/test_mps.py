@@ -3,21 +3,15 @@ import pytest
 
 from dtc2d import (
     FloquetParams,
+    GateSequence,
+    ProductState,
     build_cycle,
     neel_state,
     sample_disorder,
     unroll,
 )
 from dtc2d.exact import StateVector
-from dtc2d.mps import (
-    MPO,
-    MPS,
-    MPSState,
-    build_cycle_mpos,
-    gate_mpo,
-    layer_to_mpo,
-    mpo_product,
-)
+from dtc2d.mps import MPS, MPSState, _split_gate, evolve_cycle_mps
 from dtc2d.observables import chi, chi_from_matrix, delta, qfi
 
 
@@ -40,28 +34,57 @@ def random_gate(seed):
     return q
 
 
+def random_chain_state(n, seed):
+    """Entangled n-site MPS and the matching dense state (chain ordering)."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, size=n).astype(np.uint8)
+    mps = MPS.from_product(bits)
+    sv = StateVector.from_product(ProductState(spins=1 - 2 * bits.astype(int)))
+    for site in range(n):
+        u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        mps.apply_1q(site, u)
+        sv.apply_1q(site, u)
+    for a, b in [(0, 1), (2, 5), (7, 3), (4, 10), (11, 8)]:
+        if max(a, b) < n:
+            g = random_gate(int(rng.integers(1 << 30)))
+            mps.apply_2q(a, b, g)
+            sv.apply_2q(a, b, g)
+    return mps, sv
+
+
 class TestMPOConstruction:
+    """A gate becomes a bond-<=4 MPO over its span: two factors plus
+    identity pass-through on the sites in between."""
+
     def test_single_gate_bond_is_four(self):
-        mpo = gate_mpo(6, 1, 4, random_gate(0))
-        assert max(mpo.bond_dims) == 4
+        gate = random_gate(0)
+        left, right = _split_gate(gate)
+        assert left.shape == (2, 2, 4) and right.shape == (4, 2, 2)
+        # (out_a, in_a, k) x (k, out_b, in_b) -> (out_a, out_b, in_a, in_b)
+        rebuilt = np.einsum("qpk,ksr->qspr", left, right).reshape(4, 4)
+        np.testing.assert_allclose(rebuilt, gate, atol=1e-12)
 
-    def test_empty_layer_is_identity(self, hexagon_order):
-        mpo = layer_to_mpo((), hexagon_order)
-        assert all(b == 1 for b in mpo.bond_dims)
-        for t in mpo.tensors:
-            np.testing.assert_allclose(t[0, :, :, 0], np.eye(2), atol=1e-15)
+    def test_empty_layer_is_identity(self, hexagon, hexagon_order, dtc_cycle):
+        state = MPSState(neel_state(hexagon), hexagon_order, chi_max=64)
+        state.apply_cycle(dtc_cycle)
+        before = state.mps.to_statevector()
+        idle = GateSequence(12, np.eye(2, dtype=complex), ((), (), ()))
+        evolve_cycle_mps(state.mps, idle, hexagon_order)
+        np.testing.assert_allclose(state.mps.to_statevector(), before, atol=1e-12)
 
-    def test_overlap_rejected(self, hexagon_order):
+    def test_overlap_rejected(self, hexagon, hexagon_order):
         g = random_gate(1)
+        bad = GateSequence(12, np.eye(2, dtype=complex), (((0, 1, g), (1, 2, g)),))
+        state = MPSState(neel_state(hexagon), hexagon_order)
         with pytest.raises(ValueError):
-            layer_to_mpo(((0, 1, g), (1, 2, g)), hexagon_order)
+            state.apply_cycle(bad)
 
     def test_layer_mpo_matches_dense_action(self, hexagon, hexagon_order, dtc_cycle):
         s0 = neel_state(hexagon)
         for layer_gates in dtc_cycle.layers:
-            mpo = layer_to_mpo(layer_gates, hexagon_order)
+            layer = GateSequence(12, np.eye(2, dtype=complex), (layer_gates,))
             state = MPSState(s0, hexagon_order, chi_max=256)
-            state.mps.apply_mpo(mpo)
+            state.apply_cycle(layer)
             sv = StateVector.from_product(s0)
             for i, j, gate in layer_gates:
                 sv.apply_2q(i, j, gate)
@@ -71,37 +94,51 @@ class TestMPOConstruction:
             )
 
     def test_bond_dims_bounded_by_overlap_count(self, lattice_2x2):
+        # on a product state every gate crossing a cut adds Schmidt rank <= 2,
+        # and the truncating sweep must compress each bond to that rank
         order = unroll(lattice_2x2)
         disorder = sample_disorder(lattice_2x2, seed=2)
         cycle = build_cycle(lattice_2x2, disorder, FloquetParams(0.3, 0.25 * np.pi))
-        worst = 0
         for layer_gates in cycle.layers:
-            mpo = layer_to_mpo(layer_gates, order)
+            layer = GateSequence(cycle.n_qubits, cycle.kick, (layer_gates,))
+            state = MPSState(neel_state(lattice_2x2), order, chi_max=256)
+            state.apply_cycle(layer)
             spans = [
                 sorted((order.position[i], order.position[j]))
                 for i, j, _ in layer_gates
             ]
-            for cut, bond in enumerate(mpo.bond_dims):
+            for cut, bond in enumerate(state.mps.bond_dims):
                 overlap = sum(1 for a, b in spans if a <= cut < b)
-                assert bond <= 4**overlap
-            worst = max(worst, max(mpo.bond_dims))
-        assert worst <= 64  # 2x2 lattice: worst layer fits in bond 64
+                assert bond <= 2**overlap
 
     def test_mpo_product_composes(self):
         a, b = random_gate(3), random_gate(4)
-        mpo = mpo_product(gate_mpo(2, 0, 1, a), gate_mpo(2, 0, 1, b))
-        dense = np.einsum("apqr,rstu->apsqtu", mpo.tensors[0], mpo.tensors[1])[
-            0, :, :, :, :, 0
-        ].reshape(4, 4)
-        np.testing.assert_allclose(dense, a @ b, atol=1e-12)
+        mps, _ = random_chain_state(6, seed=9)
+        twice = mps.copy()
+        twice.apply_2q(1, 4, b)
+        twice.apply_2q(1, 4, a)
+        mps.apply_2q(1, 4, a @ b)
+        np.testing.assert_allclose(
+            twice.to_statevector(), mps.to_statevector(), atol=1e-12
+        )
 
 
 class TestApplyMPO:
+    @pytest.mark.parametrize("site_a, site_b", [(0, 11), (9, 2), (5, 6)])
+    def test_gate_matches_dense(self, site_a, site_b):
+        # (0, 11) spans the whole chain; (9, 2) runs against the chain order
+        mps, sv = random_chain_state(12, seed=site_a + 7 * site_b)
+        gate = random_gate(site_a * 12 + site_b)
+        mps.apply_2q(site_a, site_b, gate)
+        sv.apply_2q(site_a, site_b, gate)
+        np.testing.assert_allclose(mps.to_statevector(), sv.amplitudes, atol=1e-12)
+        assert mps.center == min(site_a, site_b)
+
     def test_identity_leaves_state_unchanged(self, hexagon, hexagon_order, dtc_cycle):
         state = MPSState(neel_state(hexagon), hexagon_order, chi_max=64)
         state.apply_cycle(dtc_cycle)
         before = state.mps.to_statevector()
-        state.mps.apply_mpo(MPO.identity(12))
+        state.mps.apply_2q(0, 11, np.eye(4, dtype=complex))
         np.testing.assert_allclose(state.mps.to_statevector(), before, atol=1e-12)
 
     def test_chi_one_reports_truncation(self, hexagon_order):
@@ -110,9 +147,9 @@ class TestApplyMPO:
         kick = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         for site in range(12):
             mps.apply_1q(site, kick)
-        entangler = gate_mpo(12, 0, 1, random_gate(5))
-        mps.apply_mpo(entangler)
+        mps.apply_2q(0, 1, random_gate(5))
         assert mps.truncation_error > 0
+        assert max(mps.bond_dims) == 1
 
     def test_no_truncation_when_chi_unbinding(self, hexagon, hexagon_order, dtc_cycle):
         state = MPSState(neel_state(hexagon), hexagon_order, chi_max=256)
@@ -149,10 +186,9 @@ class TestCliffordEvolution:
         s0 = neel_state(hexagon)
         disorder = sample_disorder(hexagon, seed=3)
         cycle = build_cycle(hexagon, disorder, FloquetParams(0.0, np.pi / 2))
-        mpos = build_cycle_mpos(cycle, hexagon_order)
         state = MPSState(s0, hexagon_order, chi_max=chi_max)
         for t in range(1, 7):
-            state.apply_cycle(cycle, mpos)
+            state.apply_cycle(cycle)
             value = delta(state.per_site_z(), s0.spins)
             assert abs(value - (-1.0) ** t) < 1e-12
 
@@ -166,12 +202,11 @@ class TestOracleEquivalence:
         for _ in range(5):
             params = FloquetParams(rng.uniform(0, 0.4), rng.uniform(0, np.pi / 2))
             cycle = build_cycle(hexagon, disorder, params)
-            mpos = build_cycle_mpos(cycle, hexagon_order)
             sv = StateVector.from_product(s0)
             state = MPSState(s0, hexagon_order, chi_max=64)
             for _ in range(10):
                 sv.apply_cycle(cycle)
-                state.apply_cycle(cycle, mpos)
+                state.apply_cycle(cycle)
             z_e, z_m = sv.per_site_z(), state.per_site_z()
             assert np.max(np.abs(z_e - z_m)) < 1e-8
             zz_e, zz_m = sv.zz_matrix(), state.zz_matrix()

@@ -58,6 +58,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(shots=-1)
 
+    def test_retired_zip_factor_is_ignored_with_warning(self):
+        config = small_config(backend="mps", mps=MPSOptions(chi_max=32))
+        payload = json.loads(config.to_json())
+        payload["mps"]["zip_factor"] = 4
+        with pytest.warns(UserWarning, match="zip_factor"):
+            restored = RunConfig.from_json(json.dumps(payload))
+        assert restored == config
+
     def test_exact_backend_qubit_cap(self):
         config = small_config(rows=2, cols=2)  # 35 qubits
         with pytest.raises(ValueError):
@@ -174,6 +182,18 @@ class TestOutputs:
             report.delta_recovered, result.recovery.delta_recovered, atol=1e-9
         )
 
+    def test_run_point_reference_writes_same_raw_bundle(self, tmp_path):
+        config = small_config(
+            cycles=6, shots=50,
+            noise=NoiseSpec(decay=0.97, bias_even=0.03, bias_odd=-0.03),
+            recovery=RecoverySettings(ridge=1e-4),
+        )
+        result = run_point(config, 0.05, DTC_PHI)
+        separate = _simulate_system(config, 1, 1, 0.0, np.pi / 2)
+        reused = write_raw_bundle(result, result.reference, str(tmp_path / "a"))
+        fresh = write_raw_bundle(result, separate, str(tmp_path / "b"))
+        assert open(reused, "rb").read() == open(fresh, "rb").read()
+
 
 class TestCheckpointing:
     def test_resume_extends_run(self, tmp_path):
@@ -195,6 +215,21 @@ class TestCheckpointing:
         np.testing.assert_allclose(
             resumed.clean.delta, fresh.clean.delta, atol=1e-10
         )
+
+    def test_other_initial_state_does_not_resume(self, tmp_path):
+        base = dict(
+            rows=1, cols=1, epsilons=(0.05,), phis=(DTC_PHI,), cycles=3,
+            backend="mps", mps=MPSOptions(chi_max=32), seed=7,
+            full_correlations=False, shots=0,
+        )
+        checkpointed = dict(base, output_dir=str(tmp_path), checkpoint=True)
+        run_point(RunConfig(**checkpointed, initial_state="neel"), 0.05, DTC_PHI)
+        second = run_point(
+            RunConfig(**checkpointed, initial_state="polarized"), 0.05, DTC_PHI
+        )
+        fresh = run_point(RunConfig(**base, initial_state="polarized"), 0.05, DTC_PHI)
+        np.testing.assert_array_equal(second.clean.delta, fresh.clean.delta)
+        assert len(os.listdir(tmp_path / "checkpoints")) == 2
 
 
 class TestCLI:
