@@ -113,11 +113,29 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bundle_point(config: RunConfig, raw_path: str) -> tuple[float, float]:
+    """The grid point whose tag the raw bundle's name raw_<tag>.csv carries."""
+    name = os.path.basename(raw_path)
+    tag = name.removeprefix("raw_").removesuffix(".csv")
+    matches = [
+        (eps, phi)
+        for eps in config.epsilons
+        for phi in config.phis
+        if point_tag(eps, phi) == tag
+    ]
+    if len(matches) != 1:
+        raise SystemExit(
+            f"raw bundle {name!r}: {len(matches)} grid points of the config "
+            f"have the tag {tag!r}, need exactly one"
+        )
+    return matches[0]
+
+
 def cmd_recover(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    eps, phi = _bundle_point(config, args.raw)
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
-    eps, phi = config.epsilons[0], config.phis[0]
     n_qubits = build_lattice(config.rows, config.cols).n_qubits
     report = recover_from_raw(config, args.raw, phi, n_qubits)
     path = os.path.join(out, f"recovery_{point_tag(eps, phi)}.json")

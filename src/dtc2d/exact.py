@@ -2,10 +2,26 @@
 
 Bit convention: qubit i with spin +1 is |0>; bit i of the basis index is
 the state of qubit i (qubit 0 = least significant bit).
+
+Gates act on reshaped views of the one amplitude array:
+- a block gate on the k adjacent qubits q0..q0+k-1 is one matmul over the
+  (-1, 2^k, 2^q0) view. The global kick goes in ceil(n/5) passes of
+  kick^(x)5 blocks, and a one-qubit gate is the k = 1 case;
+- a two-qubit gate updates the four quarter views (one per basis state of
+  its pair) in place, one group of states it mixes at a time. A state the
+  gate only rephases is scaled where it lies, so the XXZ gate (a ZZ phase
+  on |00>, |11> times an exchange rotation of |01>, |10>) costs two scalings
+  and one 2x2 mix.
+
+Every Z and ZZ observable reads one probability table |psi|^2, split into
+rows of the high qubits n//2..n-1 and columns of the low qubits 0..n//2-1.
+Its two marginals give <Z> and the within-half <ZZ> blocks; the cross
+block is z_high^T P z_low.
 """
 from __future__ import annotations
 
 import warnings
+from functools import reduce
 
 import numpy as np
 
@@ -13,10 +29,41 @@ from .circuit import GateSequence, ProductState
 
 MAX_QUBITS = 24
 _NORM_TOL = 1e-10
+_KICK_GROUP = 5  # qubits per kick pass: one 32x32 block
 
 
 class CapacityError(ValueError):
     """Raised when a statevector would exceed the dense-backend qubit cap."""
+
+
+def _z_table(m: int) -> np.ndarray:
+    """(2^m, m) table of Z eigenvalues: entry [x, j] is +1 or -1 by bit j of x."""
+    indices = np.arange(2**m, dtype=np.int64)
+    return 1.0 - 2.0 * ((indices[:, None] >> np.arange(m)) & 1)
+
+
+def _mixed_groups(gate: np.ndarray) -> list[tuple[int, ...]]:
+    """Split the pair states 0..3 into the groups a 4x4 gate mixes."""
+    coupled = ((gate != 0) | (gate != 0).T).tolist()
+    label = list(range(4))
+    for s in range(4):
+        for t in range(s + 1, 4):
+            if coupled[s][t] and label[t] != label[s]:
+                merged = label[t]
+                label = [label[s] if x == merged else x for x in label]
+    return [tuple(s for s in range(4) if label[s] == x) for x in sorted(set(label))]
+
+
+def _combine(row: np.ndarray, views: list[np.ndarray], states: tuple[int, ...]):
+    """sum_t row[t] * views[t] over the states t with a nonzero coefficient."""
+    total = None
+    for t in states:
+        if row[t] != 0:
+            if total is None:
+                total = row[t] * views[t]
+            else:
+                total += row[t] * views[t]
+    return 0.0 if total is None else total
 
 
 class StateVector:
@@ -27,7 +74,8 @@ class StateVector:
             )
         if amplitudes.shape != (2**n_qubits,):
             raise ValueError("amplitude array has wrong length")
-        self.amplitudes = np.asarray(amplitudes, dtype=complex)
+        # an owned contiguous copy: two-qubit gates update it in place
+        self.amplitudes = np.array(amplitudes, dtype=complex)
         self.n_qubits = n_qubits
 
     @classmethod
@@ -43,37 +91,57 @@ class StateVector:
         return cls(amplitudes, n)
 
     def copy(self) -> "StateVector":
-        return StateVector(self.amplitudes.copy(), self.n_qubits)
+        return StateVector(self.amplitudes, self.n_qubits)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    # numpy's reshape((2,)*n) puts qubit q on axis n-1-q
-    def _axis(self, qubit: int) -> int:
+    def _check(self, qubit: int) -> None:
         if not 0 <= qubit < self.n_qubits:
             raise IndexError(f"qubit {qubit} out of range for n={self.n_qubits}")
-        return self.n_qubits - 1 - qubit
+
+    def _apply_block(self, q0: int, block: np.ndarray) -> None:
+        """Apply a 2^k x 2^k gate to qubits q0..q0+k-1 (bit j of its index = qubit q0+j)."""
+        view = self.amplitudes.reshape(-1, len(block), 2**q0)
+        self.amplitudes = np.matmul(block, view).reshape(-1)
 
     def apply_1q(self, qubit: int, gate: np.ndarray) -> None:
-        axis = self._axis(qubit)
-        psi = self.amplitudes.reshape((2,) * self.n_qubits)
-        psi = np.tensordot(gate, psi, axes=([1], [axis]))
-        self.amplitudes = np.moveaxis(psi, 0, axis).reshape(-1)
+        self._check(qubit)
+        self._apply_block(qubit, gate)
 
     def apply_2q(self, qubit_a: int, qubit_b: int, gate: np.ndarray) -> None:
         if qubit_a == qubit_b:
             raise ValueError("two-qubit gate needs distinct qubits")
-        ax_a, ax_b = self._axis(qubit_a), self._axis(qubit_b)
-        psi = self.amplitudes.reshape((2,) * self.n_qubits)
-        g = gate.reshape(2, 2, 2, 2)  # (out_a, out_b, in_a, in_b)
-        psi = np.tensordot(g, psi, axes=([2, 3], [ax_a, ax_b]))
-        self.amplitudes = np.moveaxis(psi, (0, 1), (ax_a, ax_b)).reshape(-1)
+        self._check(qubit_a)
+        self._check(qubit_b)
+        g = np.asarray(gate).reshape(2, 2, 2, 2)  # (out_a, out_b, in_a, in_b)
+        if qubit_a < qubit_b:  # index the pair states as 2 * high bit + low bit
+            g = g.transpose(1, 0, 3, 2)
+        g = g.reshape(4, 4)
+        lo, hi = sorted((qubit_a, qubit_b))
+        psi = self.amplitudes.reshape(-1, 2, 2 ** (hi - lo - 1), 2, 2**lo)
+        views = [psi[:, h, :, l, :] for h in (0, 1) for l in (0, 1)]
+        for group in _mixed_groups(g):
+            *rest, last = group
+            # the new values of all but the last state go to temporaries,
+            # so every product still reads the old amplitudes
+            fresh = [_combine(g[s], views, group) for s in rest]
+            views[last] *= g[last, last]
+            for t in rest:
+                if g[last, t] != 0:
+                    views[last] += g[last, t] * views[t]
+            for s, values in zip(rest, fresh):
+                views[s][...] = values
 
     def apply_cycle(self, cycle: GateSequence) -> None:
         if cycle.n_qubits != self.n_qubits:
             raise ValueError("cycle and state have different qubit counts")
-        for q in range(self.n_qubits):
-            self.apply_1q(q, cycle.kick)
+        blocks: dict[int, np.ndarray] = {}
+        for q0 in range(0, self.n_qubits, _KICK_GROUP):
+            k = min(_KICK_GROUP, self.n_qubits - q0)
+            if k not in blocks:
+                blocks[k] = reduce(np.kron, [cycle.kick] * k)
+            self._apply_block(q0, blocks[k])
         for layer in cycle.layers:
             for i, j, gate in layer:
                 self.apply_2q(i, j, gate)
@@ -85,47 +153,41 @@ class StateVector:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
+    def _split_probabilities(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """|psi|^2 as P[high, low] with low = qubits 0..k-1, k = n//2; plus both Z tables."""
+        k = self.n_qubits // 2
+        table = self.probabilities().reshape(-1, 2**k)
+        return table, _z_table(self.n_qubits - k), _z_table(k)
+
     def expect_z(self, qubit: int) -> float:
-        marginal = self.probabilities().reshape((2,) * self.n_qubits)
-        axes = tuple(a for a in range(self.n_qubits) if a != self._axis(qubit))
-        p = marginal.sum(axis=axes)
-        return float(p[0] - p[1])
+        self._check(qubit)
+        return float(self.per_site_z()[qubit])
 
     def expect_zz(self, qubit_a: int, qubit_b: int) -> float:
+        self._check(qubit_a)
+        self._check(qubit_b)
         if qubit_a == qubit_b:
             return 1.0
-        ax = sorted((self._axis(qubit_a), self._axis(qubit_b)))
-        marginal = self.probabilities().reshape((2,) * self.n_qubits)
-        axes = tuple(a for a in range(self.n_qubits) if a not in ax)
-        p = marginal.sum(axis=axes)
-        return float(p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1])
+        return float(self.zz_matrix()[qubit_a, qubit_b])
 
     def per_site_z(self) -> np.ndarray:
-        probs = self.probabilities().reshape((2,) * self.n_qubits)
-        values = np.empty(self.n_qubits)
-        for q in range(self.n_qubits):
-            axes = tuple(a for a in range(self.n_qubits) if a != self._axis(q))
-            p = probs.sum(axis=axes)
-            values[q] = p[0] - p[1]
-        return values
+        table, z_hi, z_lo = self._split_probabilities()
+        return np.concatenate([table.sum(axis=0) @ z_lo, table.sum(axis=1) @ z_hi])
 
     def zz_pairs(self, pairs: list[tuple[int, int]]) -> np.ndarray:
-        return np.array([self.expect_zz(i, j) for i, j in pairs])
+        matrix = self.zz_matrix()
+        return np.array([matrix[i, j] for i, j in pairs])
 
     def zz_matrix(self) -> np.ndarray:
         """Full <Z_i Z_j> matrix (diagonal = 1)."""
-        n = self.n_qubits
-        if n > 16:  # the (2^n, n) z table gets too large; fall back to marginals
-            matrix = np.eye(n)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    matrix[i, j] = matrix[j, i] = self.expect_zz(i, j)
-            return matrix
-        probs = self.probabilities()
-        indices = np.arange(2**n, dtype=np.int64)
-        z_bits = 1.0 - 2.0 * ((indices[:, None] >> np.arange(n)) & 1)  # (2^n, n)
-        weighted = probs[:, None] * z_bits
-        matrix = weighted.T @ z_bits
+        table, z_hi, z_lo = self._split_probabilities()
+        k = z_lo.shape[1]
+        p_lo, p_hi = table.sum(axis=0), table.sum(axis=1)
+        matrix = np.empty((self.n_qubits, self.n_qubits))
+        matrix[:k, :k] = z_lo.T @ (p_lo[:, None] * z_lo)
+        matrix[k:, k:] = z_hi.T @ (p_hi[:, None] * z_hi)
+        matrix[k:, :k] = z_hi.T @ (table @ z_lo)
+        matrix[:k, k:] = matrix[k:, :k].T
         np.fill_diagonal(matrix, 1.0)
         return matrix
 
@@ -139,17 +201,6 @@ class StateVector:
         outcomes = rng.choice(len(probs), size=shots, p=probs)
         bits = (outcomes[:, None] >> np.arange(self.n_qubits)) & 1
         return bits.astype(np.uint8)
-
-    def dump_amplitudes(self, path: str) -> None:
-        """Debug dump: little-endian f64 interleaved re/im."""
-        stacked = np.empty(2 * len(self.amplitudes))
-        stacked[0::2] = self.amplitudes.real
-        stacked[1::2] = self.amplitudes.imag
-        stacked.astype("<f8").tofile(path)
-
-
-def init_product(state: ProductState) -> StateVector:
-    return StateVector.from_product(state)
 
 
 def evolve(state: ProductState, cycle: GateSequence, n_cycles: int) -> StateVector:

@@ -183,16 +183,7 @@ def learn_offsets(
     if refine:
 
         def full_objective(vec: np.ndarray) -> float:
-            value, _, _ = _offset_objective_parts(
-                (vec[2], vec[3]),
-                noisy_target,
-                noisy_reference,
-                exact_reference,
-                delta_sim,
-                ridge,
-                guard,
-            )
-            # re-evaluate the target offsets as free variables
+            # the target offsets are free variables here, not the closed form
             t = np.arange(len(noisy_target))
             u = np.where(t % 2 == 0, vec[2], vec[3])
             denominator = noisy_reference - u

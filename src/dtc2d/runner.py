@@ -117,6 +117,18 @@ class RunConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "phis", tuple(float(p) for p in self.phis))
+        # every output file of a point is named by its tag
+        points: dict[str, tuple[float, float]] = {}
+        for eps in self.epsilons:
+            for phi in self.phis:
+                tag = point_tag(eps, phi)
+                if tag in points:
+                    raise ValueError(
+                        f"grid points {points[tag]} and {(eps, phi)} share the "
+                        f"file tag {tag!r}; eps and phi values must differ in "
+                        "their first 6 significant digits"
+                    )
+                points[tag] = (eps, phi)
 
     def to_json(self) -> str:
         payload = asdict(self)

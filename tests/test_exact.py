@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dtc2d import FloquetParams, build_cycle, neel_state, sample_disorder
-from dtc2d.circuit import ProductState, x_kick_gate, xxz_gate
+from dtc2d.circuit import GateSequence, ProductState, x_kick_gate, xxz_gate
 from dtc2d.exact import MAX_QUBITS, CapacityError, StateVector, evolve
 from dtc2d.observables import delta
 
@@ -16,6 +16,40 @@ def dense_1q(n, qubit, gate):
     for q in reversed(range(n)):
         full = np.kron(full, gate if q == qubit else np.eye(2))
     return full
+
+
+def random_state(n, seed):
+    """Normalized random state whose qubits carry unequal, correlated <Z>."""
+    rng = np.random.default_rng(seed)
+    index = np.arange(2**n)
+    log_weight = sum(c * ((index >> q) & 1) for q, c in enumerate(rng.uniform(-1, 1, n)))
+    psi = np.exp(log_weight / 2) * (rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
+    return psi / np.linalg.norm(psi)
+
+
+def einsum_2q(psi, n, qubit_a, qubit_b, gate):
+    """Reference: contract a 4x4 gate into the (2,)*n tensor (axis n-1-q = qubit q)."""
+    tensor = psi.reshape((2,) * n)
+    letters = "abcdefghijklmnopqrstuvwxyz"[:n]
+    ax_a, ax_b = n - 1 - qubit_a, n - 1 - qubit_b
+    out = list(letters)
+    out[ax_a], out[ax_b] = "A", "B"
+    spec = f"AB{letters[ax_a]}{letters[ax_b]},{letters}->{''.join(out)}"
+    return np.einsum(spec, gate.reshape(2, 2, 2, 2), tensor).reshape(-1)
+
+
+def direct_marginals(probs, n):
+    """<Z_i> and <Z_i Z_j> by summing the probability array over the other qubits."""
+    z = np.empty(n)
+    zz = np.eye(n)
+    for i in range(n):
+        p = probs.reshape(-1, 2, 2**i)
+        signed = (p[:, 0] - p[:, 1]).reshape(-1)  # weighted by Z_i, qubit i summed out
+        z[i] = signed.sum()
+        for j in range(i + 1, n):  # qubit j is now bit j - 1
+            p_j = signed.reshape(-1, 2, 2 ** (j - 1)).sum(axis=(0, 2))
+            zz[i, j] = zz[j, i] = p_j[0] - p_j[1]
+    return z, zz
 
 
 def dense_2q(n, qubit_a, qubit_b, gate):
@@ -92,6 +126,35 @@ class TestGateApplication:
         expected = dense_2q(3, 2, 0, gate) @ psi
         assert np.max(np.abs(sv.amplitudes - expected)) < 1e-12
 
+    @pytest.mark.parametrize("mixed", [(0, 1, 2, 3), (0, 2, 3)])
+    @pytest.mark.parametrize("qubit_a, qubit_b", [(3, 4), (4, 3), (1, 6), (6, 1), (0, 6)])
+    def test_gate_against_einsum(self, qubit_a, qubit_b, mixed):
+        # a unitary on the pair states in `mixed`, a phase on the others;
+        # a dense one takes the general path, where every pair state mixes
+        n = 7
+        rng = np.random.default_rng(10 * qubit_a + qubit_b)
+        m = len(mixed)
+        block, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+        gate = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
+        gate[np.ix_(mixed, mixed)] = block
+        psi = random_state(n, seed=qubit_a)
+        sv = StateVector(psi, n)
+        sv.apply_2q(qubit_a, qubit_b, gate)
+        expected = einsum_2q(psi, n, qubit_a, qubit_b, gate)
+        assert np.max(np.abs(sv.amplitudes - expected)) < 1e-12
+
+    def test_grouped_kick_matches_per_qubit_kicks(self):
+        # 13 qubits: the last kick pass covers 3 qubits, not 5
+        n = 13
+        kick = x_kick_gate(0.37)
+        psi = random_state(n, seed=4)
+        grouped = StateVector(psi, n)
+        grouped.apply_cycle(GateSequence(n_qubits=n, kick=kick, layers=()))
+        single = StateVector(psi, n)
+        for q in range(n):
+            single.apply_1q(q, kick)
+        assert np.max(np.abs(grouped.amplitudes - single.amplitudes)) < 1e-12
+
     def test_index_bounds(self):
         sv = StateVector.from_product(ProductState(spins=np.array([1, 1])))
         with pytest.raises(IndexError):
@@ -163,6 +226,16 @@ class TestExpectations:
             for j in range(12):
                 assert abs(matrix[i, j] - sv.expect_zz(i, j)) < 1e-12
 
+    @pytest.mark.parametrize("n", [17, 21])
+    def test_split_table_matches_direct_marginals(self, n):
+        sv = StateVector(random_state(n, seed=n), n)
+        z, zz = direct_marginals(sv.probabilities(), n)
+        assert np.max(np.abs(sv.per_site_z() - z)) < 1e-12
+        assert np.max(np.abs(sv.zz_matrix() - zz)) < 1e-12
+        pairs = [(0, n - 1), (n // 2, n // 2 - 1), (3, 4)]
+        expected = [zz[i, j] for i, j in pairs]
+        assert np.max(np.abs(sv.zz_pairs(pairs) - expected)) < 1e-12
+
     def test_values_in_range(self, dtc_cycle, hexagon_neel):
         sv = evolve(hexagon_neel, dtc_cycle, 3)
         z = sv.per_site_z()
@@ -201,12 +274,3 @@ class TestSampling:
         sv = StateVector.from_product(hexagon_neel)
         with pytest.raises(ValueError):
             sv.sample_bits(shots=0, seed=0)
-
-
-def test_amplitude_dump_roundtrip(tmp_path, dtc_cycle, hexagon_neel):
-    sv = evolve(hexagon_neel, dtc_cycle, 1)
-    path = tmp_path / "amps.bin"
-    sv.dump_amplitudes(str(path))
-    raw = np.fromfile(path, dtype="<f8")
-    restored = raw[0::2] + 1j * raw[1::2]
-    np.testing.assert_allclose(restored, sv.amplitudes, atol=0)

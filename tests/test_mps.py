@@ -6,6 +6,7 @@ from dtc2d import (
     GateSequence,
     ProductState,
     build_cycle,
+    build_lattice,
     neel_state,
     sample_disorder,
     unroll,
@@ -217,6 +218,25 @@ class TestOracleEquivalence:
             assert abs(chi_e - chi_m) < 1e-8
             assert abs(chi_from_matrix(zz_e) - chi_from_matrix(zz_m)) < 1e-8
             assert abs(qfi(z_e, zz_e, s0.spins) - qfi(z_m, zz_m, s0.spins)) < 1e-8
+
+    def test_21_qubit_cycle_matches_exact(self):
+        # one cycle on 1x2 keeps every bond <= 32, so chi 64 discards nothing
+        lattice = build_lattice(1, 2)
+        s0 = neel_state(lattice)
+        disorder = sample_disorder(lattice, seed=13)
+        cycle = build_cycle(lattice, disorder, FloquetParams(0.3, 0.3 * np.pi))
+        sv = StateVector.from_product(s0)
+        state = MPSState(s0, unroll(lattice), chi_max=64)
+        sv.apply_cycle(cycle)
+        state.apply_cycle(cycle)
+        assert state.truncation_error < 1e-20
+        z_e, z_m = sv.per_site_z(), state.per_site_z()
+        assert np.max(np.abs(z_e - z_m)) < 1e-8
+        zz_e, zz_m = sv.zz_matrix(), state.zz_matrix()
+        assert np.max(np.abs(zz_e - zz_m)) < 1e-8
+        edges = list(lattice.edges)
+        assert np.max(np.abs(sv.zz_pairs(edges) - state.zz_pairs(edges))) < 1e-8
+        assert abs(qfi(z_e, zz_e, s0.spins) - qfi(z_m, zz_m, s0.spins)) < 1e-8
 
 
 class TestExpectations:

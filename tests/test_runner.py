@@ -58,6 +58,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(shots=-1)
 
+    def test_point_tag_collision_rejected(self):
+        with pytest.raises(ValueError, match="file tag"):
+            small_config(phis=(1.2345671, 1.2345674))
+        with pytest.raises(ValueError, match="file tag"):
+            small_config(epsilons=(0.05, 0.05))
+        small_config(phis=(1.23456, 1.23457))
+
     def test_retired_zip_factor_is_ignored_with_warning(self):
         config = small_config(backend="mps", mps=MPSOptions(chi_max=32))
         payload = json.loads(config.to_json())
@@ -294,6 +301,35 @@ class TestCLI:
         assert code == 0
         reports = os.listdir(tmp_path / "rec")
         assert any(r.startswith("recovery_") for r in reports)
+
+    def test_recover_uses_the_bundle_point(self, tmp_path, capsys):
+        # two grid points; the bundle belongs to the second one
+        path = self.write_config(
+            tmp_path,
+            cycles=10,
+            phis=(0.1, DTC_PHI),
+            noise=NoiseSpec(decay=0.97, bias_even=0.02, bias_odd=-0.02),
+            recovery=RecoverySettings(ridge=1e-4),
+        )
+        config = RunConfig.load(path)
+        result = run_point(config, 0.05, DTC_PHI)
+        raw = write_raw_bundle(result, result.reference, str(tmp_path / "sim"))
+        out = tmp_path / "rec"
+        code = cli_main(["recover", "--config", path, "--raw", raw, "--out", str(out)])
+        assert code == 0
+        name = os.path.basename(raw).replace("raw_", "recovery_").replace(".csv", ".json")
+        assert os.listdir(out) == [name]
+        report = json.loads((out / name).read_text())
+        np.testing.assert_allclose(
+            report["delta_recovered"], result.recovery.delta_recovered, atol=1e-9
+        )
+
+    def test_recover_rejects_a_bundle_of_no_grid_point(self, tmp_path, capsys):
+        path = self.write_config(tmp_path)
+        raw = tmp_path / "raw_eps0.3_phi0.7.csv"
+        raw.write_text("t\n0\n")
+        with pytest.raises(SystemExit, match="eps0.3_phi0.7"):
+            cli_main(["recover", "--config", path, "--raw", str(raw)])
 
     def test_export_lattice(self, capsys):
         assert cli_main(["export-lattice", "--rows", "2", "--cols", "2"]) == 0
