@@ -17,7 +17,7 @@ from .circuit import (
     x_kick_gate,
     xxz_gate,
 )
-from .lattice import HeavyHexLattice, UnrollOrder, build_lattice, color_layers, unroll
+from .lattice import HeavyHexLattice, UnrollOrder, build_lattice, unroll
 
 __all__ = [
     "DisorderRealization",
@@ -28,7 +28,6 @@ __all__ = [
     "UnrollOrder",
     "build_cycle",
     "build_lattice",
-    "color_layers",
     "neel_state",
     "polarized_state",
     "sample_disorder",

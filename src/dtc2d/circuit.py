@@ -80,14 +80,6 @@ class GateSequence:
     kick: np.ndarray  # 2x2, applied to every qubit
     layers: tuple[tuple[tuple[int, int, np.ndarray], ...], ...]
 
-    def gate_records(self):
-        """Yield gates in application order: kick first, then layers 1..3."""
-        for q in range(self.n_qubits):
-            yield ("1q", q, self.kick)
-        for layer in self.layers:
-            for i, j, gate in layer:
-                yield ("2q", (i, j), gate)
-
 
 def sample_disorder(lattice: HeavyHexLattice, seed: int) -> DisorderRealization:
     """Draw J_ij = 1 + delta_ij, delta_ij ~ U(-0.5, 0.5), one J per edge.

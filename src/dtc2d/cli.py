@@ -13,24 +13,22 @@ configured it also writes the raw bundle that `recover` consumes.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
 
 from .lattice import build_lattice
-from .recovery import clifford_reference
 from .runner import (
     RunConfig,
-    _simulate_system,
+    point_tag,
     recover_from_raw,
-    run_point,
     run_phase_diagram,
+    run_point,
     write_phase_grid,
     write_point_outputs,
     write_raw_bundle,
+    write_recovery_report,
     write_resolved_config,
-    point_tag,
 )
 
 
@@ -93,12 +91,7 @@ def _simulate_config(config: RunConfig) -> None:
             result = run_point(config, eps, phi)
             files = write_point_outputs(result, out)
             if result.noisy is not None:
-                reference = result.reference
-                if reference is None:  # noise without recovery
-                    reference = _simulate_system(
-                        config, config.rows, config.cols, 0.0, clifford_reference(phi)
-                    )
-                files.append(write_raw_bundle(result, reference, out))
+                files.append(write_raw_bundle(result, result.reference, out))
             for path in files:
                 print(path)
 
@@ -134,14 +127,9 @@ def _bundle_point(config: RunConfig, raw_path: str) -> tuple[float, float]:
 def cmd_recover(args: argparse.Namespace) -> int:
     config = _load_config(args)
     eps, phi = _bundle_point(config, args.raw)
-    out = config.output_dir
-    os.makedirs(out, exist_ok=True)
     n_qubits = build_lattice(config.rows, config.cols).n_qubits
     report = recover_from_raw(config, args.raw, phi, n_qubits)
-    path = os.path.join(out, f"recovery_{point_tag(eps, phi)}.json")
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-    print(path)
+    print(write_recovery_report(report, point_tag(eps, phi), config.output_dir))
     return 0
 
 

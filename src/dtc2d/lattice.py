@@ -150,15 +150,6 @@ def build_lattice(rows: int, cols: int) -> HeavyHexLattice:
     return lattice
 
 
-def color_layers(lattice: HeavyHexLattice) -> dict[Edge, int]:
-    """Partition the edges into three matchings (layers 1, 2, 3).
-
-    Deterministic; identical to the schedule stored on the lattice.
-    """
-    index = {site: q for q, site in enumerate(lattice.sites)}
-    return color_layers_from_sites(lattice.sites, index, lattice.rows, lattice.cols)
-
-
 def color_layers_from_sites(
     sites: tuple[tuple[str, int, int], ...],
     index: dict[tuple[str, int, int], int],

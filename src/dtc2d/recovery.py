@@ -104,38 +104,35 @@ def renormalize_delta(
     return np.clip(recovered, -1.0, 1.0), flagged
 
 
-def _offset_objective_parts(
-    reference_offsets: tuple[float, float],
-    noisy_target: np.ndarray,
-    noisy_reference: np.ndarray,
-    exact_reference: np.ndarray,
-    delta_sim: np.ndarray,
-    ridge: float,
-    guard: float,
-) -> tuple[float, float, float]:
-    """Closed-form target offsets given the reference offsets.
+def _nested_fit(inner, full_objective) -> tuple[tuple[float, ...], float]:
+    """Solve a four-parameter least-squares fit that is quadratic in two.
 
-    With the reference offsets fixed, the recovered series is linear in the
-    target offsets, so the ridge-regularized subproblem solves in closed
-    form, independently per parity class. Returns (objective, even, odd).
+    ``inner(outer)`` solves the two inner parameters for a fixed outer pair
+    and returns (objective, a, b). The outer pair is grid-scanned, then the
+    best (a, b, outer_0, outer_1) is refined by Nelder-Mead on
+    ``full_objective``; the refinement is kept only when it does not do
+    worse. Deterministic. Returns (solution, objective).
     """
-    t = np.arange(len(noisy_target))
-    u = np.where(t % 2 == 0, reference_offsets[0], reference_offsets[1])
-    denominator = noisy_reference - u
-    valid = (np.abs(denominator) >= guard) & (t >= 1)
-    objective = ridge * (reference_offsets[0] ** 2 + reference_offsets[1] ** 2)
-    solved = [0.0, 0.0]
-    for parity in (0, 1):
-        mask = valid & (t % 2 == parity)
-        if not np.any(mask):
-            continue
-        ratio = exact_reference[mask] / denominator[mask]
-        misfit = delta_sim[mask] - ratio * noisy_target[mask]
-        offset = -float(misfit @ ratio) / (float(ratio @ ratio) + ridge)
-        solved[parity] = offset
-        objective += float(np.sum((misfit + ratio * offset) ** 2))
-        objective += ridge * offset**2
-    return objective, solved[0], solved[1]
+    grid = np.linspace(
+        -DEFAULT_GRID_HALF_WIDTH, DEFAULT_GRID_HALF_WIDTH, DEFAULT_GRID_POINTS
+    )
+    best = (np.inf, (0.0, 0.0, 0.0, 0.0))
+    for u0 in grid:
+        for u1 in grid:
+            objective, a, b = inner((u0, u1))
+            if objective < best[0]:
+                best = (objective, (a, b, u0, u1))
+
+    objective, solution = best
+    result = minimize(
+        full_objective,
+        np.array(solution),
+        method="Nelder-Mead",
+        options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000},
+    )
+    if result.fun <= objective:
+        objective, solution = float(result.fun), tuple(result.x)
+    return solution, objective
 
 
 def learn_offsets(
@@ -145,16 +142,15 @@ def learn_offsets(
     delta_sim: np.ndarray,
     ridge: float = 1e-4,
     guard: float = DEFAULT_GUARD,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    refine: bool = True,
 ) -> tuple[OffsetVector, dict]:
     """Learn the four parity offsets by regularized least squares.
 
     Minimizes sum_t (Delta_sim(t) - Delta_hat(t))^2 + ridge * |offsets|^2
     over t = 1..T. The reference offsets enter the denominator, so the
-    problem is not jointly convex; the solver grid-scans the two reference
-    offsets, solves the then-quadratic target-offset subproblem in closed
-    form, and refines locally from the best grid point. Deterministic.
+    problem is not jointly convex. With the reference offsets fixed, the
+    recovered series is linear in the target offsets, so that subproblem
+    solves in closed form, independently per parity class; the nested fit
+    grid-scans the reference offsets around it and refines locally.
     """
     noisy_target = np.asarray(noisy_target, dtype=float)
     noisy_reference = np.asarray(noisy_reference, dtype=float)
@@ -162,50 +158,38 @@ def learn_offsets(
     delta_sim = np.asarray(delta_sim, dtype=float)
     if ridge <= 0:
         raise ValueError("ridge must be positive")
+    t = np.arange(len(noisy_target))
 
-    grid = np.linspace(-DEFAULT_GRID_HALF_WIDTH, DEFAULT_GRID_HALF_WIDTH, grid_points)
-    best = (np.inf, (0.0, 0.0, 0.0, 0.0))
-    for u0 in grid:
-        for u1 in grid:
-            objective, d0, d1 = _offset_objective_parts(
-                (u0, u1),
-                noisy_target,
-                noisy_reference,
-                exact_reference,
-                delta_sim,
-                ridge,
-                guard,
-            )
-            if objective < best[0]:
-                best = (objective, (d0, d1, u0, u1))
+    def inner(reference_offsets: tuple[float, float]) -> tuple[float, float, float]:
+        u = np.where(t % 2 == 0, reference_offsets[0], reference_offsets[1])
+        denominator = noisy_reference - u
+        valid = (np.abs(denominator) >= guard) & (t >= 1)
+        objective = ridge * (reference_offsets[0] ** 2 + reference_offsets[1] ** 2)
+        solved = [0.0, 0.0]
+        for parity in (0, 1):
+            mask = valid & (t % 2 == parity)
+            if not np.any(mask):
+                continue
+            ratio = exact_reference[mask] / denominator[mask]
+            misfit = delta_sim[mask] - ratio * noisy_target[mask]
+            offset = -float(misfit @ ratio) / (float(ratio @ ratio) + ridge)
+            solved[parity] = offset
+            objective += float(np.sum((misfit + ratio * offset) ** 2))
+            objective += ridge * offset**2
+        return objective, solved[0], solved[1]
 
-    objective, solution = best
-    if refine:
+    def full_objective(vec: np.ndarray) -> float:
+        # the target offsets are free variables here, not the closed form
+        u = np.where(t % 2 == 0, vec[2], vec[3])
+        denominator = noisy_reference - u
+        valid = (np.abs(denominator) >= guard) & (t >= 1)
+        ratio = np.where(valid, exact_reference / np.where(valid, denominator, 1.0), 0.0)
+        d = np.where(t % 2 == 0, vec[0], vec[1])
+        residual = np.where(valid, delta_sim - ratio * (noisy_target - d), 0.0)
+        return float(np.sum(residual**2) + ridge * np.sum(vec**2))
 
-        def full_objective(vec: np.ndarray) -> float:
-            # the target offsets are free variables here, not the closed form
-            t = np.arange(len(noisy_target))
-            u = np.where(t % 2 == 0, vec[2], vec[3])
-            denominator = noisy_reference - u
-            valid = (np.abs(denominator) >= guard) & (t >= 1)
-            ratio = np.where(valid, exact_reference / np.where(valid, denominator, 1.0), 0.0)
-            d = np.where(t % 2 == 0, vec[0], vec[1])
-            residual = np.where(
-                valid, delta_sim - ratio * (noisy_target - d), 0.0
-            )
-            return float(np.sum(residual**2) + ridge * np.sum(vec**2))
-
-        result = minimize(
-            full_objective,
-            np.array(solution),
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000},
-        )
-        if result.fun <= objective:
-            objective, solution = float(result.fun), tuple(result.x)
-
-    offsets = OffsetVector(*solution)
-    return offsets, {"objective": objective}
+    solution, objective = _nested_fit(inner, full_objective)
+    return OffsetVector(*solution), {"objective": objective}
 
 
 @dataclass(frozen=True)
@@ -256,8 +240,6 @@ def learn_chi_coefficients(
     n_qubits: int,
     ridge: float = 1e-4,
     guard: float = DEFAULT_GUARD,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    refine: bool = True,
 ) -> tuple[ChiCoefficients, dict]:
     """Learn c1/c2 pairs by the same nested least-squares scheme as offsets."""
     chi_noisy = np.asarray(chi_noisy, dtype=float)
@@ -283,35 +265,16 @@ def learn_chi_coefficients(
         )
         return objective, float(c[0]), float(c[1])
 
-    grid = np.linspace(-DEFAULT_GRID_HALF_WIDTH, DEFAULT_GRID_HALF_WIDTH, grid_points)
-    best = (np.inf, (0.0, 0.0, 0.0, 0.0))
-    for u1 in grid:
-        for u2 in grid:
-            objective, c1, c2 = inner((u1, u2))
-            if objective < best[0]:
-                best = (objective, (c1, c2, u1, u2))
-
-    objective, solution = best
-    if refine:
-
-        def full_objective(vec: np.ndarray) -> float:
-            coeffs = ChiCoefficients(*vec)
-            recovered, flagged = recover_chi(
-                chi_noisy, corr_noisy, chi_ref, corr_ref, coeffs, n_qubits, guard
-            )
-            valid = ~flagged & (t >= 1)
-            residual = np.where(valid, chi_sim - recovered, 0.0)
-            return float(np.sum(residual**2) + ridge * np.sum(vec**2))
-
-        result = minimize(
-            full_objective,
-            np.array(solution),
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000},
+    def full_objective(vec: np.ndarray) -> float:
+        coeffs = ChiCoefficients(*vec)
+        recovered, flagged = recover_chi(
+            chi_noisy, corr_noisy, chi_ref, corr_ref, coeffs, n_qubits, guard
         )
-        if result.fun <= objective:
-            objective, solution = float(result.fun), tuple(result.x)
+        valid = ~flagged & (t >= 1)
+        residual = np.where(valid, chi_sim - recovered, 0.0)
+        return float(np.sum(residual**2) + ridge * np.sum(vec**2))
 
+    solution, objective = _nested_fit(inner, full_objective)
     return ChiCoefficients(*solution), {"objective": objective}
 
 

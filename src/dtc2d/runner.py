@@ -2,11 +2,13 @@
 
 A run evolves one (epsilon, phi) point for T cycles, recording every
 diagnostic per cycle on up to three channels (noiseless, noisy,
-recovered). Recovery follows the renormalization pipeline: a reference run
-at the nearest Clifford point, parity offsets learned against a
-classically simulated system (optionally a smaller lattice), correlator
-coefficients learned the same way, and per-cycle flip probabilities
-learned from the Clifford-point Hamming data.
+recovered). With noise, the point's reference run at the nearest Clifford
+point is simulated too. Recovery is one pipeline, shared by `simulate`
+and by `recover` on an exported raw bundle: parity offsets learned
+against a classically simulated system (optionally a smaller lattice),
+Clifford-point renormalization, correlator coefficients learned the same
+way, and, when Hamming data exists, per-cycle flip probabilities learned
+from the Clifford-point distributions and the optional deconvolution.
 
 All randomness is derived from the config seed plus the point coordinates
 and cycle index, so re-running any config reproduces its outputs byte for
@@ -77,6 +79,12 @@ class MPSOptions:
     chi_max: int = 64
     cutoff: float = 1e-12
 
+    def __post_init__(self) -> None:
+        if self.chi_max < 1:
+            raise ValueError("mps.chi_max must be >= 1")
+        if not self.cutoff >= 0:
+            raise ValueError("mps.cutoff must be >= 0")
+
 
 @dataclass(frozen=True)
 class RecoverySettings:
@@ -87,6 +95,17 @@ class RecoverySettings:
     learn_rows: int | None = None  # lattice used to learn offsets (None: self)
     learn_cols: int | None = None
     deconvolve: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("ridge", "lambda_mean", "lambda_var", "guard"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"recovery.{name} must be positive")
+        for name in ("learn_rows", "learn_cols"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(
+                    f"recovery.{name} must be >= 1 (null: the run's own lattice)"
+                )
 
 
 @dataclass(frozen=True)
@@ -115,8 +134,20 @@ class RunConfig:
             raise ValueError("shots must be >= 0")
         if self.backend not in ("exact", "mps"):
             raise ValueError(f"unknown backend {self.backend!r}")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "phis", tuple(float(p) for p in self.phis))
+        for eps in self.epsilons:
+            if not np.isfinite(eps):
+                raise ValueError(f"epsilon must be finite, got {eps}")
+        for phi in self.phis:
+            clifford_reference(phi)  # raises outside [0, pi/2]
+        if self.recovery is not None and self.recovery.deconvolve:
+            if self.shots == 0 or not self.full_correlations:
+                raise ValueError(
+                    "recovery.deconvolve needs shots > 0 and full_correlations"
+                )
         # every output file of a point is named by its tag
         points: dict[str, tuple[float, float]] = {}
         for eps in self.epsilons:
@@ -138,7 +169,7 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         payload = json.loads(text)
-        if payload.get("mps"):
+        if payload.get("mps") is not None:
             mps = dict(payload["mps"])
             # older configs carry the zip-up factor of the layer-MPO
             # contraction that the span-local gate engine replaced
@@ -149,9 +180,9 @@ class RunConfig:
                     stacklevel=2,
                 )
             payload["mps"] = MPSOptions(**mps)
-        if payload.get("noise"):
+        if payload.get("noise") is not None:
             payload["noise"] = NoiseSpec.from_dict(payload["noise"])
-        if payload.get("recovery"):
+        if payload.get("recovery") is not None:
             payload["recovery"] = RecoverySettings(**payload["recovery"])
         for key in ("epsilons", "phis"):
             if key in payload:
@@ -212,7 +243,7 @@ class PointResult:
     clean: TimeSeries
     noisy: TimeSeries | None = None
     recovery: RecoveryReport | None = None
-    reference: PointResult | None = None  # Clifford-point run used by recovery
+    reference: PointResult | None = None  # Clifford-point run of a noisy point
 
     def phase_point(self) -> PhasePoint:
         return phase_order_params(
@@ -271,6 +302,8 @@ def _simulate_system(
     clean = TimeSeries()
     noisy = TimeSeries() if noise_model else None
     edges = list(lattice.edges)
+    iu = np.triu_indices(lattice.n_qubits, k=1)
+    all_pairs = list(zip(iu[0].tolist(), iu[1].tolist()))
 
     start_t = 0
     checkpointed = checkpoint_dir is not None and config.backend == "mps"
@@ -305,8 +338,6 @@ def _simulate_system(
             noisy.chi_nn.append(chi(zz_nn_noisy))
             noisy.corr_avg.append(correlator_average(zz_nn_noisy))
             if config.full_correlations:
-                iu = np.triu_indices(lattice.n_qubits, k=1)
-                all_pairs = list(zip(iu[0].tolist(), iu[1].tolist()))
                 zz_all_noisy = corrupt_correlators(
                     zz[iu], all_pairs, z, noise_model, t
                 )
@@ -333,7 +364,12 @@ def _simulate_system(
 
 
 def run_point(config: RunConfig, eps: float, phi: float) -> PointResult:
-    """Simulate one parameter point, with noise and recovery if configured."""
+    """Simulate one parameter point, with noise and recovery if configured.
+
+    With noise, the point's Clifford reference is simulated too and kept in
+    ``PointResult.reference``; the raw bundle needs it with or without
+    recovery.
+    """
     checkpoint_dir = None
     if config.checkpoint and config.output_dir:
         checkpoint_dir = os.path.join(config.output_dir, "checkpoints")
@@ -341,22 +377,47 @@ def run_point(config: RunConfig, eps: float, phi: float) -> PointResult:
     result = _simulate_system(
         config, config.rows, config.cols, eps, phi, checkpoint_dir
     )
-    if config.noise is None or config.recovery is None:
+    if config.noise is None:
         return result
 
-    settings = config.recovery
     phi0 = clifford_reference(phi)
-    reference = _simulate_system(config, config.rows, config.cols, 0.0, phi0)
-    exact_reference = clifford_delta(phi0, config.cycles)
+    result.reference = _simulate_system(config, config.rows, config.cols, 0.0, phi0)
+    settings = config.recovery
+    if settings is None:
+        return result
 
     learn_rows = settings.learn_rows or config.rows
     learn_cols = settings.learn_cols or config.cols
     if (learn_rows, learn_cols) == (config.rows, config.cols):
-        learn_target, learn_reference = result, reference
+        learn_target, learn_reference = result, result.reference
     else:
         learn_target = _simulate_system(config, learn_rows, learn_cols, eps, phi)
         learn_reference = _simulate_system(config, learn_rows, learn_cols, 0.0, phi0)
+    result.recovery = _recover(
+        result, result.reference, learn_target, learn_reference, phi0, settings
+    )
+    return result
 
+
+def _recover(
+    result: PointResult,
+    reference: PointResult,
+    learn_target: PointResult,
+    learn_reference: PointResult,
+    phi0: float,
+    settings: RecoverySettings,
+) -> RecoveryReport:
+    """The recovery pipeline of both `simulate` and `recover`.
+
+    Parity offsets and correlator coefficients are learned on the learn
+    pair (target and Clifford reference, possibly on a smaller lattice)
+    against its clean series, then applied to the result/reference pair.
+    When the reference carries noisy Hamming data, the per-cycle flip
+    schedule is learned from it, and with ``settings.deconvolve`` and a
+    recorded QFI the target's Hamming distributions are deconvolved.
+    """
+    cycles = len(result.noisy.delta) - 1
+    exact_reference = clifford_delta(phi0, cycles)
     offsets, offset_info = learn_offsets(
         np.array(learn_target.noisy.delta),
         np.array(learn_reference.noisy.delta),
@@ -372,7 +433,6 @@ def run_point(config: RunConfig, eps: float, phi: float) -> PointResult:
         offsets,
         guard=settings.guard,
     )
-
     coefficients, chi_info = learn_chi_coefficients(
         np.array(learn_target.noisy.chi_nn),
         np.array(learn_target.noisy.corr_avg),
@@ -392,7 +452,6 @@ def run_point(config: RunConfig, eps: float, phi: float) -> PointResult:
         result.n_qubits,
         guard=settings.guard,
     )
-
     report = RecoveryReport(
         offsets=offsets,
         offsets_objective=offset_info["objective"],
@@ -403,35 +462,30 @@ def run_point(config: RunConfig, eps: float, phi: float) -> PointResult:
         chi_recovered=chi_recovered,
         chi_flags=chi_flags,
     )
+    if not reference.noisy.hamming:
+        return report
 
-    if config.shots > 0 and reference.noisy is not None and reference.noisy.hamming:
-        n = result.n_qubits
-        if phi0 == 0.0:
-            d_cliff = np.zeros(config.cycles + 1, dtype=int)
-        else:
-            d_cliff = np.where(np.arange(config.cycles + 1) % 2 == 0, 0, n)
-        report.flip_schedule = learn_flip_schedule(
-            np.array(reference.noisy.hamming), d_cliff
-        )
-        if settings.deconvolve and config.full_correlations:
-            trials = []
-            for t in range(config.cycles + 1):
-                mu = 0.5 * n * (1.0 - delta_recovered[t])
-                var = result.clean.qfi[t]
-                trial, _ = deconvolve_hamming(
-                    np.array(result.noisy.hamming[t]),
-                    float(report.flip_schedule[t]),
-                    mu,
-                    var,
-                    lambda_mean=settings.lambda_mean,
-                    lambda_var=settings.lambda_var,
-                )
-                trials.append(trial)
-            report.deconvolved = trials
-
-    result.recovery = report
-    result.reference = reference
-    return result
+    n = result.n_qubits
+    if phi0 == 0.0:
+        d_cliff = np.zeros(cycles + 1, dtype=int)
+    else:
+        d_cliff = np.where(np.arange(cycles + 1) % 2 == 0, 0, n)
+    report.flip_schedule = learn_flip_schedule(
+        np.array(reference.noisy.hamming), d_cliff
+    )
+    if settings.deconvolve and result.clean.qfi:
+        report.deconvolved = [
+            deconvolve_hamming(
+                np.array(result.noisy.hamming[t]),
+                float(report.flip_schedule[t]),
+                0.5 * n * (1.0 - delta_recovered[t]),
+                result.clean.qfi[t],
+                lambda_mean=settings.lambda_mean,
+                lambda_var=settings.lambda_var,
+            )[0]
+            for t in range(cycles + 1)
+        ]
+    return report
 
 
 def run_phase_diagram(config: RunConfig) -> list[PhasePoint]:
@@ -531,12 +585,17 @@ def write_point_outputs(result: PointResult, out_dir: str) -> list[str]:
         written.append(ham_path)
 
     if result.recovery is not None:
-        report_path = os.path.join(out_dir, f"recovery_{tag}.json")
-        with open(report_path, "w") as fh:
-            json.dump(result.recovery.to_dict(), fh, indent=2)
-        written.append(report_path)
+        written.append(write_recovery_report(result.recovery, tag, out_dir))
 
     return written
+
+
+def write_recovery_report(report: RecoveryReport, tag: str, out_dir: str) -> str:
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, f"recovery_{tag}.json")
+    with open(path, "w") as fh:
+        json.dump(report.to_dict(), fh, indent=2)
+    return path
 
 
 def write_phase_grid(points: list[PhasePoint], out_dir: str) -> str:
@@ -611,56 +670,38 @@ def write_raw_bundle(
 def recover_from_raw(
     config: RunConfig, raw_path: str, phi: float, n_qubits: int
 ) -> RecoveryReport:
-    """Re-run Delta and chi recovery on a previously exported raw bundle."""
-    settings = config.recovery or RecoverySettings()
-    table = np.genfromtxt(raw_path, delimiter=",", names=True)
-    cycles = len(table["t"]) - 1
-    exact_reference = clifford_delta(clifford_reference(phi), cycles)
+    """Re-run Delta and chi recovery on a previously exported raw bundle.
 
-    offsets, offset_info = learn_offsets(
-        table["delta_noisy"],
-        table["delta_noisy_ref"],
-        exact_reference,
-        table["delta_sim"],
-        ridge=settings.ridge,
-        guard=settings.guard,
+    The bundle's target and reference columns are both the learn pair and
+    the pair to recover, as in a run that learns on its own lattice.
+    """
+    table = np.genfromtxt(raw_path, delimiter=",", names=True)
+
+    def series(**columns: str) -> TimeSeries:
+        return TimeSeries(**{key: list(table[name]) for key, name in columns.items()})
+
+    phi0 = clifford_reference(phi)
+    # the bundle does not carry eps, and recovery does not read it
+    target = PointResult(
+        epsilon=float("nan"),
+        phi=phi,
+        n_qubits=n_qubits,
+        s0=np.empty(0),
+        clean=series(delta="delta_sim", chi_nn="chi_sim"),
+        noisy=series(delta="delta_noisy", chi_nn="chi_noisy", corr_avg="corr_noisy"),
     )
-    delta_recovered, delta_flags = renormalize_delta(
-        table["delta_noisy"],
-        table["delta_noisy_ref"],
-        exact_reference,
-        offsets,
-        guard=settings.guard,
+    reference = PointResult(
+        epsilon=0.0,
+        phi=phi0,
+        n_qubits=n_qubits,
+        s0=np.empty(0),
+        clean=TimeSeries(),
+        noisy=series(
+            delta="delta_noisy_ref", chi_nn="chi_noisy_ref", corr_avg="corr_noisy_ref"
+        ),
     )
-    coefficients, chi_info = learn_chi_coefficients(
-        table["chi_noisy"],
-        table["corr_noisy"],
-        table["chi_noisy_ref"],
-        table["corr_noisy_ref"],
-        table["chi_sim"],
-        n_qubits,
-        ridge=settings.ridge,
-        guard=settings.guard,
-    )
-    chi_recovered, chi_flags = recover_chi(
-        table["chi_noisy"],
-        table["corr_noisy"],
-        table["chi_noisy_ref"],
-        table["corr_noisy_ref"],
-        coefficients,
-        n_qubits,
-        guard=settings.guard,
-    )
-    return RecoveryReport(
-        offsets=offsets,
-        offsets_objective=offset_info["objective"],
-        chi_coefficients=coefficients,
-        chi_objective=chi_info["objective"],
-        delta_recovered=delta_recovered,
-        delta_flags=delta_flags,
-        chi_recovered=chi_recovered,
-        chi_flags=chi_flags,
-    )
+    settings = config.recovery or RecoverySettings()
+    return _recover(target, reference, target, reference, phi0, settings)
 
 
 # --- MPS checkpointing ---

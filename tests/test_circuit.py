@@ -105,11 +105,11 @@ class TestBuildCycle:
     def test_gate_counts_and_order(self, lattice_2x2):
         disorder = sample_disorder(lattice_2x2, seed=0)
         cycle = build_cycle(lattice_2x2, disorder, FloquetParams(0.1, 0.3))
-        records = list(cycle.gate_records())
-        assert len(records) == 35 + 38
-        kinds = [r[0] for r in records]
-        assert kinds[:35] == ["1q"] * 35
-        assert kinds[35:] == ["2q"] * 38
+        # the one-qubit kick on all 35 qubits, then 38 two-qubit gates
+        assert cycle.n_qubits == 35 and cycle.kick.shape == (2, 2)
+        gates = [gate for layer in cycle.layers for _, _, gate in layer]
+        assert len(gates) == 38
+        assert all(gate.shape == (4, 4) for gate in gates)
 
     def test_layer_internal_disjointness(self, lattice_2x2):
         disorder = sample_disorder(lattice_2x2, seed=0)
@@ -121,7 +121,8 @@ class TestBuildCycle:
     def test_clifford_glass_point_is_diagonal(self, hexagon):
         disorder = sample_disorder(hexagon, seed=0)
         cycle = build_cycle(hexagon, disorder, FloquetParams(0.0, 0.0))
-        for kind, _, gate in cycle.gate_records():
+        gates = [cycle.kick] + [gate for layer in cycle.layers for _, _, gate in layer]
+        for gate in gates:
             off_diag = gate - np.diag(np.diag(gate))
             assert np.max(np.abs(off_diag)) < 1e-15
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dtc2d import build_lattice, color_layers, unroll
+from dtc2d import build_lattice, unroll
 
 # reference geometries and their qubit counts
 GEOMETRIES = {(1, 1): 12, (2, 2): 35, (3, 3): 68, (3, 7): 144}
@@ -91,10 +91,6 @@ def test_bipartition_consistent(shape):
     assert set(lat.bipartition) == {0, 1}
     for i, j in lat.edges:
         assert lat.bipartition[i] != lat.bipartition[j]
-
-
-def test_color_layers_matches_stored(lattice_2x2):
-    assert color_layers(lattice_2x2) == lattice_2x2.layer_of_edge
 
 
 def test_build_is_deterministic():

@@ -49,6 +49,10 @@ class TestConfig:
         )
         restored = RunConfig.from_json(config.to_json())
         assert restored == config
+        # an empty section stands for that section's defaults
+        assert RunConfig.from_json('{"mps": {}, "recovery": {}}') == RunConfig(
+            recovery=RecoverySettings()
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -64,6 +68,40 @@ class TestConfig:
         with pytest.raises(ValueError, match="file tag"):
             small_config(epsilons=(0.05, 0.05))
         small_config(phis=(1.23456, 1.23457))
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            pytest.param({"phis": [-0.1]}, "phi", id="phi-below-0"),
+            pytest.param({"phis": [0.1, 1.6]}, "phi", id="phi-above-pi/2"),
+            pytest.param({"epsilons": [float("nan")]}, "epsilon", id="eps-nan"),
+            pytest.param({"epsilons": [float("inf")]}, "epsilon", id="eps-inf"),
+            pytest.param({"workers": 0}, "workers", id="workers-0"),
+            pytest.param({"mps": {"chi_max": 0}}, "chi_max", id="chi-max-0"),
+            pytest.param({"mps": {"cutoff": -1e-12}}, "cutoff", id="cutoff-negative"),
+            pytest.param({"recovery": {"ridge": 0.0}}, "ridge", id="ridge-0"),
+            pytest.param({"recovery": {"guard": 0.0}}, "guard", id="guard-0"),
+            pytest.param({"recovery": {"lambda_mean": 0.0}}, "lambda_mean", id="mean-0"),
+            pytest.param({"recovery": {"lambda_var": -1.0}}, "lambda_var", id="var-neg"),
+            pytest.param({"recovery": {"learn_rows": 0}}, "learn_rows", id="rows-0"),
+            pytest.param({"recovery": {"learn_cols": 0}}, "learn_cols", id="cols-0"),
+            pytest.param(
+                {"recovery": {"deconvolve": True}, "shots": 0},
+                "deconvolve",
+                id="deconvolve-without-shots",
+            ),
+            pytest.param(
+                {"recovery": {"deconvolve": True}, "full_correlations": False},
+                "deconvolve",
+                id="deconvolve-without-full-correlations",
+            ),
+        ],
+    )
+    def test_bad_config_rejected_before_any_evolution(self, override, message):
+        payload = json.loads(small_config(shots=100).to_json())
+        payload.update(override)
+        with pytest.raises(ValueError, match=message):
+            RunConfig.from_json(json.dumps(payload))
 
     def test_retired_zip_factor_is_ignored_with_warning(self):
         config = small_config(backend="mps", mps=MPSOptions(chi_max=32))
@@ -299,8 +337,28 @@ class TestCLI:
             ]
         )
         assert code == 0
-        reports = os.listdir(tmp_path / "rec")
-        assert any(r.startswith("recovery_") for r in reports)
+        (name,) = os.listdir(tmp_path / "rec")
+        assert name.startswith("recovery_")
+        # one pipeline: the offline report repeats the in-run one exactly
+        offline = json.loads((tmp_path / "rec" / name).read_text())
+        in_run = json.loads((tmp_path / "sim" / name).read_text())
+        assert set(offline) == {
+            "offsets", "offsets_objective", "chi_coefficients", "chi_objective",
+            "delta_recovered", "delta_flags", "chi_recovered", "chi_flags",
+        }
+        assert offline == {key: in_run[key] for key in offline}
+
+        # noise without recovery still writes the same raw bundle
+        path = self.write_config(
+            tmp_path,
+            cycles=10,
+            noise=NoiseSpec(decay=0.97, bias_even=0.02, bias_odd=-0.02),
+        )
+        bare = tmp_path / "bare"
+        assert cli_main(["simulate", "--config", path, "--out", str(bare)]) == 0
+        assert not any(f.startswith("recovery_") for f in os.listdir(bare))
+        with open(os.path.join(out, raw[0]), "rb") as fh:
+            assert (bare / raw[0]).read_bytes() == fh.read()
 
     def test_recover_uses_the_bundle_point(self, tmp_path, capsys):
         # two grid points; the bundle belongs to the second one
