@@ -7,7 +7,6 @@ from the uniform disorder distribution on [0.5, 1.5].
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -34,16 +33,6 @@ class FloquetParams:
 class DisorderRealization:
     seed: int
     couplings: dict[Edge, float]
-
-    def to_json(self) -> str:
-        records = [[i, j, self.couplings[(i, j)]] for i, j in sorted(self.couplings)]
-        return json.dumps({"seed": self.seed, "couplings": records})
-
-    @classmethod
-    def from_json(cls, text: str) -> "DisorderRealization":
-        payload = json.loads(text)
-        couplings = {(int(i), int(j)): float(J) for i, j, J in payload["couplings"]}
-        return cls(seed=int(payload["seed"]), couplings=couplings)
 
 
 @dataclass(frozen=True)

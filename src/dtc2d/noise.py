@@ -4,7 +4,9 @@ Expectation values are corrupted by the linear model
 ``z_noisy_i(t) = f_i(t) z_i(t) + bias_i(t)`` with per-qubit attenuation
 schedules f_i(t) = rate_i**t and parity-periodic biases
 (bias_i(t) = bias_i(t+2)). Sampled bitstrings are corrupted by independent
-per-bit flips with probability p(t) followed by readout flips.
+per-bit flips with probability p(t) followed by readout flips. Two-point
+correlators pass through the same per-qubit channel; each function maps a
+whole array of sites, pairs or shots at once.
 
 The defaults realize exactly the model the recovery stack assumes, so
 closed-loop tests isolate recovery-code correctness; ``mismatched_noise``
@@ -12,7 +14,6 @@ breaks the uniformity assumptions to probe robustness.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,30 +57,6 @@ class NoiseModel:
 
     def flip_probability(self, t: int) -> float:
         return min(self.flip_slope * t, self.flip_cap)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "decay": self.decay.tolist(),
-                "bias_even": self.bias_even.tolist(),
-                "bias_odd": self.bias_odd.tolist(),
-                "flip_slope": self.flip_slope,
-                "flip_cap": self.flip_cap,
-                "readout_flip": self.readout_flip,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "NoiseModel":
-        payload = json.loads(text)
-        return cls(
-            decay=np.array(payload["decay"], dtype=float),
-            bias_even=np.array(payload["bias_even"], dtype=float),
-            bias_odd=np.array(payload["bias_odd"], dtype=float),
-            flip_slope=float(payload.get("flip_slope", 0.0)),
-            flip_cap=float(payload.get("flip_cap", 0.5)),
-            readout_flip=float(payload.get("readout_flip", 0.0)),
-        )
 
 
 def uniform_noise(
@@ -159,7 +136,7 @@ def corrupt_bits(
 
 def corrupt_correlators(
     zz_values: np.ndarray,
-    pairs: list[tuple[int, int]],
+    pairs: list[tuple[int, int]] | np.ndarray,
     per_site_z: np.ndarray,
     model: NoiseModel,
     t: int,
@@ -170,19 +147,19 @@ def corrupt_correlators(
     <Z_i Z_j> -> f_i f_j <Z_i Z_j> + f_i b_j <Z_i> + f_j b_i <Z_j> + b_i b_j.
     The same single-qubit model that corrupts the polarizations, extended
     consistently; the recovery ansatz approximates this by a collective
-    attenuation plus pair-averaged bias terms.
+    attenuation plus pair-averaged bias terms. ``pairs`` is a list of
+    (i, j) tuples or an (m, 2) index array, matching ``zz_values``.
     """
     f = model.attenuation(t)
     b = model.bias(t)
-    zz_values = np.asarray(zz_values, dtype=float)
-    noisy = np.empty_like(zz_values)
-    for k, (i, j) in enumerate(pairs):
-        noisy[k] = (
-            f[i] * f[j] * zz_values[k]
-            + f[i] * b[j] * per_site_z[i]
-            + f[j] * b[i] * per_site_z[j]
-            + b[i] * b[j]
-        )
+    z = np.asarray(per_site_z, dtype=float)
+    i, j = np.asarray(pairs, dtype=np.intp).T
+    noisy = (
+        f[i] * f[j] * np.asarray(zz_values, dtype=float)
+        + f[i] * b[j] * z[i]
+        + f[j] * b[i] * z[j]
+        + b[i] * b[j]
+    )
     return np.clip(noisy, -1.0, 1.0)
 
 
@@ -232,22 +209,3 @@ class NoiseSpec:
                 readout_flip=self.readout_flip,
             )
         raise ValueError(f"unknown noise kind {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "decay": self.decay,
-            "bias_even": self.bias_even,
-            "bias_odd": self.bias_odd,
-            "align_bias_with_initial": self.align_bias_with_initial,
-            "flip_slope": self.flip_slope,
-            "flip_cap": self.flip_cap,
-            "readout_flip": self.readout_flip,
-            "seed": self.seed,
-            "decay_spread": self.decay_spread,
-            "bias_scale": self.bias_scale,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "NoiseSpec":
-        return cls(**payload)

@@ -156,10 +156,6 @@ class TimeSeries:
     hamming: list[np.ndarray] = field(default_factory=list)
     corr_avg: list[float] = field(default_factory=list)
 
-    @property
-    def n_cycles(self) -> int:
-        return len(self.delta) - 1
-
     def z_array(self) -> np.ndarray:
         return np.array(self.per_site_z)
 

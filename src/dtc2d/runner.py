@@ -1,10 +1,13 @@
 """Config-driven orchestration: point runs, phase-diagram sweeps, recovery.
 
-A run evolves one (epsilon, phi) point for T cycles, recording every
-diagnostic per cycle on up to three channels (noiseless, noisy,
-recovered). With noise, the point's reference run at the nearest Clifford
-point is simulated too. Recovery is one pipeline, shared by `simulate`
-and by `recover` on an exported raw bundle: parity offsets learned
+A run evolves one (epsilon, phi) point for T cycles. Each cycle reads
+<Z>, <ZZ> and the sampled bitstrings once, and one record (`_record`)
+appends every diagnostic of a channel: the noiseless channel records them
+as read, the noisy one after the per-qubit noise channel has corrupted
+them. Recovery adds a third, recovered channel. With noise, the point's
+reference run at the nearest Clifford point is simulated too. Recovery is
+one pipeline, shared by `simulate` and by `recover` on an exported raw
+bundle: parity offsets learned
 against a classically simulated system (optionally a smaller lattice),
 Clifford-point renormalization, correlator coefficients learned the same
 way, and, when Hamming data exists, per-cycle flip probabilities learned
@@ -12,7 +15,10 @@ from the Clifford-point distributions and the optional deconvolution.
 
 All randomness is derived from the config seed plus the point coordinates
 and cycle index, so re-running any config reproduces its outputs byte for
-byte, serial or parallel.
+byte, serial or parallel. The MPS checkpoints and the raw bundle are laid
+out from `TimeSeries` fields: a checkpoint stores one array per channel and
+field, and `RAW_COLUMNS` maps each bundle column to its run, channel and
+field for both the writer and the reader.
 """
 from __future__ import annotations
 
@@ -143,6 +149,21 @@ class RunConfig:
                 raise ValueError(f"epsilon must be finite, got {eps}")
         for phi in self.phis:
             clifford_reference(phi)  # raises outside [0, pi/2]
+        if self.initial_state not in ("neel", "polarized"):
+            bits = self.initial_state
+            n_qubits = build_lattice(self.rows, self.cols).n_qubits
+            if set(bits) - {"0", "1"} or len(bits) != n_qubits:
+                raise ValueError(
+                    f"initial_state must be 'neel', 'polarized' or a 0/1 string "
+                    f"of {n_qubits} bits for the {self.rows}x{self.cols} "
+                    f"lattice, got {bits!r}"
+                )
+            if self.learn_lattice != (self.rows, self.cols):
+                raise ValueError(
+                    "a bitstring initial_state fits only the run's own lattice, "
+                    "but recovery.learn_rows/learn_cols select %dx%d"
+                    % self.learn_lattice
+                )
         if self.recovery is not None and self.recovery.deconvolve:
             if self.shots == 0 or not self.full_correlations:
                 raise ValueError(
@@ -161,10 +182,14 @@ class RunConfig:
                     )
                 points[tag] = (eps, phi)
 
+    @property
+    def learn_lattice(self) -> tuple[int, int]:
+        """(rows, cols) of the lattice that recovery learns on."""
+        settings = self.recovery or RecoverySettings()
+        return (settings.learn_rows or self.rows, settings.learn_cols or self.cols)
+
     def to_json(self) -> str:
-        payload = asdict(self)
-        payload["noise"] = self.noise.to_dict() if self.noise else None
-        return json.dumps(payload, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -181,7 +206,7 @@ class RunConfig:
                 )
             payload["mps"] = MPSOptions(**mps)
         if payload.get("noise") is not None:
-            payload["noise"] = NoiseSpec.from_dict(payload["noise"])
+            payload["noise"] = NoiseSpec(**payload["noise"])
         if payload.get("recovery") is not None:
             payload["recovery"] = RecoverySettings(**payload["recovery"])
         for key in ("epsilons", "phis"):
@@ -280,10 +305,6 @@ def _simulate_system(
 ) -> PointResult:
     """Evolve one system, recording the clean (and noisy) channels."""
     lattice = build_lattice(rows, cols)
-    if config.backend == "exact" and lattice.n_qubits > 24:
-        raise ValueError(
-            f"exact backend capped at 24 qubits; {rows}x{cols} has {lattice.n_qubits}"
-        )
     order = unroll(lattice)
     disorder = sample_disorder(lattice, config.seed)
     params = FloquetParams(epsilon=eps, phi=phi)
@@ -303,7 +324,7 @@ def _simulate_system(
     noisy = TimeSeries() if noise_model else None
     edges = list(lattice.edges)
     iu = np.triu_indices(lattice.n_qubits, k=1)
-    all_pairs = list(zip(iu[0].tolist(), iu[1].tolist()))
+    pairs = np.transpose(iu)
 
     start_t = 0
     checkpointed = checkpoint_dir is not None and config.backend == "mps"
@@ -316,40 +337,32 @@ def _simulate_system(
             state.apply_cycle(cycle)
         z = state.per_site_z()
         zz_nn = state.zz_pairs(edges)
-        clean.per_site_z.append(z)
-        clean.delta.append(delta(z, s0.spins))
-        clean.chi_nn.append(chi(zz_nn))
-        clean.corr_avg.append(correlator_average(zz_nn))
-        if config.full_correlations:
-            zz = state.zz_matrix()
-            clean.chi_sg.append(chi_from_matrix(zz))
-            clean.qfi.append(qfi(z, zz, s0.spins))
+        zz = state.zz_matrix() if config.full_correlations else None
         samples = None
         if config.shots > 0:
             samples = state.sample_bits(
                 config.shots, _shot_seed(config, eps, phi, t, 0)
             )
-            clean.hamming.append(hamming_distribution(samples, s0.spins))
+        _record(clean, z, zz_nn, zz, samples, s0.spins)
         if noise_model is not None:
-            z_noisy = corrupt_expectations(z, noise_model, t)
-            zz_nn_noisy = corrupt_correlators(zz_nn, edges, z, noise_model, t)
-            noisy.per_site_z.append(z_noisy)
-            noisy.delta.append(delta(z_noisy, s0.spins))
-            noisy.chi_nn.append(chi(zz_nn_noisy))
-            noisy.corr_avg.append(correlator_average(zz_nn_noisy))
-            if config.full_correlations:
-                zz_all_noisy = corrupt_correlators(
-                    zz[iu], all_pairs, z, noise_model, t
-                )
-                noisy.chi_sg.append(chi(zz_all_noisy))
-                matrix_noisy = np.eye(lattice.n_qubits)
-                matrix_noisy[iu] = zz_all_noisy
-                matrix_noisy.T[iu] = zz_all_noisy
-                noisy.qfi.append(qfi(z_noisy, matrix_noisy, s0.spins))
+            zz_noisy = None
+            if zz is not None:
+                values = corrupt_correlators(zz[iu], pairs, z, noise_model, t)
+                zz_noisy = np.eye(lattice.n_qubits)
+                zz_noisy[iu] = values
+                zz_noisy.T[iu] = values
+            samples_noisy = None
             if samples is not None:
                 rng = np.random.default_rng(_shot_seed(config, eps, phi, t, 1))
-                corrupted = corrupt_bits(samples, noise_model, t, rng)
-                noisy.hamming.append(hamming_distribution(corrupted, s0.spins))
+                samples_noisy = corrupt_bits(samples, noise_model, t, rng)
+            _record(
+                noisy,
+                corrupt_expectations(z, noise_model, t),
+                corrupt_correlators(zz_nn, edges, z, noise_model, t),
+                zz_noisy,
+                samples_noisy,
+                s0.spins,
+            )
         if checkpointed:
             _save_checkpoint(state, checkpoint_dir, key, t, clean, noisy)
 
@@ -361,6 +374,31 @@ def _simulate_system(
         clean=clean,
         noisy=noisy,
     )
+
+
+def _record(
+    series: TimeSeries,
+    z: np.ndarray,
+    zz_pairs: np.ndarray,
+    zz: np.ndarray | None,
+    samples: np.ndarray | None,
+    s0: np.ndarray,
+) -> None:
+    """Append one cycle of one channel: everything its measurements give.
+
+    ``zz_pairs`` holds the nearest-neighbour correlators, ``zz`` the full
+    correlator matrix (None without full correlations) and ``samples`` the
+    bitstrings (None without shots).
+    """
+    series.per_site_z.append(z)
+    series.delta.append(delta(z, s0))
+    series.chi_nn.append(chi(zz_pairs))
+    series.corr_avg.append(correlator_average(zz_pairs))
+    if zz is not None:
+        series.chi_sg.append(chi_from_matrix(zz))
+        series.qfi.append(qfi(z, zz, s0))
+    if samples is not None:
+        series.hamming.append(hamming_distribution(samples, s0))
 
 
 def run_point(config: RunConfig, eps: float, phi: float) -> PointResult:
@@ -386,13 +424,12 @@ def run_point(config: RunConfig, eps: float, phi: float) -> PointResult:
     if settings is None:
         return result
 
-    learn_rows = settings.learn_rows or config.rows
-    learn_cols = settings.learn_cols or config.cols
-    if (learn_rows, learn_cols) == (config.rows, config.cols):
+    learn = config.learn_lattice
+    if learn == (config.rows, config.cols):
         learn_target, learn_reference = result, result.reference
     else:
-        learn_target = _simulate_system(config, learn_rows, learn_cols, eps, phi)
-        learn_reference = _simulate_system(config, learn_rows, learn_cols, 0.0, phi0)
+        learn_target = _simulate_system(config, *learn, eps, phi)
+        learn_reference = _simulate_system(config, *learn, 0.0, phi0)
     result.recovery = _recover(
         result, result.reference, learn_target, learn_reference, phi0, settings
     )
@@ -569,16 +606,13 @@ def write_point_outputs(result: PointResult, out_dir: str) -> list[str]:
         fh.write("\n".join(point_csv_rows(result)) + "\n")
     written.append(csv_path)
 
-    if result.clean.hamming or (result.noisy and result.noisy.hamming):
-        payload = {}
-        if result.clean.hamming:
-            payload["clean"] = {
-                str(t): dist.tolist() for t, dist in enumerate(result.clean.hamming)
-            }
-        if result.noisy and result.noisy.hamming:
-            payload["noisy"] = {
-                str(t): dist.tolist() for t, dist in enumerate(result.noisy.hamming)
-            }
+    channels = {"clean": result.clean, "noisy": result.noisy}
+    payload = {
+        name: {str(t): dist.tolist() for t, dist in enumerate(series.hamming)}
+        for name, series in channels.items()
+        if series is not None and series.hamming
+    }
+    if payload:
         ham_path = os.path.join(out_dir, f"hamming_{tag}.json")
         with open(ham_path, "w") as fh:
             json.dump(payload, fh)
@@ -625,17 +659,26 @@ def write_resolved_config(config: RunConfig, out_dir: str) -> str:
 
 # --- raw-bundle export and offline recovery (the `recover` CLI path) ---
 
-RAW_COLUMNS = [
-    "t",
-    "delta_noisy",
-    "delta_noisy_ref",
-    "delta_sim",
-    "chi_noisy",
-    "corr_noisy",
-    "chi_noisy_ref",
-    "corr_noisy_ref",
-    "chi_sim",
-]
+# every column after "t": (run, channel, TimeSeries field) it holds
+RAW_COLUMNS = {
+    "delta_noisy": ("target", "noisy", "delta"),
+    "delta_noisy_ref": ("reference", "noisy", "delta"),
+    "delta_sim": ("target", "clean", "delta"),
+    "chi_noisy": ("target", "noisy", "chi_nn"),
+    "corr_noisy": ("target", "noisy", "corr_avg"),
+    "chi_noisy_ref": ("reference", "noisy", "chi_nn"),
+    "corr_noisy_ref": ("reference", "noisy", "corr_avg"),
+    "chi_sim": ("target", "clean", "chi_nn"),
+}
+
+
+def _raw_series(target: PointResult, reference: PointResult) -> list[list[float]]:
+    """The series of each `RAW_COLUMNS` column, in column order."""
+    runs = {"target": target, "reference": reference}
+    return [
+        getattr(getattr(runs[run], channel), name)
+        for run, channel, name in RAW_COLUMNS.values()
+    ]
 
 
 def write_raw_bundle(
@@ -645,23 +688,10 @@ def write_raw_bundle(
     os.makedirs(out_dir, exist_ok=True)
     tag = point_tag(result.epsilon, result.phi)
     path = os.path.join(out_dir, f"raw_{tag}.csv")
-    lines = [",".join(RAW_COLUMNS)]
+    columns = _raw_series(result, reference)
+    lines = [",".join(["t", *RAW_COLUMNS])]
     for t in range(len(result.clean.delta)):
-        lines.append(
-            ",".join(
-                [
-                    str(t),
-                    _format(result.noisy.delta[t]),
-                    _format(reference.noisy.delta[t]),
-                    _format(result.clean.delta[t]),
-                    _format(result.noisy.chi_nn[t]),
-                    _format(result.noisy.corr_avg[t]),
-                    _format(reference.noisy.chi_nn[t]),
-                    _format(reference.noisy.corr_avg[t]),
-                    _format(result.clean.chi_nn[t]),
-                ]
-            )
-        )
+        lines.append(",".join([str(t)] + [_format(column[t]) for column in columns]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
@@ -673,13 +703,16 @@ def recover_from_raw(
     """Re-run Delta and chi recovery on a previously exported raw bundle.
 
     The bundle's target and reference columns are both the learn pair and
-    the pair to recover, as in a run that learns on its own lattice.
+    the pair to recover, as in a run that learns on its own lattice. The
+    bundle carries no other lattice, so a config that learns elsewhere is
+    rejected.
     """
-    table = np.genfromtxt(raw_path, delimiter=",", names=True)
-
-    def series(**columns: str) -> TimeSeries:
-        return TimeSeries(**{key: list(table[name]) for key, name in columns.items()})
-
+    if config.learn_lattice != (config.rows, config.cols):
+        raise ValueError(
+            "recovery.learn_rows/learn_cols select the %dx%d lattice, but a raw "
+            "bundle carries only the run's own %dx%d lattice"
+            % (*config.learn_lattice, config.rows, config.cols)
+        )
     phi0 = clifford_reference(phi)
     # the bundle does not carry eps, and recovery does not read it
     target = PointResult(
@@ -687,8 +720,8 @@ def recover_from_raw(
         phi=phi,
         n_qubits=n_qubits,
         s0=np.empty(0),
-        clean=series(delta="delta_sim", chi_nn="chi_sim"),
-        noisy=series(delta="delta_noisy", chi_nn="chi_noisy", corr_avg="corr_noisy"),
+        clean=TimeSeries(),
+        noisy=TimeSeries(),
     )
     reference = PointResult(
         epsilon=0.0,
@@ -696,10 +729,11 @@ def recover_from_raw(
         n_qubits=n_qubits,
         s0=np.empty(0),
         clean=TimeSeries(),
-        noisy=series(
-            delta="delta_noisy_ref", chi_nn="chi_noisy_ref", corr_avg="corr_noisy_ref"
-        ),
+        noisy=TimeSeries(),
     )
+    table = np.genfromtxt(raw_path, delimiter=",", names=True)
+    for column, series in zip(RAW_COLUMNS, _raw_series(target, reference)):
+        series.extend(table[column])
     settings = config.recovery or RecoverySettings()
     return _recover(target, reference, target, reference, phi0, settings)
 
@@ -725,41 +759,31 @@ def _checkpoint_key(
         "phi": float(phi).hex(),
         "chi_max": config.mps.chi_max,
         "cutoff": float(config.mps.cutoff).hex(),
-        "noise": config.noise.to_dict() if config.noise else None,
+        "noise": asdict(config.noise) if config.noise else None,
         "shots": config.shots,
         "full_correlations": config.full_correlations,
+        # the checkpoint layout: one array per channel and series field
+        "series": sorted(vars(TimeSeries())),
     }
     digest = hashlib.sha256(json.dumps(spec, sort_keys=True).encode()).hexdigest()
     return f"{point_tag(eps, phi)}_{digest[:16]}"
 
 
-def _series_arrays(series: TimeSeries | None, prefix: str) -> dict:
+def _series_arrays(series: TimeSeries | None, channel: str) -> dict:
     if series is None:
         return {}
-    arrays = {
-        f"{prefix}_delta": np.array(series.delta),
-        f"{prefix}_chi_nn": np.array(series.chi_nn),
-        f"{prefix}_corr_avg": np.array(series.corr_avg),
-        f"{prefix}_z": np.array(series.per_site_z),
+    return {
+        f"{channel}_{name}": np.array(values)
+        for name, values in vars(series).items()
+        if values
     }
-    if series.chi_sg:
-        arrays[f"{prefix}_chi_sg"] = np.array(series.chi_sg)
-        arrays[f"{prefix}_qfi"] = np.array(series.qfi)
-    if series.hamming:
-        arrays[f"{prefix}_hamming"] = np.array(series.hamming)
-    return arrays
 
 
-def _restore_series(series: TimeSeries, data, prefix: str) -> None:
-    series.delta = list(data[f"{prefix}_delta"])
-    series.chi_nn = list(data[f"{prefix}_chi_nn"])
-    series.corr_avg = list(data[f"{prefix}_corr_avg"])
-    series.per_site_z = list(data[f"{prefix}_z"])
-    if f"{prefix}_chi_sg" in data:
-        series.chi_sg = list(data[f"{prefix}_chi_sg"])
-        series.qfi = list(data[f"{prefix}_qfi"])
-    if f"{prefix}_hamming" in data:
-        series.hamming = list(data[f"{prefix}_hamming"])
+def _restore_series(series: TimeSeries, data, channel: str) -> None:
+    for name in vars(series):
+        key = f"{channel}_{name}"
+        if key in data:
+            setattr(series, name, list(data[key]))
 
 
 def _save_checkpoint(state, directory, key, t, clean, noisy) -> None:
@@ -797,6 +821,6 @@ def _try_resume(state, directory, key, cycles, clean, noisy) -> int:
         state.mps.tensors = [data[f"site_{i}"] for i in range(n_sites)]
         state.mps.truncation_error = float(data["truncation_error"])
         _restore_series(clean, data, "clean")
-        if noisy is not None and "noisy_delta" in data:
+        if noisy is not None:
             _restore_series(noisy, data, "noisy")
     return best_t + 1

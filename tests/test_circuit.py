@@ -3,7 +3,6 @@ import pytest
 import scipy.linalg
 
 from dtc2d import (
-    DisorderRealization,
     FloquetParams,
     build_cycle,
     build_lattice,
@@ -44,12 +43,6 @@ class TestDisorder:
         disorder = sample_disorder(lat, seed=11)
         values = np.array(list(disorder.couplings.values()))
         assert abs(values.mean() - 1.0) < 0.1
-
-    def test_json_roundtrip(self, hexagon):
-        disorder = sample_disorder(hexagon, seed=3)
-        restored = DisorderRealization.from_json(disorder.to_json())
-        assert restored.seed == disorder.seed
-        assert restored.couplings == disorder.couplings
 
 
 class TestXXZGate:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dtc2d.noise import (
-    NoiseModel,
     corrupt_bits,
+    corrupt_correlators,
     corrupt_expectations,
     mismatched_noise,
     uniform_noise,
@@ -39,15 +39,6 @@ class TestNoiseModel:
         assert model.flip_probability(0) == 0.0
         assert model.flip_probability(5) == pytest.approx(0.1)
         assert model.flip_probability(100) == 0.3
-
-    def test_json_roundtrip(self):
-        model = mismatched_noise(5, seed=2, flip_slope=0.01, readout_flip=0.02)
-        restored = NoiseModel.from_json(model.to_json())
-        np.testing.assert_array_equal(restored.decay, model.decay)
-        np.testing.assert_array_equal(restored.bias_even, model.bias_even)
-        np.testing.assert_array_equal(restored.bias_odd, model.bias_odd)
-        assert restored.flip_slope == model.flip_slope
-        assert restored.readout_flip == model.readout_flip
 
 
 class TestCorruptExpectations:
@@ -92,6 +83,42 @@ class TestCorruptExpectations:
         model = uniform_noise(3, decay=0.9)
         with pytest.raises(ValueError):
             corrupt_expectations(np.zeros(4), model, 0)
+
+
+class TestCorruptCorrelators:
+    @pytest.mark.parametrize("t", [0, 3])
+    def test_matches_per_pair_formula(self, t):
+        n = 7
+        rng = np.random.default_rng(4)
+        model = mismatched_noise(n, seed=5, bias_scale=0.2)
+        z = rng.uniform(-1, 1, size=n)
+        pairs = [(0, 1), (1, 0), (2, 6), (5, 3), (4, 4), (6, 0)]
+        zz = rng.uniform(-1, 1, size=len(pairs))
+        f, b = model.attenuation(t), model.bias(t)
+        expected = np.array(
+            [
+                f[i] * f[j] * zz[k]
+                + f[i] * b[j] * z[i]
+                + f[j] * b[i] * z[j]
+                + b[i] * b[j]
+                for k, (i, j) in enumerate(pairs)
+            ]
+        )
+        expected = np.clip(expected, -1.0, 1.0)
+        np.testing.assert_array_equal(
+            corrupt_correlators(zz, pairs, z, model, t), expected
+        )
+        index = np.array(pairs)
+        np.testing.assert_array_equal(
+            corrupt_correlators(zz, index, z, model, t), expected
+        )
+
+    def test_clamped(self):
+        model = uniform_noise(2, decay=1.0, bias_even=0.5)
+        noisy = corrupt_correlators(
+            np.array([0.9]), [(0, 1)], np.array([0.9, 0.9]), model, 0
+        )
+        assert noisy[0] == 1.0
 
 
 class TestCorruptBits:

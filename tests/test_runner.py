@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from dtc2d.cli import main as cli_main
+from dtc2d.exact import CapacityError
 from dtc2d.noise import NoiseSpec
+from dtc2d.observables import TimeSeries
 from dtc2d.runner import (
     MPSOptions,
     RecoverySettings,
@@ -95,6 +97,26 @@ class TestConfig:
                 "deconvolve",
                 id="deconvolve-without-full-correlations",
             ),
+            pytest.param(
+                {"initial_state": "0101010101x1"}, "initial_state", id="bits-not-0/1"
+            ),
+            pytest.param(
+                {"initial_state": "01010101010"}, "initial_state", id="bits-too-short"
+            ),
+            pytest.param(
+                {"cols": 2, "initial_state": "010101010101"},
+                "initial_state",
+                id="bits-of-another-lattice",
+            ),
+            pytest.param(
+                {
+                    "cols": 2,
+                    "initial_state": "01" * 10 + "0",
+                    "recovery": {"learn_rows": 1, "learn_cols": 1},
+                },
+                "initial_state",
+                id="bits-on-another-learn-lattice",
+            ),
         ],
     )
     def test_bad_config_rejected_before_any_evolution(self, override, message):
@@ -113,7 +135,7 @@ class TestConfig:
 
     def test_exact_backend_qubit_cap(self):
         config = small_config(rows=2, cols=2)  # 35 qubits
-        with pytest.raises(ValueError):
+        with pytest.raises(CapacityError):
             run_point(config, 0.05, DTC_PHI)
 
 
@@ -245,7 +267,8 @@ class TestCheckpointing:
         base = dict(
             rows=1, cols=1, epsilons=(0.05,), phis=(DTC_PHI,),
             backend="mps", mps=MPSOptions(chi_max=32), seed=7,
-            full_correlations=False, shots=0,
+            full_correlations=True, shots=50,
+            noise=NoiseSpec(decay=0.97, bias_even=0.03, flip_slope=0.02),
             output_dir=str(tmp_path), checkpoint=True,
         )
         short = RunConfig(**{**base, "cycles": 3})
@@ -257,9 +280,13 @@ class TestCheckpointing:
 
         fresh_cfg = RunConfig(**{**base, "cycles": 6, "checkpoint": False})
         fresh = run_point(fresh_cfg, 0.05, DTC_PHI)
-        np.testing.assert_allclose(
-            resumed.clean.delta, fresh.clean.delta, atol=1e-10
-        )
+        # every field of both channels, restored and then extended, exactly
+        for channel in ("clean", "noisy"):
+            for name in vars(TimeSeries()):
+                got = getattr(getattr(resumed, channel), name)
+                want = getattr(getattr(fresh, channel), name)
+                assert len(want) == 7, (channel, name)
+                np.testing.assert_array_equal(got, want, err_msg=f"{channel}.{name}")
 
     def test_other_initial_state_does_not_resume(self, tmp_path):
         base = dict(
@@ -387,6 +414,19 @@ class TestCLI:
         raw = tmp_path / "raw_eps0.3_phi0.7.csv"
         raw.write_text("t\n0\n")
         with pytest.raises(SystemExit, match="eps0.3_phi0.7"):
+            cli_main(["recover", "--config", path, "--raw", str(raw)])
+
+    def test_recover_rejects_another_learn_lattice(self, tmp_path, capsys):
+        # the bundle holds only the run's own lattice; no evolution runs
+        path = self.write_config(
+            tmp_path,
+            cols=2,
+            noise=NoiseSpec(decay=0.97),
+            recovery=RecoverySettings(learn_rows=1, learn_cols=1),
+        )
+        raw = tmp_path / "raw_eps0.05_phi1.41372.csv"
+        raw.write_text("t\n0\n")
+        with pytest.raises(ValueError, match="learn_rows/learn_cols"):
             cli_main(["recover", "--config", path, "--raw", str(raw)])
 
     def test_export_lattice(self, capsys):
