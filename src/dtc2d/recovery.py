@@ -9,9 +9,15 @@ regularized least squares against a classically simulated small system.
 
 The same machinery recovers squared-correlator order parameters via two
 learned coefficients per run, and Hamming-distance distributions via the
-binomial flip kernel: deconvolution fits a constrained trial distribution
-whose mean and variance are anchored to the recovered order parameter and
-the quantum Fisher information.
+binomial flip kernel. Each kernel column is a reversed binomial pmf
+convolved with another; the kernel is diagonal in the Krawtchouk basis,
+with eigenvalues (1 - 2p)^j (MacWilliams & Sloane, 1977). Deconvolution
+fits a Gaussian-times-logistic trial distribution whose mean and variance
+are anchored to the recovered order parameter and the quantum Fisher
+information. The fit runs over the trial's natural parameters with an
+analytic gradient and L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci.
+Comput. 16, 1190, 1995), with the curvature bounded away from zero so that
+the fit has a finite minimum.
 """
 from __future__ import annotations
 
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import expit, gammaln, logsumexp
+from scipy.special import expit, gammaln, log_expit, xlog1py, xlogy
 
 DEFAULT_GUARD = 1e-3
 DEFAULT_GRID_HALF_WIDTH = 0.2
@@ -280,44 +286,51 @@ def learn_chi_coefficients(
 
 # --- Hamming-distance recovery ---
 
+# A reported trial is evaluated as exp(log_weights) in plain floats, so the
+# fit keeps its largest unshifted log-weight at or above
+# TRIAL_LOG_WEIGHT_FLOOR, where exp is still a normal float64 (the smallest
+# is about exp(-708)). Two things would break that:
+# - once a distribution looks like an exponential tilt, the unbounded
+#   optimum sits at beta = 0 (natural parameters, x = d/N), i.e. at
+#   sigma = infinity. beta is therefore bounded at -TRIAL_CURVATURE_FLOOR;
+# - a steep tilt carried by the Gaussian alone puts d0 far outside [0, N],
+#   and the largest log-weight is then about -alpha^2 / (4 delta). The fit
+#   pays a quadratic penalty once a smooth upper bound of it (logsumexp)
+#   falls below TRIAL_LOG_WEIGHT_FLOOR + 100, so the logistic takes up the
+#   tilt; a fit that still ends below the floor raises.
+TRIAL_CURVATURE_FLOOR = 0.05
+TRIAL_LOG_WEIGHT_FLOOR = -600.0
 
-def _log_binomial(n: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """log C(n, k), -inf outside 0 <= k <= n."""
-    n = np.asarray(n, dtype=float)
-    k = np.asarray(k, dtype=float)
-    valid = (k >= 0) & (k <= n)
-    safe_k = np.where(valid, k, 0.0)
-    value = gammaln(n + 1) - gammaln(safe_k + 1) - gammaln(n - safe_k + 1)
-    return np.where(valid, value, -np.inf)
+
+def _binomial_pmf(n: int, p: np.ndarray) -> np.ndarray:
+    """Bin(n, p) pmf over k = 0..n along a new last axis, for each p."""
+    p = np.asarray(p, dtype=float)[..., None]
+    k = np.arange(n + 1)
+    log_choose = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    return np.exp(log_choose + xlogy(k, p) + xlog1py(n - k, -p))
 
 
-def kernel_column(n_bits: int, p: float, d_in: int) -> np.ndarray:
+def kernel_column(n_bits: int, p, d_in: int) -> np.ndarray:
     """Column d_in of the flip kernel: output-distance distribution when
     each of ``n_bits`` spins flips independently with probability p.
 
-    Computed in log space and exponentiated, stable up to n_bits ~ 200.
+    The output distance is (d_in - X) + Y with X ~ Bin(d_in, p) and
+    Y ~ Bin(n_bits - d_in, p), so the column is a reversed binomial pmf
+    convolved with another. ``p`` may be an array; the column then runs
+    along a new last axis, one per p.
     """
-    if not 0 <= p <= 1:
+    p = np.asarray(p, dtype=float)
+    if np.any((p < 0) | (p > 1)):
         raise ValueError("flip probability must lie in [0, 1]")
     if not 0 <= d_in <= n_bits:
         raise ValueError("input distance out of range")
-    if p == 0.0:
-        column = np.zeros(n_bits + 1)
-        column[d_in] = 1.0
-        return column
-    if p == 1.0:
-        column = np.zeros(n_bits + 1)
-        column[n_bits - d_in] = 1.0
-        return column
-    d = np.arange(n_bits + 1)[:, None]
-    x = np.arange(n_bits + 1)[None, :]
-    log_terms = (
-        _log_binomial(np.full_like(x, d_in), x)
-        + _log_binomial(np.full_like(d, n_bits - d_in), d - x)
-        + (d + d_in - 2 * x) * math.log(p)
-        + (n_bits + 2 * x - d - d_in) * math.log1p(-p)
-    )
-    return np.exp(logsumexp(log_terms, axis=1))
+    kept = _binomial_pmf(d_in, p)[..., ::-1]
+    flipped = _binomial_pmf(n_bits - d_in, p)
+    short, long = sorted((kept, flipped), key=lambda a: a.shape[-1])
+    column = np.zeros(p.shape + (n_bits + 1,))
+    for i in range(short.shape[-1]):
+        column[..., i : i + long.shape[-1]] += short[..., i, None] * long
+    return column
 
 
 @dataclass(frozen=True)
@@ -366,7 +379,8 @@ def learn_flip_probability(
     The noiseless Clifford distribution is a point mass at d_cliff, so the
     model prediction is a single kernel column. The loss is not unimodal on
     [0, 1/2] (it has a shallow tail toward 1/2), so the global minimum is
-    bracketed by a coarse grid scan before golden-section refinement.
+    bracketed by a coarse grid scan, scored from one table of columns,
+    before golden-section refinement.
     """
     noisy_distribution = np.asarray(noisy_distribution, dtype=float)
     n_bits = len(noisy_distribution) - 1
@@ -376,8 +390,9 @@ def learn_flip_probability(
         return float(np.sum((noisy_distribution - column) ** 2))
 
     grid = np.linspace(0.0, 0.5, 101)
-    values = [loss(p) for p in grid]
-    if max(values) - min(values) < 1e-14:
+    columns = kernel_column(n_bits, grid, d_cliff)
+    values = np.sum((noisy_distribution - columns) ** 2, axis=-1)
+    if np.ptp(values) < 1e-14:
         warnings.warn("flat flip-probability objective; returning boundary 0")
         return 0.0
     best = int(np.argmin(values))
@@ -407,17 +422,21 @@ class TrialDistribution:
     k: float
     q: float
 
-    def pmf(self, n_bits: int) -> np.ndarray:
+    def log_weights(self, n_bits: int) -> np.ndarray:
+        """Unnormalized log-weights -(d - d0)^2 / (2 sigma^2) + log expit(-(k d + q))."""
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         d = np.arange(n_bits + 1, dtype=float)
-        weights = np.exp(-((d - self.d0) ** 2) / (2 * self.sigma**2)) * expit(
+        return -((d - self.d0) ** 2) / (2 * self.sigma**2) + log_expit(
             -(self.k * d + self.q)
         )
-        total = weights.sum()
-        if total <= 0 or not np.isfinite(total):
+
+    def pmf(self, n_bits: int) -> np.ndarray:
+        log_w = self.log_weights(n_bits)
+        if not np.all(np.isfinite(log_w)):
             raise ValueError("trial distribution has no support on [0, N]")
-        return weights / total
+        weights = np.exp(log_w - log_w.max())
+        return weights / weights.sum()
 
     def moments(self, n_bits: int) -> tuple[float, float]:
         pmf = self.pmf(n_bits)
@@ -439,52 +458,100 @@ def deconvolve_hamming(
 
     Minimizes the push-forward misfit plus moment-anchoring penalties tying
     the trial mean and variance to the recovered order parameter and the
-    QFI. Derivative-free simplex search restarted from three deterministic
-    seeds; the best fit wins.
+    QFI. The fit runs over the natural parameters of the trial, with
+    x = d/N: log w = alpha x + beta x^2 - softplus(k x + q), bounded by
+    beta <= -TRIAL_CURVATURE_FLOOR. L-BFGS-B with the analytic gradient
+    starts from three deterministic seeds; the best fit wins. The info dict
+    holds its objective, iteration count and ``at_bound``, true when beta
+    ended on its bound.
     """
     noisy_distribution = np.asarray(noisy_distribution, dtype=float)
     n_bits = len(noisy_distribution) - 1
+    if n_bits < 1:
+        raise ValueError("need a distribution over at least one bit")
     if lambda_mean <= 0 or lambda_var <= 0:
         raise ValueError("moment penalties must be positive")
-    kernel = flip_kernel(n_bits, p)
-    d = np.arange(n_bits + 1)
+    kernel = flip_kernel(n_bits, p).matrix
+    d = np.arange(n_bits + 1, dtype=float)
+    x = d / n_bits
 
-    def loss(theta: np.ndarray) -> float:
-        d0, sigma, k, q = theta
-        if sigma < 1e-3 or not np.isfinite(theta).all():
-            return 1e9 + float(np.nan_to_num(np.abs(theta).sum()))
-        trial = TrialDistribution(d0, sigma, k, q)
-        try:
-            pmf = trial.pmf(n_bits)
-        except ValueError:
-            return 1e9
-        pushed = kernel.matrix @ pmf
-        mean = float(np.sum(d * pmf))
-        var = float(np.sum(d**2 * pmf) - mean**2)
-        misfit = float(np.sum((noisy_distribution - pushed) ** 2))
-        return (
-            misfit
-            + lambda_mean * (mean - mu_target) ** 2
-            + lambda_var * (var - var_target) ** 2
+    def loss(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        alpha, beta, k, q = theta
+        z = k * x + q
+        log_w = alpha * x + beta * x**2 + log_expit(-z)
+        shift = log_w.max()
+        weights = np.exp(log_w - shift)
+        total = weights.sum()
+        pmf = weights / total
+        # logsumexp of the reported (unshifted) log-weights
+        top = shift + math.log(total) + alpha**2 / (4 * beta)
+        shortfall = max(TRIAL_LOG_WEIGHT_FLOOR + 100.0 - top, 0.0)
+        residual = noisy_distribution - kernel @ pmf
+        mean = d @ pmf
+        var = d**2 @ pmf - mean**2
+        mean_gap = mean - mu_target
+        var_gap = var - var_target
+        # dL/dpmf, then through the softmax to dL/dlog_w
+        grad_pmf = (
+            -2.0 * kernel.T @ residual
+            + 2.0 * lambda_mean * mean_gap * d
+            + 2.0 * lambda_var * var_gap * (d**2 - 2.0 * mean * d)
         )
+        grad_log_w = pmf * (grad_pmf - pmf @ grad_pmf - 2.0 * shortfall)
+        slope = grad_log_w * expit(z)
+        grad = np.array(
+            [
+                grad_log_w @ x - shortfall * alpha / beta,
+                grad_log_w @ x**2 + shortfall * alpha**2 / (2 * beta**2),
+                -(slope @ x),
+                -slope.sum(),
+            ]
+        )
+        value = (
+            residual @ residual
+            + lambda_mean * mean_gap**2
+            + lambda_var * var_gap**2
+            + shortfall**2
+        )
+        return float(value), grad
+
+    def natural(d0: float, sigma: float, k: float, q: float) -> np.ndarray:
+        beta = min(-(n_bits**2) / (2 * sigma**2), -TRIAL_CURVATURE_FLOOR)
+        return np.array([-2 * beta * d0 / n_bits, beta, k * n_bits, q])
 
     width = math.sqrt(max(var_target, 0.25))
     seeds = [
-        np.array([mu_target, width, 0.0, -20.0]),
-        np.array([0.9 * mu_target, 1.5 * width, 0.5, -5.0]),
-        np.array([min(1.1 * mu_target, float(n_bits)), 0.75 * width, -0.5, 5.0]),
+        natural(mu_target, width, 0.0, -20.0),
+        natural(0.9 * mu_target, 1.5 * width, 0.5, -5.0),
+        natural(min(1.1 * mu_target, float(n_bits)), 0.75 * width, -0.5, 5.0),
     ]
+    bounds = [(None, None), (None, -TRIAL_CURVATURE_FLOOR), (None, None), (None, None)]
     best_result = None
     for seed in seeds:
         result = minimize(
             loss,
             seed,
-            method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 8000, "maxfev": 8000},
+            method="L-BFGS-B",
+            jac=True,
+            bounds=bounds,
+            options={"ftol": 1e-15, "gtol": 1e-12},
         )
         if best_result is None or result.fun < best_result.fun:
             best_result = result
     if best_result is None or not np.isfinite(best_result.fun):
         raise RuntimeError("trial-distribution fit failed")
-    trial = TrialDistribution(*best_result.x)
-    return trial, {"objective": float(best_result.fun), "n_iterations": best_result.nit}
+    alpha, beta, k, q = best_result.x
+    trial = TrialDistribution(
+        d0=-alpha * n_bits / (2 * beta),
+        sigma=n_bits / math.sqrt(-2 * beta),
+        k=k / n_bits,
+        q=q,
+    )
+    if trial.log_weights(n_bits).max() < TRIAL_LOG_WEIGHT_FLOOR:
+        raise RuntimeError(f"trial-distribution fit left float range: {trial}")
+    info = {
+        "objective": float(best_result.fun),
+        "n_iterations": int(best_result.nit),
+        "at_bound": bool(beta >= -TRIAL_CURVATURE_FLOOR),
+    }
+    return trial, info

@@ -52,6 +52,7 @@ from .observables import (
     correlator_average,
     delta,
     hamming_distribution,
+    hamming_mean_from_delta,
     phase_order_params,
     qfi,
 )
@@ -231,7 +232,8 @@ class RecoveryReport:
     chi_recovered: np.ndarray
     chi_flags: np.ndarray
     flip_schedule: np.ndarray | None = None
-    deconvolved: list[TrialDistribution] | None = None
+    # (trial, fit info) per cycle, as deconvolve_hamming returns them
+    deconvolved: list[tuple[TrialDistribution, dict]] | None = None
 
     def to_dict(self) -> dict:
         payload = {
@@ -253,8 +255,14 @@ class RecoveryReport:
             payload["flip_schedule"] = self.flip_schedule.tolist()
         if self.deconvolved is not None:
             payload["deconvolved"] = [
-                {"d0": t.d0, "sigma": t.sigma, "k": t.k, "q": t.q}
-                for t in self.deconvolved
+                {
+                    "d0": t.d0,
+                    "sigma": t.sigma,
+                    "k": t.k,
+                    "q": t.q,
+                    "at_bound": info["at_bound"],
+                }
+                for t, info in self.deconvolved
             ]
         return payload
 
@@ -515,11 +523,11 @@ def _recover(
             deconvolve_hamming(
                 np.array(result.noisy.hamming[t]),
                 float(report.flip_schedule[t]),
-                0.5 * n * (1.0 - delta_recovered[t]),
+                hamming_mean_from_delta(n, delta_recovered[t]),
                 result.clean.qfi[t],
                 lambda_mean=settings.lambda_mean,
                 lambda_var=settings.lambda_var,
-            )[0]
+            )
             for t in range(cycles + 1)
         ]
     return report
@@ -627,8 +635,10 @@ def write_point_outputs(result: PointResult, out_dir: str) -> list[str]:
 def write_recovery_report(report: RecoveryReport, tag: str, out_dir: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"recovery_{tag}.json")
+    # serialized before the file is opened, so a non-finite value leaves no file
+    text = json.dumps(report.to_dict(), indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+        fh.write(text)
     return path
 
 

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import expit, gammaln, logsumexp
 from scipy.stats import binom
 
 from dtc2d.noise import corrupt_bits, uniform_noise
 from dtc2d.recovery import (
+    TRIAL_CURVATURE_FLOOR,
+    TRIAL_LOG_WEIGHT_FLOOR,
     ChiCoefficients,
     OffsetVector,
     TrialDistribution,
@@ -224,6 +227,64 @@ class TestFlipKernel:
             kernel_column(5, 0.1, 9)
 
 
+def log_space_kernel_column(n_bits, p, d_in):
+    """Reference flip-kernel column, summed term by term in log space.
+
+    d_out = (d_in - x) + (d_out - d_in + x): x of the d_in differing spins
+    flip back, d_out - d_in + x of the others flip.
+    """
+
+    def log_binomial(n, k):
+        n = np.asarray(n, dtype=float)
+        k = np.asarray(k, dtype=float)
+        valid = (k >= 0) & (k <= n)
+        safe_k = np.where(valid, k, 0.0)
+        value = gammaln(n + 1) - gammaln(safe_k + 1) - gammaln(n - safe_k + 1)
+        return np.where(valid, value, -np.inf)
+
+    d = np.arange(n_bits + 1)[:, None]
+    x = np.arange(n_bits + 1)[None, :]
+    log_terms = (
+        log_binomial(np.full_like(x, d_in), x)
+        + log_binomial(np.full_like(d, n_bits - d_in), d - x)
+        + (d + d_in - 2 * x) * np.log(p)
+        + (n_bits + 2 * x - d - d_in) * np.log1p(-p)
+    )
+    return np.exp(logsumexp(log_terms, axis=1))
+
+
+class TestFlipKernelOracles:
+    @pytest.mark.parametrize("p", [0.03, 0.2, 0.45, 0.7])
+    def test_eigenvalues_are_krawtchouk(self, p):
+        # the binomial channel is diagonal in the Krawtchouk basis, with
+        # eigenvalue (1 - 2p)^j on degree j
+        n = 12
+        eigenvalues = np.linalg.eigvals(flip_kernel(n, p).matrix)
+        assert np.max(np.abs(eigenvalues.imag)) < 1e-10
+        np.testing.assert_allclose(
+            np.sort(eigenvalues.real),
+            np.sort((1 - 2 * p) ** np.arange(n + 1)),
+            rtol=0,
+            atol=1e-10,
+        )
+
+    @pytest.mark.parametrize("n", [12, 35, 144])
+    @pytest.mark.parametrize("p", [0.001, 0.05, 0.3, 0.5, 0.9])
+    def test_matches_log_space_table(self, n, p):
+        matrix = flip_kernel(n, p).matrix
+        for d_in in range(n + 1):
+            np.testing.assert_allclose(
+                matrix[:, d_in], log_space_kernel_column(n, p, d_in), rtol=0, atol=1e-13
+            )
+
+    def test_array_of_p_gives_one_column_each(self):
+        grid = np.linspace(0.0, 1.0, 11)
+        columns = kernel_column(20, grid, 7)
+        assert columns.shape == (11, 21)
+        for row, p in zip(columns, grid):
+            np.testing.assert_array_equal(row, kernel_column(20, p, 7))
+
+
 class TestLearnFlipProbability:
     def test_exact_binomial_recovered(self):
         n, p_true = 20, 0.07
@@ -280,6 +341,37 @@ class TestTrialDistribution:
         with pytest.raises(ValueError):
             TrialDistribution(5.0, 0.0, 0.0, 0.0).pmf(10)
 
+    @pytest.mark.parametrize(
+        "trial, mode",
+        [
+            (TrialDistribution(d0=1e4, sigma=1.0, k=0.0, q=0.0), 12),
+            (TrialDistribution(d0=-1e4, sigma=1.0, k=0.0, q=0.0), 0),
+            (TrialDistribution(d0=6.0, sigma=3.0, k=1e4, q=-0.5), 0),
+        ],
+    )
+    def test_far_parameters_give_a_point_mass(self, trial, mode):
+        expected = np.zeros(13)
+        expected[mode] = 1.0
+        np.testing.assert_array_equal(trial.pmf(12), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(min_value=-40.0, max_value=80.0),
+        st.floats(min_value=0.3, max_value=30.0),
+        st.floats(min_value=-5.0, max_value=5.0),
+        st.floats(min_value=-40.0, max_value=40.0),
+    )
+    def test_pmf_matches_plain_formula(self, d0, sigma, k, q):
+        n = 35
+        d = np.arange(n + 1)
+        weights = np.exp(-((d - d0) ** 2) / (2 * sigma**2)) * expit(-(k * d + q))
+        # only where plain float64 holds every weight as a normal number
+        assume(weights.max() > 1e-250)
+        trial = TrialDistribution(d0, sigma, k, q)
+        np.testing.assert_allclose(
+            trial.pmf(n), weights / weights.sum(), rtol=0, atol=1e-12
+        )
+
 
 class TestDeconvolveHamming:
     def test_pushforward_inverted_exactly(self):
@@ -300,6 +392,57 @@ class TestDeconvolveHamming:
         fitted, _ = deconvolve_hamming(clean, 0.0, mu, var)
         tv = 0.5 * np.sum(np.abs(fitted.pmf(n) - clean))
         assert tv < 0.01
+
+    @pytest.mark.parametrize(
+        "truth, n, p, shots",
+        [
+            (TrialDistribution(d0=12.0, sigma=3.0, k=0.8, q=-12.0), 35, 0.1, 0),
+            # curvature above the bound: the fit ends on it
+            (TrialDistribution(d0=300.0, sigma=60.0, k=0.0, q=-20.0), 12, 0.05, 0),
+            (TrialDistribution(d0=300.0, sigma=60.0, k=0.0, q=-20.0), 12, 0.05, 2000),
+        ],
+    )
+    def test_last_bit_of_mu_does_not_move_the_fit(self, truth, n, p, shots):
+        noisy = flip_kernel(n, p).apply(truth.pmf(n))
+        if shots:
+            noisy = np.random.default_rng(123).multinomial(shots, noisy) / shots
+        mu, var = truth.moments(n)
+        fitted = [
+            deconvolve_hamming(noisy, p, mu * scale, var)[0].pmf(n)
+            for scale in (1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-52)
+        ]
+        for other in fitted[1:]:
+            assert 0.5 * np.sum(np.abs(other - fitted[0])) < 1e-8
+
+    @pytest.mark.parametrize("n", [12, 35])
+    @pytest.mark.parametrize("slope", [-2.5, -1.0, 1.0, 2.5, 4.0])
+    @pytest.mark.parametrize("p", [0.0, 0.05])
+    def test_steep_tilt_keeps_weights_representable(self, n, slope, p):
+        # an exponential tilt is the limit the Gaussian can only reach with
+        # d0 far outside [0, N]; the reported trial must still evaluate in
+        # plain floats, and fit
+        d = np.arange(n + 1)
+        clean = np.exp(slope * d - max(slope * d))
+        clean /= clean.sum()
+        mu = clean @ d
+        var = clean @ d**2 - mu**2
+        trial, _ = deconvolve_hamming(flip_kernel(n, p).apply(clean), p, mu, var)
+        assert trial.log_weights(n).max() >= TRIAL_LOG_WEIGHT_FLOOR
+        assert 0.5 * np.sum(np.abs(trial.pmf(n) - clean)) < 0.01
+
+    def test_at_bound_flags_the_curvature_bound(self):
+        n, p = 12, 0.05
+        interior = TrialDistribution(d0=5.0, sigma=1.5, k=0.0, q=-20.0)
+        tilt = TrialDistribution(d0=300.0, sigma=60.0, k=0.0, q=-20.0)
+        for truth, on_bound in ((interior, False), (tilt, True)):
+            mu, var = truth.moments(n)
+            fitted, info = deconvolve_hamming(
+                flip_kernel(n, p).apply(truth.pmf(n)), p, mu, var
+            )
+            assert info["at_bound"] is on_bound
+            # beta = -N^2 / (2 sigma^2) sits on -TRIAL_CURVATURE_FLOOR or below it
+            beta = -(n**2) / (2 * fitted.sigma**2)
+            assert (beta >= -TRIAL_CURVATURE_FLOOR * (1 + 1e-12)) is on_bound
 
     def test_invalid_penalties(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from dtc2d.cli import main as cli_main
 from dtc2d.exact import CapacityError
 from dtc2d.noise import NoiseSpec
 from dtc2d.observables import TimeSeries
+from dtc2d.recovery import TRIAL_CURVATURE_FLOOR
 from dtc2d.runner import (
     MPSOptions,
     RecoverySettings,
@@ -18,6 +21,7 @@ from dtc2d.runner import (
     run_point,
     write_point_outputs,
     write_raw_bundle,
+    write_recovery_report,
     _simulate_system,
 )
 
@@ -234,6 +238,31 @@ class TestOutputs:
             "t", "delta", "chi_nn", "chi_sg", "qfi", "hamming_mean", "hamming_var",
         ]
         assert "delta_noisy" in header
+
+    def test_recovery_report_flags_fits_on_the_bound(self, tmp_path):
+        config = small_config(
+            cycles=6,
+            shots=400,
+            noise=NoiseSpec(decay=0.97, bias_even=0.02, bias_odd=-0.02, flip_slope=0.01),
+            recovery=RecoverySettings(deconvolve=True),
+        )
+        result = run_point(config, 0.05, DTC_PHI)
+        path = write_recovery_report(result.recovery, "point", str(tmp_path))
+        with open(path) as fh:
+            trials = json.load(fh)["deconvolved"]
+        assert len(trials) == 7
+        # sigma = N / sqrt(2 delta) exactly when beta ended on -delta
+        sigma_at_bound = result.n_qubits / math.sqrt(2 * TRIAL_CURVATURE_FLOOR)
+        for trial in trials:
+            assert set(trial) == {"d0", "sigma", "k", "q", "at_bound"}
+            assert trial["at_bound"] is (trial["sigma"] == pytest.approx(sigma_at_bound))
+        assert any(trial["at_bound"] for trial in trials)
+        assert not all(trial["at_bound"] for trial in trials)
+
+        broken = replace(result.recovery, offsets_objective=float("nan"))
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_recovery_report(broken, "broken", str(tmp_path))
+        assert not (tmp_path / "recovery_broken.json").exists()
 
     def test_raw_bundle_recovery_roundtrip(self, tmp_path):
         config = small_config(
