@@ -385,13 +385,12 @@ def learn_flip_probability(
     noisy_distribution = np.asarray(noisy_distribution, dtype=float)
     n_bits = len(noisy_distribution) - 1
 
-    def loss(p: float) -> float:
+    def loss(p):
         column = kernel_column(n_bits, p, d_cliff)
-        return float(np.sum((noisy_distribution - column) ** 2))
+        return np.sum((noisy_distribution - column) ** 2, axis=-1)
 
     grid = np.linspace(0.0, 0.5, 101)
-    columns = kernel_column(n_bits, grid, d_cliff)
-    values = np.sum((noisy_distribution - columns) ** 2, axis=-1)
+    values = loss(grid)
     if np.ptp(values) < 1e-14:
         warnings.warn("flat flip-probability objective; returning boundary 0")
         return 0.0
