@@ -1,7 +1,7 @@
 """Command-line interface.
 
     dtc2d simulate --config run.json [--seed N] [--backend exact|mps]
-                   [--chi-max N] [--out DIR]
+                   [--chi-max N] [--out DIR] [--chi-sweep 32,64,128]
     dtc2d phase-diagram --config run.json [...]
     dtc2d recover --config run.json --raw raw_eps..._phi....csv [--out DIR]
     dtc2d export-lattice --rows R --cols C

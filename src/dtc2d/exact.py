@@ -90,9 +90,6 @@ class StateVector:
         amplitudes[index] = 1.0
         return cls(amplitudes, n)
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.amplitudes, self.n_qubits)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
@@ -159,17 +156,6 @@ class StateVector:
         table = self.probabilities().reshape(-1, 2**k)
         return table, _z_table(self.n_qubits - k), _z_table(k)
 
-    def expect_z(self, qubit: int) -> float:
-        self._check(qubit)
-        return float(self.per_site_z()[qubit])
-
-    def expect_zz(self, qubit_a: int, qubit_b: int) -> float:
-        self._check(qubit_a)
-        self._check(qubit_b)
-        if qubit_a == qubit_b:
-            return 1.0
-        return float(self.zz_matrix()[qubit_a, qubit_b])
-
     def per_site_z(self) -> np.ndarray:
         table, z_hi, z_lo = self._split_probabilities()
         return np.concatenate([table.sum(axis=0) @ z_lo, table.sum(axis=1) @ z_hi])
@@ -202,10 +188,3 @@ class StateVector:
         bits = (outcomes[:, None] >> np.arange(self.n_qubits)) & 1
         return bits.astype(np.uint8)
 
-
-def evolve(state: ProductState, cycle: GateSequence, n_cycles: int) -> StateVector:
-    """Apply the Floquet cycle n_cycles times to a product state."""
-    sv = StateVector.from_product(state)
-    for _ in range(n_cycles):
-        sv.apply_cycle(cycle)
-    return sv

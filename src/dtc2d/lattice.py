@@ -47,9 +47,6 @@ class HeavyHexLattice:
     def edges_in_layer(self, layer: int) -> list[Edge]:
         return [e for e in self.edges if self.layer_of_edge[e] == layer]
 
-    def degree(self, qubit: int) -> int:
-        return sum(1 for i, j in self.edges if qubit in (i, j))
-
     def to_json(self) -> str:
         """Export as JSON: n_qubits, edges as [i, j, layer], bipartition."""
         payload = {

@@ -13,6 +13,15 @@ leaves the center at a. Every cut of that sweep is a Schmidt cut of the
 whole state, so keeping the chi_max largest singular values is the optimal
 truncation there. When chi_max exceeds the entanglement requirement the
 result is exact up to the singular-value floor.
+
+Every Z and ZZ observable comes from one left-to-right sweep of left
+environments, each stored (bra bond, ket bond). The sweep carries a stack:
+the plain environment, then one open Z-string for each earlier site. At
+each site one contraction with the Z-signed tensor closes every entry of
+the stack against the right-canonical rest (the plain entry gives <Z_j>,
+the string of site i gives <Z_i Z_j>) and opens the string of site j; one
+contraction with the plain tensor carries the stack on. <Z> alone runs the
+same sweep with the plain environment only.
 """
 from __future__ import annotations
 
@@ -23,7 +32,7 @@ import scipy.linalg.blas
 from .circuit import GateSequence, ProductState
 from .lattice import UnrollOrder
 
-_PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_Z_SIGNS = np.array([1.0, -1.0])[:, None]  # Z eigenvalue of each physical index
 _GATE_SPLIT_TOL = 1e-14
 
 
@@ -53,6 +62,20 @@ def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # row-major a2 @ b2 is column-major b2.T @ a2.T, without copies
     product = scipy.linalg.blas.zgemm(1.0, b2.T, a2.T).T
     return product.reshape(a.shape[:-1] + b.shape[1:])
+
+
+def _env_step(half: np.ndarray, bra: np.ndarray) -> np.ndarray:
+    """Close the bra side of a stack of environments one site on.
+
+    ``half`` is a stack (entry, bra, p, ket) whose ket side already holds
+    the site tensor, from ``_contract(stack, tensor)``; ``bra`` is the
+    (bra, p, r) tensor of the bra side. Returns the stack (entry, bra, ket)
+    of environments after the site.
+    """
+    k, left, d, right = half.shape
+    kets = half.transpose(1, 2, 0, 3).reshape(left * d, k * right)
+    closed = _contract(bra.reshape(left * d, -1).conj().T, kets)  # (r, entry * ket)
+    return closed.reshape(-1, k, right).transpose(1, 0, 2)
 
 
 def _split_gate(gate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,22 +137,6 @@ class MPS:
     @property
     def bond_dims(self) -> list[int]:
         return [t.shape[2] for t in self.tensors[:-1]]
-
-    def norm(self) -> float:
-        value = np.ones((1, 1), dtype=complex)
-        for t in self.tensors:
-            value = _transfer(value, t)
-        return float(np.sqrt(abs(value[0, 0].real)))
-
-    def copy(self) -> "MPS":
-        clone = MPS(
-            [t.copy() for t in self.tensors],
-            chi_max=self.chi_max,
-            cutoff=self.cutoff,
-        )
-        clone.truncation_error = self.truncation_error
-        clone.center = self.center
-        return clone
 
     def apply_1q(self, site: int, gate: np.ndarray) -> None:
         self.tensors[site] = np.einsum("qp,apb->aqb", gate, self.tensors[site])
@@ -207,74 +214,38 @@ class MPS:
     def _keep(self, s: np.ndarray) -> int:
         return max(1, min(self.chi_max, int(np.sum(s > self.cutoff))))
 
-    def canonical_defect(self) -> float:
-        """Max deviation of the right-isometry identities over sites 1..n-1."""
-        worst = 0.0
-        for t in self.tensors[1:]:
-            m = t.reshape(t.shape[0], -1)
-            gram = m @ m.conj().T
-            worst = max(worst, float(np.max(np.abs(gram - np.eye(t.shape[0])))))
-        return worst
-
     # --- observables (chain indexing) ---
 
-    def expect_z(self, site: int) -> float:
-        return self._expect_ops({site: _PAULI_Z})
-
-    def expect_zz(self, site_a: int, site_b: int) -> float:
-        if site_a == site_b:
-            return 1.0
-        return self._expect_ops({site_a: _PAULI_Z, site_b: _PAULI_Z})
-
-    def _expect_ops(self, ops: dict[int, np.ndarray]) -> float:
-        last = max(ops)
-        env = np.ones((1, 1), dtype=complex)
-        for i in range(last + 1):
-            env = _transfer(env, self.tensors[i], ops.get(i))
-        value = np.trace(env).real / self._norm_sq()
-        return float(min(1.0, max(-1.0, value)))
-
     def per_site_z(self) -> np.ndarray:
+        return self._z_sweep(strings=False)[0]
+
+    def zz_matrix(self) -> np.ndarray:
+        """Full <Z_i Z_j> matrix over chain positions (diagonal = 1)."""
+        return self._z_sweep(strings=True)[1]
+
+    def _z_sweep(self, strings: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        """<Z_j> for every site and, with ``strings``, the <Z_i Z_j> matrix.
+
+        Needs right-canonical form (center at site 0): the sites right of j
+        then close each environment with the identity, which is a trace.
+        """
         n = self.n_sites
         norm_sq = self._norm_sq()
-        values = np.empty(n)
-        env = np.ones((1, 1), dtype=complex)
-        for i in range(n):
-            values[i] = np.trace(_transfer(env, self.tensors[i], _PAULI_Z)).real
-            env = _transfer(env, self.tensors[i])
-        return np.clip(values / norm_sq, -1.0, 1.0)
-
-    def zz_matrix(self, pairs: list[tuple[int, int]] | None = None) -> np.ndarray:
-        """<Z_i Z_j> for chain-position pairs (full matrix when pairs=None)."""
-        n = self.n_sites
-        norm_sq = self._norm_sq()
-        left_envs = [np.ones((1, 1), dtype=complex)]
-        for i in range(n - 1):
-            left_envs.append(_transfer(left_envs[-1], self.tensors[i]))
-
-        if pairs is None:
-            matrix = np.eye(n)
-            for i in range(n):
-                env = _transfer(left_envs[i], self.tensors[i], _PAULI_Z)
-                for j in range(i + 1, n):
-                    value = np.trace(_transfer(env, self.tensors[j], _PAULI_Z)).real
-                    matrix[i, j] = matrix[j, i] = np.clip(value / norm_sq, -1.0, 1.0)
-                    if j < n - 1:
-                        env = _transfer(env, self.tensors[j])
-            return matrix
-
-        values = np.empty(len(pairs))
-        for k, (a, b) in enumerate(pairs):
-            i, j = min(a, b), max(a, b)
-            if i == j:
-                values[k] = 1.0
-                continue
-            env = _transfer(left_envs[i], self.tensors[i], _PAULI_Z)
-            for mid in range(i + 1, j):
-                env = _transfer(env, self.tensors[mid])
-            value = np.trace(_transfer(env, self.tensors[j], _PAULI_Z)).real
-            values[k] = np.clip(value / norm_sq, -1.0, 1.0)
-        return values
+        z = np.empty(n)
+        matrix = np.eye(n) if strings else None
+        stack = np.ones((1, 1, 1), dtype=complex)
+        for j, tensor in enumerate(self.tensors):
+            signed = tensor * _Z_SIGNS
+            half = _contract(stack, tensor)  # (entry, bra, p, ket)
+            closed = _contract(half.reshape(len(stack), -1), signed.conj().reshape(-1))
+            closed = np.clip(closed.real / norm_sq, -1.0, 1.0)
+            z[j] = closed[0]
+            carried = _env_step(half, tensor)
+            if strings:
+                matrix[j, :j] = matrix[:j, j] = closed[1:]
+                carried = np.concatenate([carried, _env_step(half[:1], signed)])
+            stack = carried
+        return z, matrix
 
     def _norm_sq(self) -> float:
         # site 0 carries the norm; the rest is right-canonical
@@ -295,8 +266,8 @@ class MPS:
         vec = np.ones((shots, 1), dtype=complex)
         for i in range(n):
             t = self.tensors[i] if i > 0 else t0
-            branch0 = vec @ t[:, 0, :]
-            branch1 = vec @ t[:, 1, :]
+            branch0 = _contract(vec, t[:, 0, :])
+            branch1 = _contract(vec, t[:, 1, :])
             w0 = np.sum(np.abs(branch0) ** 2, axis=1)
             w1 = np.sum(np.abs(branch1) ** 2, axis=1)
             p1 = w1 / (w0 + w1)
@@ -306,26 +277,6 @@ class MPS:
             scale = np.sqrt(np.where(outcome == 1, w1, w0))
             vec = vec / scale[:, None]
         return bits
-
-    def to_statevector(self) -> np.ndarray:
-        """Dense amplitudes in the chain's bit convention (site 0 = bit 0)."""
-        if self.n_sites > 20:
-            raise ValueError("refusing to densify an MPS with more than 20 sites")
-        psi = self.tensors[0][0]  # (2, b)
-        for t in self.tensors[1:]:
-            psi = np.tensordot(psi, t, axes=([-1], [0]))
-        psi = psi[..., 0]  # axes ordered site0..siteN-1
-        # match the dense backend: qubit/site 0 is the least significant bit
-        return np.transpose(psi, tuple(reversed(range(self.n_sites)))).reshape(-1)
-
-
-def _transfer(
-    env: np.ndarray, tensor: np.ndarray, op: np.ndarray | None = None
-) -> np.ndarray:
-    t1 = np.tensordot(env, tensor, axes=([0], [0]))  # (bra, p, bk)
-    if op is not None:
-        t1 = np.einsum("qp,apb->aqb", op, t1)
-    return np.tensordot(tensor.conj(), t1, axes=([0, 1], [0, 1])).T  # (bk, bb)
 
 
 def evolve_cycle_mps(mps: MPS, cycle: GateSequence, order: UnrollOrder) -> None:
@@ -386,19 +337,9 @@ class MPSState:
         chain_values = self.mps.per_site_z()
         return chain_values[list(self.order.position)]
 
-    def expect_z(self, qubit: int) -> float:
-        return self.mps.expect_z(self.order.position[qubit])
-
-    def expect_zz(self, qubit_a: int, qubit_b: int) -> float:
-        return self.mps.expect_zz(
-            self.order.position[qubit_a], self.order.position[qubit_b]
-        )
-
     def zz_pairs(self, pairs: list[tuple[int, int]]) -> np.ndarray:
-        chain_pairs = [
-            (self.order.position[i], self.order.position[j]) for i, j in pairs
-        ]
-        return self.mps.zz_matrix(chain_pairs)
+        matrix = self.zz_matrix()
+        return np.array([matrix[i, j] for i, j in pairs])
 
     def zz_matrix(self) -> np.ndarray:
         chain_matrix = self.mps.zz_matrix()

@@ -73,10 +73,6 @@ class OffsetVector:
             [self.target_even, self.target_odd, self.reference_even, self.reference_odd]
         )
 
-    @classmethod
-    def zeros(cls) -> "OffsetVector":
-        return cls(0.0, 0.0, 0.0, 0.0)
-
     def target(self, t: np.ndarray) -> np.ndarray:
         return np.where(t % 2 == 0, self.target_even, self.target_odd)
 
@@ -333,24 +329,12 @@ def kernel_column(n_bits: int, p, d_in: int) -> np.ndarray:
     return column
 
 
-@dataclass(frozen=True)
-class FlipKernel:
-    """Transition matrix on Hamming-distance histograms, T[d_out, d_in]."""
-
-    n_bits: int
-    p: float
-    matrix: np.ndarray
-
-    def apply(self, distribution: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(distribution, dtype=float)
-
-
-def flip_kernel(n_bits: int, p: float) -> FlipKernel:
-    """Full (N+1)x(N+1) flip kernel; columns sum to 1."""
-    matrix = np.column_stack(
+def flip_kernel(n_bits: int, p: float) -> np.ndarray:
+    """Full (N+1)x(N+1) flip kernel T[d_out, d_in] on Hamming-distance
+    histograms; columns sum to 1."""
+    return np.column_stack(
         [kernel_column(n_bits, p, d_in) for d_in in range(n_bits + 1)]
     )
-    return FlipKernel(n_bits=n_bits, p=p, matrix=matrix)
 
 
 def _golden_section(f, lo: float, hi: float, tol: float = 1e-10) -> float:
@@ -437,13 +421,6 @@ class TrialDistribution:
         weights = np.exp(log_w - log_w.max())
         return weights / weights.sum()
 
-    def moments(self, n_bits: int) -> tuple[float, float]:
-        pmf = self.pmf(n_bits)
-        d = np.arange(n_bits + 1)
-        mean = float(np.sum(d * pmf))
-        var = float(np.sum(d**2 * pmf) - mean**2)
-        return mean, var
-
 
 def deconvolve_hamming(
     noisy_distribution: np.ndarray,
@@ -470,7 +447,7 @@ def deconvolve_hamming(
         raise ValueError("need a distribution over at least one bit")
     if lambda_mean <= 0 or lambda_var <= 0:
         raise ValueError("moment penalties must be positive")
-    kernel = flip_kernel(n_bits, p).matrix
+    kernel = flip_kernel(n_bits, p)
     d = np.arange(n_bits + 1, dtype=float)
     x = d / n_bits
 

@@ -331,6 +331,7 @@ def _simulate_system(
     clean = TimeSeries()
     noisy = TimeSeries() if noise_model else None
     edges = list(lattice.edges)
+    edge_rows, edge_cols = np.transpose(edges)
     iu = np.triu_indices(lattice.n_qubits, k=1)
     pairs = np.transpose(iu)
 
@@ -344,8 +345,11 @@ def _simulate_system(
         if t > 0:
             state.apply_cycle(cycle)
         z = state.per_site_z()
-        zz_nn = state.zz_pairs(edges)
-        zz = state.zz_matrix() if config.full_correlations else None
+        if config.full_correlations:
+            zz = state.zz_matrix()
+            zz_nn = zz[edge_rows, edge_cols]
+        else:
+            zz, zz_nn = None, state.zz_pairs(edges)
         samples = None
         if config.shots > 0:
             samples = state.sample_bits(
@@ -511,10 +515,7 @@ def _recover(
         return report
 
     n = result.n_qubits
-    if phi0 == 0.0:
-        d_cliff = np.zeros(cycles + 1, dtype=int)
-    else:
-        d_cliff = np.where(np.arange(cycles + 1) % 2 == 0, 0, n)
+    d_cliff = hamming_mean_from_delta(n, exact_reference).astype(int)
     report.flip_schedule = learn_flip_schedule(
         np.array(reference.noisy.hamming), d_cliff
     )

@@ -9,6 +9,7 @@ from dtc2d import (
     sample_disorder,
     unroll,
 )
+from dtc2d.exact import StateVector
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +38,18 @@ def dtc_cycle(hexagon):
 @pytest.fixture(scope="session")
 def hexagon_neel(hexagon):
     return neel_state(hexagon)
+
+
+@pytest.fixture(scope="session")
+def evolve():
+    """Dense oracle run: ``evolve(state, cycle, n_cycles)`` applies the
+    Floquet cycle n_cycles times to a product state and returns the
+    StateVector."""
+
+    def run(state, cycle, n_cycles):
+        sv = StateVector.from_product(state)
+        for _ in range(n_cycles):
+            sv.apply_cycle(cycle)
+        return sv
+
+    return run

@@ -157,9 +157,9 @@ def test_criterion_04_kernel_properties():
             for p in (0.0, 0.01, 0.1, 0.5):
                 kernel = flip_kernel(n, p)
                 np.testing.assert_allclose(
-                    kernel.matrix.sum(axis=0), 1.0, atol=1e-12
+                    kernel.sum(axis=0), 1.0, atol=1e-12
                 )
-        np.testing.assert_array_equal(flip_kernel(20, 0.0).matrix, np.eye(21))
+        np.testing.assert_array_equal(flip_kernel(20, 0.0), np.eye(21))
 
         # channel-kernel equivalence at 1e5 shots, 3-sigma multinomial bounds
         n, shots, p = 12, 100_000, 0.07
@@ -176,7 +176,7 @@ def test_criterion_04_kernel_properties():
         model = uniform_noise(n, decay=1.0, flip_slope=p, flip_cap=0.5)
         noisy = corrupt_bits(samples, model, t=1, rng=np.random.default_rng(41))
         noisy_dist = hamming_distribution(noisy, s0.spins)
-        pushed = flip_kernel(n, p).apply(clean_dist)
+        pushed = flip_kernel(n, p) @ clean_dist
         sigma = np.sqrt(np.maximum(pushed * (1 - pushed), 0.0) / shots)
         assert np.all(np.abs(noisy_dist - pushed) <= 3 * sigma + 5e-4)
 
@@ -219,7 +219,7 @@ def test_criterion_06_offset_transfer():
             np.array(result.noisy.delta),
             np.array(reference.noisy.delta),
             clifford_delta(np.pi / 2, config.cycles),
-            OffsetVector.zeros(),
+            OffsetVector(0.0, 0.0, 0.0, 0.0),
         )
         error_zero = np.mean(
             np.abs(zero_recovered[~zero_flags] - clean[~zero_flags])
@@ -250,9 +250,9 @@ def test_criterion_08_hamming_deconvolution():
         n, p, shots = 35, 0.1, 10_000
         truth = TrialDistribution(d0=12.0, sigma=3.0, k=0.8, q=-12.0)
         clean = truth.pmf(n)
-        pushed = flip_kernel(n, p).apply(clean)
+        pushed = flip_kernel(n, p) @ clean
         counts = np.random.default_rng(123).multinomial(shots, pushed)
-        mu, var = truth.moments(n)
+        mu, var = distribution_mean_var(truth.pmf(n))
         fitted, _ = deconvolve_hamming(counts / shots, p, mu, var)
         tv = 0.5 * np.sum(np.abs(fitted.pmf(n) - clean))
         assert tv <= 0.05

@@ -1,0 +1,72 @@
+"""Every public name the package defines has a caller in the program.
+
+A public function, class or method of ``src/dtc2d`` must be referenced by
+name somewhere in ``src/`` or ``perfbench/`` outside its own definition: as
+a variable, an attribute, an import or a string (perfbench wraps backend
+methods by their names). A name that only tests call belongs in the tests.
+"""
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "dtc2d"
+PROGRAM_DIRS = (ROOT / "src", ROOT / "perfbench")
+
+# waits on the subharmonic-peak report that will call it
+ALLOWED_UNREFERENCED = {"observables.fourier_spectrum"}
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _references(tree: ast.AST) -> Counter:
+    names: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.split(".")[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                names[node.value] += 1
+    return names
+
+
+def _public_definitions(tree: ast.Module, module: str):
+    """(qualified name, bare name, node) of each public def and class."""
+    found = []
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, _DEFINITIONS) and not node.name.startswith("_"):
+                qualified = f"{prefix}.{node.name}"
+                found.append((qualified, node.name, node))
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body, qualified)
+
+    visit(tree.body, module)
+    return found
+
+
+def unreferenced_names() -> list[str]:
+    program_files = sorted(
+        path for directory in PROGRAM_DIRS for path in directory.rglob("*.py")
+    )
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in program_files}
+    total = sum((_references(tree) for tree in trees.values()), Counter())
+    unreferenced = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualified, name, node in _public_definitions(trees[path], path.stem):
+            # references inside the definition itself (recursion, a
+            # classmethod naming its class) do not count
+            outside = total[name] - _references(node)[name]
+            if outside <= 0:
+                unreferenced.append(qualified)
+    return unreferenced
+
+
+def test_every_public_name_has_a_caller_in_the_program():
+    # equality, so an exception that gains a caller leaves the list too
+    assert set(unreferenced_names()) == ALLOWED_UNREFERENCED

@@ -3,7 +3,7 @@ import pytest
 
 from dtc2d import FloquetParams, build_cycle, neel_state, sample_disorder
 from dtc2d.circuit import GateSequence, ProductState, x_kick_gate, xxz_gate
-from dtc2d.exact import MAX_QUBITS, CapacityError, StateVector, evolve
+from dtc2d.exact import MAX_QUBITS, CapacityError, StateVector
 from dtc2d.observables import delta
 
 # frozen regression value: 12-qubit hexagon, seed 7, (eps, phi) = (0.05, 0.45*pi)
@@ -164,7 +164,7 @@ class TestGateApplication:
 
 
 class TestCycle:
-    def test_perfect_flip_maps_neel_to_antineel(self, hexagon):
+    def test_perfect_flip_maps_neel_to_antineel(self, hexagon, evolve):
         s0 = neel_state(hexagon)
         disorder = sample_disorder(hexagon, seed=1)
         cycle = build_cycle(hexagon, disorder, FloquetParams(0.0, np.pi / 2))
@@ -172,7 +172,7 @@ class TestCycle:
         flipped_index = int(np.sum((1 - (-s0.spins)) // 2 << np.arange(12)))
         assert abs(abs(sv.amplitudes[flipped_index]) - 1.0) < 1e-12
 
-    def test_glass_point_preserves_basis_states(self, hexagon):
+    def test_glass_point_preserves_basis_states(self, hexagon, evolve):
         s0 = neel_state(hexagon)
         disorder = sample_disorder(hexagon, seed=1)
         cycle = build_cycle(hexagon, disorder, FloquetParams(0.0, 0.0))
@@ -186,7 +186,7 @@ class TestCycle:
             sv.apply_cycle(dtc_cycle)
         assert abs(sv.norm() - 1.0) < 1e-10
 
-    def test_dtc_point_regression(self, dtc_cycle, hexagon_neel):
+    def test_dtc_point_regression(self, dtc_cycle, hexagon_neel, evolve):
         sv = evolve(hexagon_neel, dtc_cycle, 2)
         value = delta(sv.per_site_z(), hexagon_neel.spins)
         assert value > 0.8
@@ -207,24 +207,24 @@ class TestExpectations:
         spins = np.array([1, -1, 1, -1])
         sv = StateVector.from_product(ProductState(spins=spins))
         for q in range(4):
-            assert sv.expect_z(q) == spins[q]
+            assert sv.per_site_z()[q] == spins[q]
 
-    def test_zz_self_is_one(self, dtc_cycle, hexagon_neel):
+    def test_zz_self_is_one(self, dtc_cycle, hexagon_neel, evolve):
         sv = evolve(hexagon_neel, dtc_cycle, 1)
-        assert sv.expect_zz(3, 3) == 1.0
+        assert sv.zz_pairs([(3, 3)])[0] == 1.0
 
     def test_uniform_superposition(self):
         n = 4
         sv = StateVector(np.full(2**n, 2.0 ** (-n / 2), dtype=complex), n)
         for q in range(n):
-            assert abs(sv.expect_z(q)) < 1e-12
+            assert abs(sv.per_site_z()[q]) < 1e-12
 
-    def test_zz_matrix_matches_pairwise(self, dtc_cycle, hexagon_neel):
+    def test_zz_matrix_matches_pairwise(self, dtc_cycle, hexagon_neel, evolve):
         sv = evolve(hexagon_neel, dtc_cycle, 2)
         matrix = sv.zz_matrix()
-        for i in range(0, 12, 3):
-            for j in range(12):
-                assert abs(matrix[i, j] - sv.expect_zz(i, j)) < 1e-12
+        pairs = [(i, j) for i in range(0, 12, 3) for j in range(12)]
+        for (i, j), value in zip(pairs, sv.zz_pairs(pairs)):
+            assert abs(matrix[i, j] - value) < 1e-12
 
     @pytest.mark.parametrize("n", [17, 21])
     def test_split_table_matches_direct_marginals(self, n):
@@ -236,7 +236,7 @@ class TestExpectations:
         expected = [zz[i, j] for i, j in pairs]
         assert np.max(np.abs(sv.zz_pairs(pairs) - expected)) < 1e-12
 
-    def test_values_in_range(self, dtc_cycle, hexagon_neel):
+    def test_values_in_range(self, dtc_cycle, hexagon_neel, evolve):
         sv = evolve(hexagon_neel, dtc_cycle, 3)
         z = sv.per_site_z()
         assert np.all(z >= -1) and np.all(z <= 1)
@@ -256,15 +256,16 @@ class TestSampling:
         # binomial 6-sigma bound: 6 * 0.5 / sqrt(shots) < 0.01
         assert abs(bits.mean() - 0.5) < 0.01
 
-    def test_shot_estimate_converges(self, dtc_cycle, hexagon_neel):
+    def test_shot_estimate_converges(self, dtc_cycle, hexagon_neel, evolve):
         sv = evolve(hexagon_neel, dtc_cycle, 2)
         shots = 100_000
         bits = sv.sample_bits(shots=shots, seed=5)
         z_hat = 1.0 - 2.0 * bits.mean(axis=0)
+        z = sv.per_site_z()
         for q in range(12):
-            assert abs(z_hat[q] - sv.expect_z(q)) < 3.0 / np.sqrt(shots) + 1e-12
+            assert abs(z_hat[q] - z[q]) < 3.0 / np.sqrt(shots) + 1e-12
 
-    def test_deterministic_given_seed(self, dtc_cycle, hexagon_neel):
+    def test_deterministic_given_seed(self, dtc_cycle, hexagon_neel, evolve):
         sv = evolve(hexagon_neel, dtc_cycle, 1)
         a = sv.sample_bits(shots=50, seed=9)
         b = sv.sample_bits(shots=50, seed=9)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,79 @@ def chain_statevector_from_lattice(sv: StateVector, order) -> np.ndarray:
     out = np.zeros_like(sv.amplitudes)
     out[chain_idx] = sv.amplitudes
     return out
+
+
+# --- test-side references: plain transfer-matrix contractions, one site and
+# one operator at a time, independent of the library's stacked sweep ---
+
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def transfer(env, tensor, op=None):
+    """One site of a left environment (ket, bra), with ``op`` on the ket."""
+    t1 = np.tensordot(env, tensor, axes=([0], [0]))  # (bra, p, bk)
+    if op is not None:
+        t1 = np.einsum("qp,apb->aqb", op, t1)
+    return np.tensordot(tensor.conj(), t1, axes=([0, 1], [0, 1])).T  # (bk, bb)
+
+
+def norm_sq(mps):
+    # site 0 carries the norm; the rest is right-canonical
+    return float(np.linalg.norm(mps.tensors[0]) ** 2)
+
+
+def expect_z(mps, site):
+    """<Z> at one chain site, by a sweep that stops there."""
+    env = np.ones((1, 1), dtype=complex)
+    for i in range(site + 1):
+        env = transfer(env, mps.tensors[i], PAULI_Z if i == site else None)
+    value = np.trace(env).real / norm_sq(mps)
+    return float(min(1.0, max(-1.0, value)))
+
+
+def row_restart_zz_matrix(mps):
+    """<Z_i Z_j> with one transfer sweep per row i, from site i onward."""
+    n = mps.n_sites
+    left_envs = [np.ones((1, 1), dtype=complex)]
+    for i in range(n - 1):
+        left_envs.append(transfer(left_envs[-1], mps.tensors[i]))
+    matrix = np.eye(n)
+    for i in range(n):
+        env = transfer(left_envs[i], mps.tensors[i], PAULI_Z)
+        for j in range(i + 1, n):
+            value = np.trace(transfer(env, mps.tensors[j], PAULI_Z)).real
+            matrix[i, j] = matrix[j, i] = np.clip(value / norm_sq(mps), -1.0, 1.0)
+            if j < n - 1:
+                env = transfer(env, mps.tensors[j])
+    return matrix
+
+
+def norm(mps):
+    value = np.ones((1, 1), dtype=complex)
+    for t in mps.tensors:
+        value = transfer(value, t)
+    return float(np.sqrt(abs(value[0, 0].real)))
+
+
+def canonical_defect(mps):
+    """Max deviation of the right-isometry identities over sites 1..n-1."""
+    worst = 0.0
+    for t in mps.tensors[1:]:
+        m = t.reshape(t.shape[0], -1)
+        gram = m @ m.conj().T
+        worst = max(worst, float(np.max(np.abs(gram - np.eye(t.shape[0])))))
+    return worst
+
+
+def to_statevector(mps):
+    """Dense amplitudes in the chain's bit convention (site 0 = bit 0)."""
+    assert mps.n_sites <= 20, "refusing to densify an MPS with more than 20 sites"
+    psi = mps.tensors[0][0]  # (2, b)
+    for t in mps.tensors[1:]:
+        psi = np.tensordot(psi, t, axes=([-1], [0]))
+    psi = psi[..., 0]  # axes ordered site0..siteN-1
+    # match the dense backend: qubit/site 0 is the least significant bit
+    return np.transpose(psi, tuple(reversed(range(mps.n_sites)))).reshape(-1)
 
 
 def random_gate(seed):
@@ -68,10 +143,10 @@ class TestMPOConstruction:
     def test_empty_layer_is_identity(self, hexagon, hexagon_order, dtc_cycle):
         state = MPSState(neel_state(hexagon), hexagon_order, chi_max=64)
         state.apply_cycle(dtc_cycle)
-        before = state.mps.to_statevector()
+        before = to_statevector(state.mps)
         idle = GateSequence(12, np.eye(2, dtype=complex), ((), (), ()))
         evolve_cycle_mps(state.mps, idle, hexagon_order)
-        np.testing.assert_allclose(state.mps.to_statevector(), before, atol=1e-12)
+        np.testing.assert_allclose(to_statevector(state.mps), before, atol=1e-12)
 
     def test_overlap_rejected(self, hexagon, hexagon_order):
         g = random_gate(1)
@@ -91,7 +166,7 @@ class TestMPOConstruction:
                 sv.apply_2q(i, j, gate)
             expected = chain_statevector_from_lattice(sv, hexagon_order)
             np.testing.assert_allclose(
-                state.mps.to_statevector(), expected, atol=1e-10
+                to_statevector(state.mps), expected, atol=1e-10
             )
 
     def test_bond_dims_bounded_by_overlap_count(self, lattice_2x2):
@@ -115,12 +190,12 @@ class TestMPOConstruction:
     def test_mpo_product_composes(self):
         a, b = random_gate(3), random_gate(4)
         mps, _ = random_chain_state(6, seed=9)
-        twice = mps.copy()
+        twice = copy.deepcopy(mps)
         twice.apply_2q(1, 4, b)
         twice.apply_2q(1, 4, a)
         mps.apply_2q(1, 4, a @ b)
         np.testing.assert_allclose(
-            twice.to_statevector(), mps.to_statevector(), atol=1e-12
+            to_statevector(twice), to_statevector(mps), atol=1e-12
         )
 
 
@@ -132,15 +207,15 @@ class TestApplyMPO:
         gate = random_gate(site_a * 12 + site_b)
         mps.apply_2q(site_a, site_b, gate)
         sv.apply_2q(site_a, site_b, gate)
-        np.testing.assert_allclose(mps.to_statevector(), sv.amplitudes, atol=1e-12)
+        np.testing.assert_allclose(to_statevector(mps), sv.amplitudes, atol=1e-12)
         assert mps.center == min(site_a, site_b)
 
     def test_identity_leaves_state_unchanged(self, hexagon, hexagon_order, dtc_cycle):
         state = MPSState(neel_state(hexagon), hexagon_order, chi_max=64)
         state.apply_cycle(dtc_cycle)
-        before = state.mps.to_statevector()
+        before = to_statevector(state.mps)
         state.mps.apply_2q(0, 11, np.eye(4, dtype=complex))
-        np.testing.assert_allclose(state.mps.to_statevector(), before, atol=1e-12)
+        np.testing.assert_allclose(to_statevector(state.mps), before, atol=1e-12)
 
     def test_chi_one_reports_truncation(self, hexagon_order):
         bits = np.zeros(12, dtype=np.uint8)
@@ -171,8 +246,8 @@ class TestApplyMPO:
         state = MPSState(neel_state(hexagon), hexagon_order, chi_max=16)
         for _ in range(4):
             state.apply_cycle(dtc_cycle)
-        assert state.mps.canonical_defect() < 1e-10
-        assert abs(state.mps.norm() - 1.0) < 1e-8
+        assert canonical_defect(state.mps) < 1e-10
+        assert abs(norm(state.mps) - 1.0) < 1e-8
 
     def test_bond_cap_respected(self, hexagon, hexagon_order, dtc_cycle):
         state = MPSState(neel_state(hexagon), hexagon_order, chi_max=8)
@@ -244,15 +319,46 @@ class TestExpectations:
         s0 = neel_state(hexagon)
         state = MPSState(s0, hexagon_order, chi_max=4)
         np.testing.assert_array_equal(state.per_site_z(), s0.spins)
-        for i, j in hexagon.edges:
-            assert state.expect_zz(i, j) == s0.spins[i] * s0.spins[j]
+        edges = list(hexagon.edges)
+        for (i, j), value in zip(edges, state.zz_pairs(edges)):
+            assert value == s0.spins[i] * s0.spins[j]
 
     def test_single_site_matches_sweep(self, hexagon, hexagon_order, dtc_cycle):
         state = MPSState(neel_state(hexagon), hexagon_order, chi_max=64)
         state.apply_cycle(dtc_cycle)
         z = state.per_site_z()
         for q in (0, 5, 11):
-            assert abs(state.expect_z(q) - z[q]) < 1e-12
+            site = hexagon_order.position[q]
+            assert abs(expect_z(state.mps, site) - z[q]) < 1e-12
+
+    def test_stacked_sweep_matches_row_restart(self, lattice_2x2):
+        # 35 sites at chi 32: both cycles truncate
+        order = unroll(lattice_2x2)
+        disorder = sample_disorder(lattice_2x2, seed=7)
+        cycle = build_cycle(lattice_2x2, disorder, FloquetParams(0.05, 0.45 * np.pi))
+        state = MPSState(neel_state(lattice_2x2), order, chi_max=32)
+        for _ in range(2):
+            state.apply_cycle(cycle)
+        assert state.truncation_error > 0
+        assert max(state.mps.bond_dims) == 32
+        mps = state.mps
+        np.testing.assert_allclose(
+            mps.zz_matrix(), row_restart_zz_matrix(mps), rtol=0, atol=1e-12
+        )
+        z = [expect_z(mps, site) for site in range(mps.n_sites)]
+        np.testing.assert_allclose(mps.per_site_z(), z, rtol=0, atol=1e-12)
+
+    def test_zz_pairs_index_zz_matrix_exactly(self, hexagon, hexagon_order, dtc_cycle):
+        s0 = neel_state(hexagon)
+        edges = list(hexagon.edges)
+        for state in (
+            StateVector.from_product(s0),
+            MPSState(s0, hexagon_order, chi_max=64),
+        ):
+            state.apply_cycle(dtc_cycle)
+            matrix = state.zz_matrix()
+            expected = [matrix[i, j] for i, j in edges]
+            np.testing.assert_array_equal(state.zz_pairs(edges), expected)
 
 
 class TestSampling:

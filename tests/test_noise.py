@@ -171,11 +171,9 @@ class TestCorruptBits:
 
 
 class TestChannelKernelEquivalence:
-    def test_histogram_matches_kernel_pushforward(self, dtc_cycle, hexagon_neel):
+    def test_histogram_matches_kernel_pushforward(self, dtc_cycle, hexagon_neel, evolve):
         # central cross-module oracle: sampling through corrupt_bits agrees
         # with applying the analytic flip kernel to the input distribution
-        from dtc2d.exact import evolve
-
         n, shots, p = 12, 100_000, 0.08
         sv = evolve(hexagon_neel, dtc_cycle, 3)
         samples = sv.sample_bits(shots, seed=10)
@@ -186,6 +184,6 @@ class TestChannelKernelEquivalence:
         noisy = corrupt_bits(samples, model, t=1, rng=rng)
         noisy_dist = hamming_distribution(noisy, hexagon_neel.spins)
 
-        pushed = flip_kernel(n, p).apply(clean_dist)
+        pushed = flip_kernel(n, p) @ clean_dist
         sigma = np.sqrt(np.maximum(pushed * (1 - pushed), 1e-12) / shots)
         assert np.all(np.abs(noisy_dist - pushed) < 3 * sigma + 2e-3)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtc2d.exact import StateVector, evolve
+from dtc2d.exact import StateVector
 from dtc2d.observables import (
     chi,
     chi_from_matrix,
@@ -113,7 +113,7 @@ class TestHamming:
         with pytest.raises(ValueError):
             hamming_distribution(np.empty((0, 3), dtype=np.uint8), np.ones(3))
 
-    def test_mean_matches_delta(self, dtc_cycle, hexagon_neel):
+    def test_mean_matches_delta(self, dtc_cycle, hexagon_neel, evolve):
         sv = evolve(hexagon_neel, dtc_cycle, 3)
         shots = 50_000
         samples = sv.sample_bits(shots, seed=4)
@@ -142,7 +142,7 @@ class TestQFI:
         value = qfi(sv.per_site_z(), sv.zz_matrix(), np.ones(n))
         assert value == pytest.approx(n**2 / 4.0, abs=1e-12)
 
-    def test_variance_of_hamming_distribution(self, dtc_cycle, hexagon_neel):
+    def test_variance_of_hamming_distribution(self, dtc_cycle, hexagon_neel, evolve):
         sv = evolve(hexagon_neel, dtc_cycle, 2)
         sigma = qfi(sv.per_site_z(), sv.zz_matrix(), hexagon_neel.spins)
         samples = sv.sample_bits(100_000, seed=6)

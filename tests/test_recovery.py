@@ -6,6 +6,7 @@ from scipy.special import expit, gammaln, logsumexp
 from scipy.stats import binom
 
 from dtc2d.noise import corrupt_bits, uniform_noise
+from dtc2d.observables import distribution_mean_var
 from dtc2d.recovery import (
     TRIAL_CURVATURE_FLOOR,
     TRIAL_LOG_WEIGHT_FLOOR,
@@ -24,6 +25,8 @@ from dtc2d.recovery import (
     recover_chi,
     renormalize_delta,
 )
+
+ZERO_OFFSETS = OffsetVector(0.0, 0.0, 0.0, 0.0)
 
 
 class TestCliffordReference:
@@ -57,7 +60,7 @@ class TestRenormalizeDelta:
         clean = synthetic_delta_series(20)
         reference = clifford_delta(np.pi / 2, 20)
         recovered, flagged = renormalize_delta(
-            clean, reference, reference, OffsetVector.zeros()
+            clean, reference, reference, ZERO_OFFSETS
         )
         assert not flagged.any()
         np.testing.assert_allclose(recovered, clean, atol=1e-14)
@@ -80,16 +83,14 @@ class TestRenormalizeDelta:
         reference = clifford_delta(np.pi / 2, 2)
         noisy_ref = np.array([1.0, 1e-5, 1.0])  # near-zero after offset removal
         recovered, flagged = renormalize_delta(
-            clean, noisy_ref, reference, OffsetVector.zeros(), guard=1e-3
+            clean, noisy_ref, reference, ZERO_OFFSETS, guard=1e-3
         )
         assert flagged[1] and not flagged[0] and not flagged[2]
         assert np.all(np.abs(recovered) <= 1.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            renormalize_delta(
-                np.ones(3), np.ones(4), np.ones(4), OffsetVector.zeros()
-            )
+            renormalize_delta(np.ones(3), np.ones(4), np.ones(4), ZERO_OFFSETS)
 
 
 class TestLearnOffsets:
@@ -180,11 +181,11 @@ class TestRecoverChi:
 class TestFlipKernel:
     def test_p_zero_is_identity(self):
         kernel = flip_kernel(10, 0.0)
-        np.testing.assert_array_equal(kernel.matrix, np.eye(11))
+        np.testing.assert_array_equal(kernel, np.eye(11))
 
     def test_p_one_reverses(self):
         kernel = flip_kernel(6, 1.0)
-        np.testing.assert_array_equal(kernel.matrix, np.eye(7)[::-1])
+        np.testing.assert_array_equal(kernel, np.eye(7)[::-1])
 
     def test_two_bit_column(self):
         p = 0.3
@@ -197,8 +198,8 @@ class TestFlipKernel:
     @pytest.mark.parametrize("p", [0.0, 0.01, 0.1, 0.5])
     def test_columns_stochastic(self, n, p):
         kernel = flip_kernel(n, p)
-        np.testing.assert_allclose(kernel.matrix.sum(axis=0), 1.0, atol=1e-12)
-        assert np.all(kernel.matrix >= 0)
+        np.testing.assert_allclose(kernel.sum(axis=0), 1.0, atol=1e-12)
+        assert np.all(kernel >= 0)
 
     def test_matches_binomial_convolution_oracle(self):
         # independent construction: d_out = (d_in - X) + Y with
@@ -209,7 +210,7 @@ class TestFlipKernel:
             back = binom.pmf(np.arange(d_in + 1), d_in, p)[::-1]  # pmf of d_in - X
             forward = binom.pmf(np.arange(n - d_in + 1), n - d_in, p)
             expected = np.convolve(back, forward)
-            np.testing.assert_allclose(kernel.matrix[:, d_in], expected, atol=1e-12)
+            np.testing.assert_allclose(kernel[:, d_in], expected, atol=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -218,7 +219,7 @@ class TestFlipKernel:
     )
     def test_columns_stochastic_property(self, n, p):
         kernel = flip_kernel(n, p)
-        np.testing.assert_allclose(kernel.matrix.sum(axis=0), 1.0, atol=1e-10)
+        np.testing.assert_allclose(kernel.sum(axis=0), 1.0, atol=1e-10)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -259,7 +260,7 @@ class TestFlipKernelOracles:
         # the binomial channel is diagonal in the Krawtchouk basis, with
         # eigenvalue (1 - 2p)^j on degree j
         n = 12
-        eigenvalues = np.linalg.eigvals(flip_kernel(n, p).matrix)
+        eigenvalues = np.linalg.eigvals(flip_kernel(n, p))
         assert np.max(np.abs(eigenvalues.imag)) < 1e-10
         np.testing.assert_allclose(
             np.sort(eigenvalues.real),
@@ -271,7 +272,7 @@ class TestFlipKernelOracles:
     @pytest.mark.parametrize("n", [12, 35, 144])
     @pytest.mark.parametrize("p", [0.001, 0.05, 0.3, 0.5, 0.9])
     def test_matches_log_space_table(self, n, p):
-        matrix = flip_kernel(n, p).matrix
+        matrix = flip_kernel(n, p)
         for d_in in range(n + 1):
             np.testing.assert_allclose(
                 matrix[:, d_in], log_space_kernel_column(n, p, d_in), rtol=0, atol=1e-13
@@ -333,7 +334,7 @@ class TestTrialDistribution:
 
     def test_moments(self):
         trial = TrialDistribution(d0=6.0, sigma=2.0, k=0.0, q=-30.0)
-        mean, var = trial.moments(30)
+        mean, var = distribution_mean_var(trial.pmf(30))
         assert abs(mean - 6.0) < 0.05
         assert abs(var - 4.0) < 0.2
 
@@ -378,8 +379,8 @@ class TestDeconvolveHamming:
         n, p = 35, 0.1
         truth = TrialDistribution(d0=12.0, sigma=3.0, k=0.8, q=-12.0)
         clean = truth.pmf(n)
-        noisy = flip_kernel(n, p).apply(clean)
-        mu, var = truth.moments(n)
+        noisy = flip_kernel(n, p) @ clean
+        mu, var = distribution_mean_var(truth.pmf(n))
         fitted, info = deconvolve_hamming(noisy, p, mu, var)
         tv = 0.5 * np.sum(np.abs(fitted.pmf(n) - clean))
         assert tv < 0.02
@@ -388,7 +389,7 @@ class TestDeconvolveHamming:
         n = 20
         truth = TrialDistribution(d0=8.0, sigma=2.5, k=0.0, q=-15.0)
         clean = truth.pmf(n)
-        mu, var = truth.moments(n)
+        mu, var = distribution_mean_var(truth.pmf(n))
         fitted, _ = deconvolve_hamming(clean, 0.0, mu, var)
         tv = 0.5 * np.sum(np.abs(fitted.pmf(n) - clean))
         assert tv < 0.01
@@ -403,10 +404,10 @@ class TestDeconvolveHamming:
         ],
     )
     def test_last_bit_of_mu_does_not_move_the_fit(self, truth, n, p, shots):
-        noisy = flip_kernel(n, p).apply(truth.pmf(n))
+        noisy = flip_kernel(n, p) @ truth.pmf(n)
         if shots:
             noisy = np.random.default_rng(123).multinomial(shots, noisy) / shots
-        mu, var = truth.moments(n)
+        mu, var = distribution_mean_var(truth.pmf(n))
         fitted = [
             deconvolve_hamming(noisy, p, mu * scale, var)[0].pmf(n)
             for scale in (1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-52)
@@ -426,7 +427,7 @@ class TestDeconvolveHamming:
         clean /= clean.sum()
         mu = clean @ d
         var = clean @ d**2 - mu**2
-        trial, _ = deconvolve_hamming(flip_kernel(n, p).apply(clean), p, mu, var)
+        trial, _ = deconvolve_hamming(flip_kernel(n, p) @ clean, p, mu, var)
         assert trial.log_weights(n).max() >= TRIAL_LOG_WEIGHT_FLOOR
         assert 0.5 * np.sum(np.abs(trial.pmf(n) - clean)) < 0.01
 
@@ -435,9 +436,9 @@ class TestDeconvolveHamming:
         interior = TrialDistribution(d0=5.0, sigma=1.5, k=0.0, q=-20.0)
         tilt = TrialDistribution(d0=300.0, sigma=60.0, k=0.0, q=-20.0)
         for truth, on_bound in ((interior, False), (tilt, True)):
-            mu, var = truth.moments(n)
+            mu, var = distribution_mean_var(truth.pmf(n))
             fitted, info = deconvolve_hamming(
-                flip_kernel(n, p).apply(truth.pmf(n)), p, mu, var
+                flip_kernel(n, p) @ truth.pmf(n), p, mu, var
             )
             assert info["at_bound"] is on_bound
             # beta = -N^2 / (2 sigma^2) sits on -TRIAL_CURVATURE_FLOOR or below it
