@@ -20,8 +20,10 @@ the plain environment, then one open Z-string for each earlier site. At
 each site one contraction with the Z-signed tensor closes every entry of
 the stack against the right-canonical rest (the plain entry gives <Z_j>,
 the string of site i gives <Z_i Z_j>) and opens the string of site j; one
-contraction with the plain tensor carries the stack on. <Z> alone runs the
-same sweep with the plain environment only.
+contraction with the plain tensor carries the stack on. The sweep drops a
+string after the last site it is asked to pair with: ``zz_matrix`` keeps
+every string to the end, ``zz_pairs`` only up to each site's last partner,
+and ``per_site_z`` opens none.
 """
 from __future__ import annotations
 
@@ -217,34 +219,49 @@ class MPS:
     # --- observables (chain indexing) ---
 
     def per_site_z(self) -> np.ndarray:
-        return self._z_sweep(strings=False)[0]
+        return self._z_sweep(np.arange(self.n_sites))[0]
+
+    def zz_pairs(self, pairs: np.ndarray) -> np.ndarray:
+        """<Z_a Z_b> for each pair (a, b) of chain positions, in any order."""
+        a, b = np.sort(np.asarray(pairs, dtype=int).reshape(-1, 2), axis=1).T
+        reach = np.arange(self.n_sites)
+        np.maximum.at(reach, a, b)
+        return self._z_sweep(reach)[1][a, b]
 
     def zz_matrix(self) -> np.ndarray:
         """Full <Z_i Z_j> matrix over chain positions (diagonal = 1)."""
-        return self._z_sweep(strings=True)[1]
+        return self._z_sweep(np.full(self.n_sites, self.n_sites - 1))[1]
 
-    def _z_sweep(self, strings: bool) -> tuple[np.ndarray, np.ndarray | None]:
-        """<Z_j> for every site and, with ``strings``, the <Z_i Z_j> matrix.
+    def _z_sweep(self, reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """<Z_j> for every site and <Z_i Z_j> for every i < j <= reach[i].
 
+        Site i opens a Z-string only if reach[i] > i, and the sweep drops
+        it after site reach[i]; the entries it never reaches stay NaN.
         Needs right-canonical form (center at site 0): the sites right of j
         then close each environment with the identity, which is a trace.
         """
         n = self.n_sites
         norm_sq = self._norm_sq()
         z = np.empty(n)
-        matrix = np.eye(n) if strings else None
+        matrix = np.full((n, n), np.nan)
+        np.fill_diagonal(matrix, 1.0)
         stack = np.ones((1, 1, 1), dtype=complex)
+        strings = np.empty(0, dtype=int)  # the site of each open string
         for j, tensor in enumerate(self.tensors):
             signed = tensor * _Z_SIGNS
             half = _contract(stack, tensor)  # (entry, bra, p, ket)
             closed = _contract(half.reshape(len(stack), -1), signed.conj().reshape(-1))
             closed = np.clip(closed.real / norm_sq, -1.0, 1.0)
             z[j] = closed[0]
-            carried = _env_step(half, tensor)
-            if strings:
-                matrix[j, :j] = matrix[:j, j] = closed[1:]
-                carried = np.concatenate([carried, _env_step(half[:1], signed)])
-            stack = carried
+            matrix[strings, j] = matrix[j, strings] = closed[1:]
+            alive = reach[strings] > j
+            if not alive.all():
+                half = half[np.concatenate([[True], alive])]
+                strings = strings[alive]
+            stack = _env_step(half, tensor)
+            if reach[j] > j:
+                stack = np.concatenate([stack, _env_step(half[:1], signed)])
+                strings = np.append(strings, j)
         return z, matrix
 
     def _norm_sq(self) -> float:
@@ -338,8 +355,8 @@ class MPSState:
         return chain_values[list(self.order.position)]
 
     def zz_pairs(self, pairs: list[tuple[int, int]]) -> np.ndarray:
-        matrix = self.zz_matrix()
-        return np.array([matrix[i, j] for i, j in pairs])
+        position = np.asarray(self.order.position)
+        return self.mps.zz_pairs(position[np.asarray(pairs, dtype=int)])
 
     def zz_matrix(self) -> np.ndarray:
         chain_matrix = self.mps.zz_matrix()

@@ -347,18 +347,30 @@ class TestExpectations:
         )
         z = [expect_z(mps, site) for site in range(mps.n_sites)]
         np.testing.assert_allclose(mps.per_site_z(), z, rtol=0, atol=1e-12)
+        # the pair sweep keeps each string only up to its site's last partner
+        edges = list(lattice_2x2.edges)
+        matrix = state.zz_matrix()
+        expected = [matrix[i, j] for i, j in edges]
+        np.testing.assert_allclose(state.zz_pairs(edges), expected, rtol=0, atol=1e-14)
 
-    def test_zz_pairs_index_zz_matrix_exactly(self, hexagon, hexagon_order, dtc_cycle):
+    def test_zz_pairs_match_zz_matrix(self, hexagon, hexagon_order, dtc_cycle):
         s0 = neel_state(hexagon)
         edges = list(hexagon.edges)
-        for state in (
-            StateVector.from_product(s0),
-            MPSState(s0, hexagon_order, chi_max=64),
-        ):
-            state.apply_cycle(dtc_cycle)
-            matrix = state.zz_matrix()
-            expected = [matrix[i, j] for i, j in edges]
-            np.testing.assert_array_equal(state.zz_pairs(edges), expected)
+        flipped = [(j, i) for i, j in edges] + [(3, 3), (0, 11), (6, 0)]
+        sv = StateVector.from_product(s0)
+        state = MPSState(s0, hexagon_order, chi_max=64)
+        sv.apply_cycle(dtc_cycle)
+        state.apply_cycle(dtc_cycle)
+        dense_matrix, mps_matrix = sv.zz_matrix(), state.zz_matrix()
+        for pairs in (edges, flipped):
+            # the dense backend indexes its matrix
+            expected = [dense_matrix[i, j] for i, j in pairs]
+            np.testing.assert_array_equal(sv.zz_pairs(pairs), expected)
+            # the MPS one runs a pruned sweep, whose stacks differ in size
+            expected = [mps_matrix[i, j] for i, j in pairs]
+            np.testing.assert_allclose(
+                state.zz_pairs(pairs), expected, rtol=0, atol=1e-14
+            )
 
 
 class TestSampling:
