@@ -106,35 +106,48 @@ def renormalize_delta(
     return np.clip(recovered, -1.0, 1.0), flagged
 
 
-def _nested_fit(inner, full_objective) -> tuple[tuple[float, ...], float]:
+def _nested_fit(inner) -> tuple[tuple[float, ...], float]:
     """Solve a four-parameter least-squares fit that is quadratic in two.
 
-    ``inner(outer)`` solves the two inner parameters for a fixed outer pair
-    and returns (objective, a, b). The outer pair is grid-scanned, then the
-    best (a, b, outer_0, outer_1) is refined by Nelder-Mead on
-    ``full_objective``; the refinement is kept only when it does not do
-    worse. Deterministic. Returns (solution, objective).
+    ``inner(outer)`` takes an array of outer pairs (last axis of length 2),
+    solves the two inner parameters of each in closed form and returns
+    arrays (objective, a, b): the objective with the inner pair profiled
+    out (variable projection; Golub & Pereyra, SIAM J. Numer. Anal. 10,
+    413, 1973). The whole outer grid is scored in one call, the best cell
+    (the first in u0-major order) seeds a Nelder-Mead refinement of the
+    outer pair on the same objective, and the inner pair is solved at the
+    refined point. Deterministic. Returns ((a, b, u0, u1), objective).
     """
-    grid = np.linspace(
+    axis = np.linspace(
         -DEFAULT_GRID_HALF_WIDTH, DEFAULT_GRID_HALF_WIDTH, DEFAULT_GRID_POINTS
     )
-    best = (np.inf, (0.0, 0.0, 0.0, 0.0))
-    for u0 in grid:
-        for u1 in grid:
-            objective, a, b = inner((u0, u1))
-            if objective < best[0]:
-                best = (objective, (a, b, u0, u1))
-
-    objective, solution = best
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    start = grid[np.argmin(inner(grid)[0])]
     result = minimize(
-        full_objective,
-        np.array(solution),
+        lambda outer: float(inner(outer)[0]),
+        start,
         method="Nelder-Mead",
         options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000},
     )
-    if result.fun <= objective:
-        objective, solution = float(result.fun), tuple(result.x)
-    return solution, objective
+    objective, a, b = inner(result.x)
+    return (float(a), float(b), *map(float, result.x)), float(objective)
+
+
+def _profile(
+    design: np.ndarray, rhs: np.ndarray, outer: np.ndarray, ridge: float
+) -> tuple[np.ndarray, ...]:
+    """Ridge solve of the inner pair c for each outer pair, in closed form.
+
+    ``design`` (..., T, 2) and ``rhs`` (..., T) give the residual
+    design @ c - rhs, zero on excluded cycles. Returns (objective, c0, c1),
+    objective = |residual|^2 + ridge * (|c|^2 + |outer|^2).
+    """
+    design_t = np.swapaxes(design, -1, -2)
+    c = np.linalg.solve(design_t @ design + ridge * np.eye(2), design_t @ rhs[..., None])
+    residual = (design @ c)[..., 0] - rhs
+    c = c[..., 0]
+    objective = np.sum(residual**2, axis=-1) + ridge * np.sum(c**2 + outer**2, axis=-1)
+    return objective, c[..., 0], c[..., 1]
 
 
 def learn_offsets(
@@ -150,9 +163,9 @@ def learn_offsets(
     Minimizes sum_t (Delta_sim(t) - Delta_hat(t))^2 + ridge * |offsets|^2
     over t = 1..T. The reference offsets enter the denominator, so the
     problem is not jointly convex. With the reference offsets fixed, the
-    recovered series is linear in the target offsets, so that subproblem
-    solves in closed form, independently per parity class; the nested fit
-    grid-scans the reference offsets around it and refines locally.
+    recovered series is linear in the target offsets, which are solved in
+    closed form per parity class; ``_nested_fit`` searches the reference
+    offsets on that one profiled objective.
     """
     noisy_target = np.asarray(noisy_target, dtype=float)
     noisy_reference = np.asarray(noisy_reference, dtype=float)
@@ -161,36 +174,18 @@ def learn_offsets(
     if ridge <= 0:
         raise ValueError("ridge must be positive")
     t = np.arange(len(noisy_target))
+    parity = t % 2
+    one_hot = (parity[:, None] == np.arange(2)).astype(float)
 
-    def inner(reference_offsets: tuple[float, float]) -> tuple[float, float, float]:
-        u = np.where(t % 2 == 0, reference_offsets[0], reference_offsets[1])
-        denominator = noisy_reference - u
-        valid = (np.abs(denominator) >= guard) & (t >= 1)
-        objective = ridge * (reference_offsets[0] ** 2 + reference_offsets[1] ** 2)
-        solved = [0.0, 0.0]
-        for parity in (0, 1):
-            mask = valid & (t % 2 == parity)
-            if not np.any(mask):
-                continue
-            ratio = exact_reference[mask] / denominator[mask]
-            misfit = delta_sim[mask] - ratio * noisy_target[mask]
-            offset = -float(misfit @ ratio) / (float(ratio @ ratio) + ridge)
-            solved[parity] = offset
-            objective += float(np.sum((misfit + ratio * offset) ** 2))
-            objective += ridge * offset**2
-        return objective, solved[0], solved[1]
-
-    def full_objective(vec: np.ndarray) -> float:
-        # the target offsets are free variables here, not the closed form
-        u = np.where(t % 2 == 0, vec[2], vec[3])
-        denominator = noisy_reference - u
+    def inner(reference_offsets: np.ndarray) -> tuple[np.ndarray, ...]:
+        denominator = noisy_reference - reference_offsets[..., parity]
         valid = (np.abs(denominator) >= guard) & (t >= 1)
         ratio = np.where(valid, exact_reference / np.where(valid, denominator, 1.0), 0.0)
-        d = np.where(t % 2 == 0, vec[0], vec[1])
-        residual = np.where(valid, delta_sim - ratio * (noisy_target - d), 0.0)
-        return float(np.sum(residual**2) + ridge * np.sum(vec**2))
+        # residual Delta_sim - Delta_hat = ratio * target offset - rhs
+        rhs = np.where(valid, ratio * noisy_target - delta_sim, 0.0)
+        return _profile(ratio[..., None] * one_hot, rhs, reference_offsets, ridge)
 
-    solution, objective = _nested_fit(inner, full_objective)
+    solution, objective = _nested_fit(inner)
     return OffsetVector(*solution), {"objective": objective}
 
 
@@ -243,40 +238,37 @@ def learn_chi_coefficients(
     ridge: float = 1e-4,
     guard: float = DEFAULT_GUARD,
 ) -> tuple[ChiCoefficients, dict]:
-    """Learn c1/c2 pairs by the same nested least-squares scheme as offsets."""
+    """Learn c1/c2 pairs by the same nested least-squares scheme as offsets.
+
+    Minimizes sum_t (chi_sim(t) - chi_hat(t))^2 + ridge * |coefficients|^2
+    over t = 1..T, with chi_hat unclipped. With the reference pair fixed,
+    chi_hat is linear in the target pair, which is solved in closed form;
+    ``_nested_fit`` searches the reference pair on that profiled objective.
+    """
     chi_noisy = np.asarray(chi_noisy, dtype=float)
     corr_noisy = np.asarray(corr_noisy, dtype=float)
     chi_ref = np.asarray(chi_noisy_reference, dtype=float)
     corr_ref = np.asarray(corr_noisy_reference, dtype=float)
     chi_sim = np.asarray(chi_sim, dtype=float)
+    if ridge <= 0:
+        raise ValueError("ridge must be positive")
     t = np.arange(len(chi_noisy))
+    columns = np.stack([2 * corr_noisy, np.full(len(t), n_qubits - 1.0)], axis=-1)
 
-    def inner(ref_pair: tuple[float, float]) -> tuple[float, float, float]:
-        denominator = chi_ref + 2 * ref_pair[0] * corr_ref + (n_qubits - 1) * ref_pair[1]
+    def inner(ref_pair: np.ndarray) -> tuple[np.ndarray, ...]:
+        denominator = (
+            chi_ref
+            + 2 * ref_pair[..., 0, None] * corr_ref
+            + (n_qubits - 1) * ref_pair[..., 1, None]
+        )
         valid = (np.abs(denominator) >= guard) & (t >= 1)
-        if not np.any(valid):
-            return np.inf, 0.0, 0.0
-        den = denominator[valid]
-        design = np.column_stack([2 * corr_noisy[valid] / den, (n_qubits - 1) / den])
-        rhs = chi_sim[valid] - chi_noisy[valid] / den
-        gram = design.T @ design + ridge * np.eye(2)
-        c = np.linalg.solve(gram, design.T @ rhs)
-        residual = design @ c - rhs
-        objective = float(residual @ residual) + ridge * float(
-            c @ c + ref_pair[0] ** 2 + ref_pair[1] ** 2
-        )
-        return objective, float(c[0]), float(c[1])
+        safe = np.where(valid, denominator, 1.0)
+        design = np.where(valid[..., None], columns / safe[..., None], 0.0)
+        rhs = np.where(valid, chi_sim - chi_noisy / safe, 0.0)
+        objective, c1, c2 = _profile(design, rhs, ref_pair, ridge)
+        return np.where(np.any(valid, axis=-1), objective, np.inf), c1, c2
 
-    def full_objective(vec: np.ndarray) -> float:
-        coeffs = ChiCoefficients(*vec)
-        recovered, flagged = recover_chi(
-            chi_noisy, corr_noisy, chi_ref, corr_ref, coeffs, n_qubits, guard
-        )
-        valid = ~flagged & (t >= 1)
-        residual = np.where(valid, chi_sim - recovered, 0.0)
-        return float(np.sum(residual**2) + ridge * np.sum(vec**2))
-
-    solution, objective = _nested_fit(inner, full_objective)
+    solution, objective = _nested_fit(inner)
     return ChiCoefficients(*solution), {"objective": objective}
 
 

@@ -55,6 +55,80 @@ def synthetic_delta_series(n_cycles, seed=0):
     return np.clip((-1.0) ** t * envelope, -1, 1)
 
 
+KNOWN_OFFSETS = OffsetVector(0.05, -0.03, 0.02, -0.02)
+
+
+def known_offsets_inputs(n_cycles=30):
+    """(noisy, noisy_ref, exact_ref, clean) with KNOWN_OFFSETS and decay."""
+    t = np.arange(n_cycles + 1)
+    clean = synthetic_delta_series(n_cycles, seed=3)
+    reference = clifford_delta(np.pi / 2, n_cycles)
+    f = 0.96**t
+    noisy = f * clean + KNOWN_OFFSETS.target(t)
+    noisy_ref = f * reference + KNOWN_OFFSETS.reference(t)
+    return noisy, noisy_ref, reference, clean
+
+
+def uniform_bias_chi_inputs():
+    """learn_chi_coefficients inputs for 20 pairs with a uniform bias 0.04."""
+    rng = np.random.default_rng(5)
+    n_qubits, n_cycles = 12, 30
+    t = np.arange(n_cycles + 1)
+    n_pairs = 20
+    zz_clean = rng.uniform(-1, 1, size=(n_cycles + 1, n_pairs)) * (0.95**t)[:, None]
+    zz_ref = np.ones((n_cycles + 1, n_pairs))
+    attenuation = 0.93**t
+    eta = 0.04
+    noisy = attenuation[:, None] * zz_clean + eta
+    noisy_ref = attenuation[:, None] * zz_ref + eta
+    return (
+        np.mean(noisy**2, axis=1),
+        np.mean(noisy, axis=1),
+        np.mean(noisy_ref**2, axis=1),
+        np.mean(noisy_ref, axis=1),
+        np.mean(zz_clean**2, axis=1),
+        n_qubits,
+    )
+
+
+def reference_offsets_objective(
+    vec, noisy_target, noisy_reference, exact_reference, delta_sim, ridge, guard=1e-3
+):
+    """The offset fit's objective over all four offsets, none solved for."""
+    t = np.arange(len(noisy_target))
+    u = np.where(t % 2 == 0, vec[2], vec[3])
+    denominator = noisy_reference - u
+    valid = (np.abs(denominator) >= guard) & (t >= 1)
+    ratio = np.where(valid, exact_reference / np.where(valid, denominator, 1.0), 0.0)
+    d = np.where(t % 2 == 0, vec[0], vec[1])
+    residual = np.where(valid, delta_sim - ratio * (noisy_target - d), 0.0)
+    return float(np.sum(residual**2) + ridge * np.sum(vec**2))
+
+
+def reference_chi_objective(
+    vec, chi_noisy, corr_noisy, chi_ref, corr_ref, chi_sim, n_qubits, ridge, guard=1e-3
+):
+    """The chi fit's objective over all four coefficients, on clipped chi_hat."""
+    t = np.arange(len(chi_noisy))
+    recovered, flagged = recover_chi(
+        chi_noisy, corr_noisy, chi_ref, corr_ref, ChiCoefficients(*vec), n_qubits, guard
+    )
+    residual = np.where(~flagged & (t >= 1), chi_sim - recovered, 0.0)
+    return float(np.sum(residual**2) + ridge * np.sum(vec**2))
+
+
+def assert_profiled_minimum(objective, vec, reported):
+    """The reported value is ``objective(vec)``, and a step of 1e-6 in either
+    outer (denominator) parameter does not lower it."""
+    at_minimum = objective(vec)
+    assert reported == pytest.approx(at_minimum, rel=1e-12, abs=0)
+    for i in (2, 3):
+        for step in (-1e-6, 1e-6):
+            moved = vec.copy()
+            moved[i] += step
+            assert objective(moved) >= at_minimum
+
+
 class TestRenormalizeDelta:
     def test_zero_noise_zero_offsets_is_identity(self):
         clean = synthetic_delta_series(20)
@@ -103,17 +177,10 @@ class TestLearnOffsets:
         assert info["objective"] < 1e-5
 
     def test_known_offsets_recovered(self):
-        n_cycles = 30
-        t = np.arange(n_cycles + 1)
-        clean = synthetic_delta_series(n_cycles, seed=3)
-        reference = clifford_delta(np.pi / 2, n_cycles)
-        truth = OffsetVector(0.05, -0.03, 0.02, -0.02)
-        f = 0.96**t
-        noisy = f * clean + truth.target(t)
-        noisy_ref = f * reference + truth.reference(t)
+        noisy, noisy_ref, reference, clean = known_offsets_inputs()
         learned, _ = learn_offsets(noisy, noisy_ref, reference, clean, ridge=1e-4)
         np.testing.assert_allclose(
-            learned.as_array(), truth.as_array(), atol=1e-2
+            learned.as_array(), KNOWN_OFFSETS.as_array(), atol=1e-2
         )
         # recovery with the learned offsets reproduces the clean series
         recovered, flagged = renormalize_delta(noisy, noisy_ref, reference, learned)
@@ -122,6 +189,15 @@ class TestLearnOffsets:
     def test_rejects_bad_ridge(self):
         with pytest.raises(ValueError):
             learn_offsets(np.ones(4), np.ones(4), np.ones(4), np.ones(4), ridge=0.0)
+
+    def test_objective_is_the_four_parameter_objective_at_its_minimum(self):
+        inputs = known_offsets_inputs()
+        learned, info = learn_offsets(*inputs, ridge=1e-4)
+        assert_profiled_minimum(
+            lambda vec: reference_offsets_objective(vec, *inputs, ridge=1e-4),
+            learned.as_array(),
+            info["objective"],
+        )
 
 
 class TestRecoverChi:
@@ -152,22 +228,9 @@ class TestRecoverChi:
     def test_learned_coefficients_invert_uniform_bias(self):
         # uniform correlator bias eta: exact recovery needs c1 = -eta,
         # c2 = eta^2 / (N - 1); check the learner finds an equivalent fit
-        rng = np.random.default_rng(5)
-        n_qubits, n_cycles = 12, 30
-        t = np.arange(n_cycles + 1)
-        n_pairs = 20
-        zz_clean = rng.uniform(-1, 1, size=(n_cycles + 1, n_pairs)) * (0.95**t)[:, None]
-        zz_ref = np.ones((n_cycles + 1, n_pairs))
-        attenuation = 0.93**t
-        eta = 0.04
-        noisy = attenuation[:, None] * zz_clean + eta
-        noisy_ref = attenuation[:, None] * zz_ref + eta
-        chi_noisy = np.mean(noisy**2, axis=1)
-        corr_noisy = np.mean(noisy, axis=1)
-        chi_ref_noisy = np.mean(noisy_ref**2, axis=1)
-        corr_ref_noisy = np.mean(noisy_ref, axis=1)
-        chi_sim = np.mean(zz_clean**2, axis=1)
-
+        chi_noisy, corr_noisy, chi_ref_noisy, corr_ref_noisy, chi_sim, n_qubits = (
+            uniform_bias_chi_inputs()
+        )
         coeffs, info = learn_chi_coefficients(
             chi_noisy, corr_noisy, chi_ref_noisy, corr_ref_noisy,
             chi_sim, n_qubits, ridge=1e-6,
@@ -176,6 +239,30 @@ class TestRecoverChi:
             chi_noisy, corr_noisy, chi_ref_noisy, corr_ref_noisy, coeffs, n_qubits
         )
         assert np.max(np.abs(recovered[~flagged][1:] - chi_sim[~flagged][1:])) < 0.01
+
+
+class TestLearnChi:
+    @pytest.mark.parametrize("ridge", [0.0, -1e-4])
+    def test_rejects_bad_ridge(self, ridge):
+        with pytest.raises(ValueError, match="ridge must be positive"):
+            learn_chi_coefficients(*uniform_bias_chi_inputs(), ridge=ridge)
+
+    def test_objective_is_the_four_parameter_objective_at_its_minimum(self):
+        inputs = uniform_bias_chi_inputs()
+        coeffs, info = learn_chi_coefficients(*inputs, ridge=1e-6)
+        vec = np.array([coeffs.c1_target, coeffs.c2_target,
+                        coeffs.c1_reference, coeffs.c2_reference])
+        # the reference clips chi_hat to [-1, 1]; the profiled objective
+        # does not, so they agree only where nothing is clipped
+        chi_noisy, corr_noisy, chi_ref, corr_ref, _, n_qubits = inputs
+        numerator = chi_noisy + 2 * vec[0] * corr_noisy + (n_qubits - 1) * vec[1]
+        denominator = chi_ref + 2 * vec[2] * corr_ref + (n_qubits - 1) * vec[3]
+        assert np.all(np.abs(numerator / denominator) < 1.0)
+        assert_profiled_minimum(
+            lambda v: reference_chi_objective(v, *inputs, ridge=1e-6),
+            vec,
+            info["objective"],
+        )
 
 
 class TestFlipKernel:
