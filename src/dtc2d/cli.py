@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import replace
 
+from .blas import limit_blas_threads
 from .lattice import build_lattice
 from .runner import (
     RunConfig,
@@ -167,6 +168,7 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_export_lattice)
 
     args = parser.parse_args(argv)
+    limit_blas_threads()
     return args.func(args)
 
 

@@ -161,8 +161,8 @@ class StateVector:
         return np.concatenate([table.sum(axis=0) @ z_lo, table.sum(axis=1) @ z_hi])
 
     def zz_pairs(self, pairs: list[tuple[int, int]]) -> np.ndarray:
-        matrix = self.zz_matrix()
-        return np.array([matrix[i, j] for i, j in pairs])
+        i, j = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+        return self.zz_matrix()[i, j]
 
     def zz_matrix(self) -> np.ndarray:
         """Full <Z_i Z_j> matrix (diagonal = 1)."""

@@ -31,6 +31,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from .blas import limit_blas_threads
 from .circuit import (
     FloquetParams,
     ProductState,
@@ -544,7 +545,9 @@ def run_phase_diagram(config: RunConfig) -> list[PhasePoint]:
         config, full_correlations=False, shots=0, noise=None, recovery=None
     )
     if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=config.workers, initializer=limit_blas_threads
+        ) as pool:
             results = list(pool.map(_phase_cell, [(fast, e, p) for e, p in cells]))
     else:
         results = [_phase_cell((fast, e, p)) for e, p in cells]

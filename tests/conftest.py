@@ -9,7 +9,11 @@ from dtc2d import (
     sample_disorder,
     unroll,
 )
+from dtc2d.blas import limit_blas_threads
 from dtc2d.exact import StateVector
+
+# the suite runs with the program's own thread policy, as the CLI does
+limit_blas_threads()
 
 
 @pytest.fixture(scope="session")
