@@ -13,10 +13,11 @@ Gates act on reshaped views of the one amplitude array:
   on |00>, |11> times an exchange rotation of |01>, |10>) costs two scalings
   and one 2x2 mix.
 
-Every Z and ZZ observable reads one probability table |psi|^2, split into
-rows of the high qubits n//2..n-1 and columns of the low qubits 0..n//2-1.
-Its two marginals give <Z> and the within-half <ZZ> blocks; the cross
-block is z_high^T P z_low.
+The backend answers three calls: ``apply_cycle``, ``zz_matrix`` and
+``sample_bits``. ``zz_matrix`` reads one probability table |psi|^2, split
+into rows of the high qubits n//2..n-1 and columns of the low qubits
+0..n//2-1. Its two marginals give <Z> and the within-half <ZZ> blocks; the
+cross block is z_high^T P z_low.
 """
 from __future__ import annotations
 
@@ -102,10 +103,6 @@ class StateVector:
         view = self.amplitudes.reshape(-1, len(block), 2**q0)
         self.amplitudes = np.matmul(block, view).reshape(-1)
 
-    def apply_1q(self, qubit: int, gate: np.ndarray) -> None:
-        self._check(qubit)
-        self._apply_block(qubit, gate)
-
     def apply_2q(self, qubit_a: int, qubit_b: int, gate: np.ndarray) -> None:
         if qubit_a == qubit_b:
             raise ValueError("two-qubit gate needs distinct qubits")
@@ -150,24 +147,14 @@ class StateVector:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def _split_probabilities(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """|psi|^2 as P[high, low] with low = qubits 0..k-1, k = n//2; plus both Z tables."""
+    def zz_matrix(self, pairs=None) -> tuple[np.ndarray, np.ndarray]:
+        """<Z_i> and the full <Z_i Z_j> matrix (diagonal = 1).
+
+        ``pairs`` is ignored: the one table gives every entry at the same cost.
+        """
         k = self.n_qubits // 2
         table = self.probabilities().reshape(-1, 2**k)
-        return table, _z_table(self.n_qubits - k), _z_table(k)
-
-    def per_site_z(self) -> np.ndarray:
-        table, z_hi, z_lo = self._split_probabilities()
-        return np.concatenate([table.sum(axis=0) @ z_lo, table.sum(axis=1) @ z_hi])
-
-    def zz_pairs(self, pairs: list[tuple[int, int]]) -> np.ndarray:
-        i, j = np.asarray(pairs, dtype=int).reshape(-1, 2).T
-        return self.zz_matrix()[i, j]
-
-    def zz_matrix(self) -> np.ndarray:
-        """Full <Z_i Z_j> matrix (diagonal = 1)."""
-        table, z_hi, z_lo = self._split_probabilities()
-        k = z_lo.shape[1]
+        z_hi, z_lo = _z_table(self.n_qubits - k), _z_table(k)
         p_lo, p_hi = table.sum(axis=0), table.sum(axis=1)
         matrix = np.empty((self.n_qubits, self.n_qubits))
         matrix[:k, :k] = z_lo.T @ (p_lo[:, None] * z_lo)
@@ -175,7 +162,7 @@ class StateVector:
         matrix[k:, :k] = z_hi.T @ (table @ z_lo)
         matrix[:k, k:] = matrix[k:, :k].T
         np.fill_diagonal(matrix, 1.0)
-        return matrix
+        return np.concatenate([p_lo @ z_lo, p_hi @ z_hi]), matrix
 
     def sample_bits(self, shots: int, seed: int) -> np.ndarray:
         """Sample bitstrings from |amplitude|^2; returns (shots, n) bit array."""

@@ -14,16 +14,16 @@ whole state, so keeping the chi_max largest singular values is the optimal
 truncation there. When chi_max exceeds the entanglement requirement the
 result is exact up to the singular-value floor.
 
-Every Z and ZZ observable comes from one left-to-right sweep of left
-environments, each stored (bra bond, ket bond). The sweep carries a stack:
-the plain environment, then one open Z-string for each earlier site. At
-each site one contraction with the Z-signed tensor closes every entry of
-the stack against the right-canonical rest (the plain entry gives <Z_j>,
-the string of site i gives <Z_i Z_j>) and opens the string of site j; one
-contraction with the plain tensor carries the stack on. The sweep drops a
-string after the last site it is asked to pair with: ``zz_matrix`` keeps
-every string to the end, ``zz_pairs`` only up to each site's last partner,
-and ``per_site_z`` opens none.
+Like the dense backend, ``MPSState`` answers ``apply_cycle``,
+``zz_matrix`` and ``sample_bits``. ``zz_matrix`` reads <Z> and <ZZ> in one
+left-to-right sweep of left environments, each stored (bra bond, ket
+bond). The sweep carries a stack: the plain environment, then one open
+Z-string for each earlier site. At each site one contraction with the
+Z-signed tensor closes every entry of the stack against the
+right-canonical rest (the plain entry gives <Z_j>, the string of site i
+gives <Z_i Z_j>) and opens the string of site j; one contraction with the
+plain tensor carries the stack on. Without ``pairs`` every string lives to
+the end; with ``pairs`` each one is dropped after its site's last partner.
 """
 from __future__ import annotations
 
@@ -218,30 +218,25 @@ class MPS:
 
     # --- observables (chain indexing) ---
 
-    def per_site_z(self) -> np.ndarray:
-        return self._z_sweep(np.arange(self.n_sites))[0]
+    def zz_matrix(self, pairs=None) -> tuple[np.ndarray, np.ndarray]:
+        """<Z_j> for every site and the <Z_i Z_j> matrix (diagonal = 1).
 
-    def zz_pairs(self, pairs: np.ndarray) -> np.ndarray:
-        """<Z_a Z_b> for each pair (a, b) of chain positions, in any order."""
-        a, b = np.sort(np.asarray(pairs, dtype=int).reshape(-1, 2), axis=1).T
-        reach = np.arange(self.n_sites)
-        np.maximum.at(reach, a, b)
-        return self._z_sweep(reach)[1][a, b]
-
-    def zz_matrix(self) -> np.ndarray:
-        """Full <Z_i Z_j> matrix over chain positions (diagonal = 1)."""
-        return self._z_sweep(np.full(self.n_sites, self.n_sites - 1))[1]
-
-    def _z_sweep(self, reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """<Z_j> for every site and <Z_i Z_j> for every i < j <= reach[i].
-
-        Site i opens a Z-string only if reach[i] > i, and the sweep drops
-        it after site reach[i]; the entries it never reaches stay NaN.
-        Needs right-canonical form (center at site 0): the sites right of j
-        then close each environment with the identity, which is a trace.
+        ``pairs`` (chain positions, in any order) limits the matrix to those
+        entries: site i opens a Z-string only if it pairs with a later site,
+        and the sweep drops it after the last one; entries it never reaches
+        stay NaN. Needs right-canonical form (center at site 0): the sites
+        right of j then close each environment with the identity, which is
+        a trace.
         """
         n = self.n_sites
-        norm_sq = self._norm_sq()
+        if pairs is None:
+            reach = np.full(n, n - 1)
+        else:
+            a, b = np.sort(np.asarray(pairs, dtype=int).reshape(-1, 2), axis=1).T
+            reach = np.arange(n)
+            np.maximum.at(reach, a, b)
+        # site 0 carries the norm; the rest is right-canonical
+        norm_sq = float(np.linalg.norm(self.tensors[0]) ** 2)
         z = np.empty(n)
         matrix = np.full((n, n), np.nan)
         np.fill_diagonal(matrix, 1.0)
@@ -263,10 +258,6 @@ class MPS:
                 stack = np.concatenate([stack, _env_step(half[:1], signed)])
                 strings = np.append(strings, j)
         return z, matrix
-
-    def _norm_sq(self) -> float:
-        # site 0 carries the norm; the rest is right-canonical
-        return float(np.linalg.norm(self.tensors[0]) ** 2)
 
     def sample_bits(self, shots: int, seed: int) -> np.ndarray:
         """Perfect sampling from the MPS; returns (shots, n) bit array.
@@ -323,9 +314,8 @@ def evolve_cycle_mps(mps: MPS, cycle: GateSequence, order: UnrollOrder) -> None:
 class MPSState:
     """Lattice-indexed view of an MPS evolving under a Floquet cycle.
 
-    Exposes the same observable queries as the dense backend; qubit
-    indices are lattice indices, translated internally through the unroll
-    order.
+    Answers the same three calls as the dense backend; qubit indices are
+    lattice indices, translated internally through the unroll order.
     """
 
     def __init__(
@@ -340,28 +330,18 @@ class MPSState:
         self.mps = MPS.from_product(bits_chain, chi_max=chi_max, cutoff=cutoff)
 
     @property
-    def n_qubits(self) -> int:
-        return self.mps.n_sites
-
-    @property
     def truncation_error(self) -> float:
         return self.mps.truncation_error
 
     def apply_cycle(self, cycle: GateSequence) -> None:
         evolve_cycle_mps(self.mps, cycle, self.order)
 
-    def per_site_z(self) -> np.ndarray:
-        chain_values = self.mps.per_site_z()
-        return chain_values[list(self.order.position)]
-
-    def zz_pairs(self, pairs: list[tuple[int, int]]) -> np.ndarray:
+    def zz_matrix(self, pairs=None) -> tuple[np.ndarray, np.ndarray]:
         position = np.asarray(self.order.position)
-        return self.mps.zz_pairs(position[np.asarray(pairs, dtype=int)])
-
-    def zz_matrix(self) -> np.ndarray:
-        chain_matrix = self.mps.zz_matrix()
-        perm = list(self.order.position)
-        return chain_matrix[np.ix_(perm, perm)]
+        if pairs is not None:
+            pairs = position[np.asarray(pairs, dtype=int)]
+        z, matrix = self.mps.zz_matrix(pairs)
+        return z[position], matrix[np.ix_(position, position)]
 
     def sample_bits(self, shots: int, seed: int) -> np.ndarray:
         chain_bits = self.mps.sample_bits(shots, seed)

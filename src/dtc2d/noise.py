@@ -4,9 +4,9 @@ Expectation values are corrupted by the linear model
 ``z_noisy_i(t) = f_i(t) z_i(t) + bias_i(t)`` with per-qubit attenuation
 schedules f_i(t) = rate_i**t and parity-periodic biases
 (bias_i(t) = bias_i(t+2)). Sampled bitstrings are corrupted by independent
-per-bit flips with probability p(t) followed by readout flips. Two-point
-correlators pass through the same per-qubit channel; each function maps a
-whole array of sites, pairs or shots at once.
+per-bit flips with probability p(t) followed by readout flips. The <ZZ>
+matrix passes through the same per-qubit channel; each function maps a
+whole array of sites, the whole matrix or all shots at once.
 
 The defaults realize exactly the model the recovery stack assumes, so
 closed-loop tests isolate recovery-code correctness; ``mismatched_noise``
@@ -135,32 +135,31 @@ def corrupt_bits(
 
 
 def corrupt_correlators(
-    zz_values: np.ndarray,
-    pairs: list[tuple[int, int]] | np.ndarray,
-    per_site_z: np.ndarray,
-    model: NoiseModel,
-    t: int,
+    zz: np.ndarray, per_site_z: np.ndarray, model: NoiseModel, t: int
 ) -> np.ndarray:
-    """Apply the per-qubit linear channel to two-point correlators.
+    """Apply the per-qubit linear channel to the <Z_i Z_j> matrix.
 
     With Z_i -> f_i Z_i + b_i on each qubit independently,
     <Z_i Z_j> -> f_i f_j <Z_i Z_j> + f_i b_j <Z_i> + f_j b_i <Z_j> + b_i b_j.
     The same single-qubit model that corrupts the polarizations, extended
     consistently; the recovery ansatz approximates this by a collective
-    attenuation plus pair-averaged bias terms. ``pairs`` is a list of
-    (i, j) tuples or an (m, 2) index array, matching ``zz_values``.
+    attenuation plus pair-averaged bias terms. Each entry i < j is mapped
+    and mirrored to (j, i); the diagonal stays 1.
     """
     f = model.attenuation(t)
     b = model.bias(t)
     z = np.asarray(per_site_z, dtype=float)
-    i, j = np.asarray(pairs, dtype=np.intp).T
-    noisy = (
-        f[i] * f[j] * np.asarray(zz_values, dtype=float)
+    zz = np.asarray(zz, dtype=float)
+    i, j = np.triu_indices(len(z), k=1)
+    noisy = np.eye(len(z))
+    upper = (
+        f[i] * f[j] * zz[i, j]
         + f[i] * b[j] * z[i]
         + f[j] * b[i] * z[j]
         + b[i] * b[j]
     )
-    return np.clip(noisy, -1.0, 1.0)
+    noisy[i, j] = noisy[j, i] = np.clip(upper, -1.0, 1.0)
+    return noisy
 
 
 @dataclass(frozen=True)

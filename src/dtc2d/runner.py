@@ -1,17 +1,19 @@
 """Config-driven orchestration: point runs, phase-diagram sweeps, recovery.
 
 A run evolves one (epsilon, phi) point for T cycles. Each cycle reads
-<Z>, <ZZ> and the sampled bitstrings once, and one record (`_record`)
-appends every diagnostic of a channel: the noiseless channel records them
-as read, the noisy one after the per-qubit noise channel has corrupted
-them. Recovery adds a third, recovered channel. With noise, the point's
-reference run at the nearest Clifford point is simulated too. Recovery is
-one pipeline, shared by `simulate` and by `recover` on an exported raw
-bundle: parity offsets learned
-against a classically simulated system (optionally a smaller lattice),
-Clifford-point renormalization, correlator coefficients learned the same
-way, and, when Hamming data exists, per-cycle flip probabilities learned
-from the Clifford-point distributions and the optional deconvolution.
+<Z> and the <ZZ> matrix in one backend call (`zz_matrix`; without full
+correlations only the lattice edges are filled) and the sampled
+bitstrings once, and one record (`_record`) appends every diagnostic of a
+channel: the noiseless channel records them as read, the noisy one after
+the per-qubit noise channel has corrupted them. Recovery adds a third,
+recovered channel. With noise, the point's reference run at the nearest
+Clifford point is simulated too. Recovery is one pipeline, shared by
+`simulate` and by `recover` on an exported raw bundle: parity offsets
+learned against a classically simulated system (optionally a smaller
+lattice), Clifford-point renormalization, correlator coefficients learned
+the same way, and, when Hamming data exists, per-cycle flip probabilities
+learned from the Clifford-point distributions and the optional
+deconvolution.
 
 All randomness is derived from the config seed plus the point coordinates
 and cycle index, so re-running any config reproduces its outputs byte for
@@ -23,6 +25,7 @@ field for both the writer and the reader.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import warnings
@@ -331,10 +334,8 @@ def _simulate_system(
         )
     clean = TimeSeries()
     noisy = TimeSeries() if noise_model else None
-    edges = list(lattice.edges)
-    edge_rows, edge_cols = np.transpose(edges)
-    iu = np.triu_indices(lattice.n_qubits, k=1)
-    pairs = np.transpose(iu)
+    full = config.full_correlations
+    edges = tuple(np.transpose(lattice.edges))  # (rows, cols) index arrays
 
     start_t = 0
     checkpointed = checkpoint_dir is not None and config.backend == "mps"
@@ -345,25 +346,14 @@ def _simulate_system(
     for t in range(start_t, config.cycles + 1):
         if t > 0:
             state.apply_cycle(cycle)
-        z = state.per_site_z()
-        if config.full_correlations:
-            zz = state.zz_matrix()
-            zz_nn = zz[edge_rows, edge_cols]
-        else:
-            zz, zz_nn = None, state.zz_pairs(edges)
+        z, zz = state.zz_matrix(None if full else lattice.edges)
         samples = None
         if config.shots > 0:
             samples = state.sample_bits(
                 config.shots, _shot_seed(config, eps, phi, t, 0)
             )
-        _record(clean, z, zz_nn, zz, samples, s0.spins)
+        _record(clean, z, zz, edges, full, samples, s0.spins)
         if noise_model is not None:
-            zz_noisy = None
-            if zz is not None:
-                values = corrupt_correlators(zz[iu], pairs, z, noise_model, t)
-                zz_noisy = np.eye(lattice.n_qubits)
-                zz_noisy[iu] = values
-                zz_noisy.T[iu] = values
             samples_noisy = None
             if samples is not None:
                 rng = np.random.default_rng(_shot_seed(config, eps, phi, t, 1))
@@ -371,8 +361,9 @@ def _simulate_system(
             _record(
                 noisy,
                 corrupt_expectations(z, noise_model, t),
-                corrupt_correlators(zz_nn, edges, z, noise_model, t),
-                zz_noisy,
+                corrupt_correlators(zz, z, noise_model, t),
+                edges,
+                full,
                 samples_noisy,
                 s0.spins,
             )
@@ -392,22 +383,24 @@ def _simulate_system(
 def _record(
     series: TimeSeries,
     z: np.ndarray,
-    zz_pairs: np.ndarray,
-    zz: np.ndarray | None,
+    zz: np.ndarray,
+    edges: tuple[np.ndarray, np.ndarray],
+    full: bool,
     samples: np.ndarray | None,
     s0: np.ndarray,
 ) -> None:
     """Append one cycle of one channel: everything its measurements give.
 
-    ``zz_pairs`` holds the nearest-neighbour correlators, ``zz`` the full
-    correlator matrix (None without full correlations) and ``samples`` the
-    bitstrings (None without shots).
+    ``zz`` is the correlator matrix: complete when ``full``, otherwise
+    filled only on the lattice ``edges``. ``samples`` holds the bitstrings
+    (None without shots).
     """
+    zz_nn = zz[edges]
     series.per_site_z.append(z)
     series.delta.append(delta(z, s0))
-    series.chi_nn.append(chi(zz_pairs))
-    series.corr_avg.append(correlator_average(zz_pairs))
-    if zz is not None:
+    series.chi_nn.append(chi(zz_nn))
+    series.corr_avg.append(correlator_average(zz_nn))
+    if full:
         series.chi_sg.append(chi_from_matrix(zz))
         series.qfi.append(qfi(z, zz, s0))
     if samples is not None:
@@ -608,15 +601,28 @@ def point_tag(eps: float, phi: float) -> str:
     return f"eps{eps:.6g}_phi{phi:.6g}"
 
 
-def write_point_outputs(result: PointResult, out_dir: str) -> list[str]:
-    os.makedirs(out_dir, exist_ok=True)
-    tag = point_tag(result.epsilon, result.phi)
-    written = []
+def _write_atomic(path: str, data: str | bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it.
 
+    A reader sees the old file or the whole new one, and a failed write
+    leaves the old file as it was and no temporary file behind.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    partial = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(partial, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
+
+
+def write_point_outputs(result: PointResult, out_dir: str) -> list[str]:
+    tag = point_tag(result.epsilon, result.phi)
     csv_path = os.path.join(out_dir, f"point_{tag}.csv")
-    with open(csv_path, "w") as fh:
-        fh.write("\n".join(point_csv_rows(result)) + "\n")
-    written.append(csv_path)
+    _write_atomic(csv_path, "\n".join(point_csv_rows(result)) + "\n")
+    written = [csv_path]
 
     channels = {"clean": result.clean, "noisy": result.noisy}
     payload = {
@@ -626,8 +632,7 @@ def write_point_outputs(result: PointResult, out_dir: str) -> list[str]:
     }
     if payload:
         ham_path = os.path.join(out_dir, f"hamming_{tag}.json")
-        with open(ham_path, "w") as fh:
-            json.dump(payload, fh)
+        _write_atomic(ham_path, json.dumps(payload))
         written.append(ham_path)
 
     if result.recovery is not None:
@@ -637,17 +642,13 @@ def write_point_outputs(result: PointResult, out_dir: str) -> list[str]:
 
 
 def write_recovery_report(report: RecoveryReport, tag: str, out_dir: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"recovery_{tag}.json")
-    # serialized before the file is opened, so a non-finite value leaves no file
-    text = json.dumps(report.to_dict(), indent=2, allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text)
+    # serialized before any file is opened, so a non-finite value leaves no file
+    _write_atomic(path, json.dumps(report.to_dict(), indent=2, allow_nan=False))
     return path
 
 
 def write_phase_grid(points: list[PhasePoint], out_dir: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "phase_grid.json")
     records = [
         {
@@ -658,16 +659,13 @@ def write_phase_grid(points: list[PhasePoint], out_dir: str) -> str:
         }
         for p in points
     ]
-    with open(path, "w") as fh:
-        json.dump(records, fh, indent=2)
+    _write_atomic(path, json.dumps(records, indent=2))
     return path
 
 
 def write_resolved_config(config: RunConfig, out_dir: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "config.resolved.json")
-    with open(path, "w") as fh:
-        fh.write(config.to_json() + "\n")
+    _write_atomic(path, config.to_json() + "\n")
     return path
 
 
@@ -699,15 +697,13 @@ def write_raw_bundle(
     result: PointResult, reference: PointResult, out_dir: str
 ) -> str:
     """Raw series bundle consumed by `recover`: target + Clifford reference."""
-    os.makedirs(out_dir, exist_ok=True)
     tag = point_tag(result.epsilon, result.phi)
     path = os.path.join(out_dir, f"raw_{tag}.csv")
     columns = _raw_series(result, reference)
     lines = [",".join(["t", *RAW_COLUMNS])]
     for t in range(len(result.clean.delta)):
         lines.append(",".join([str(t)] + [_format(column[t]) for column in columns]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
     return path
 
 
@@ -805,17 +801,15 @@ def _save_checkpoint(state, directory, key, t, clean, noisy) -> None:
     tensors = {f"site_{i}": a for i, a in enumerate(state.mps.tensors)}
     arrays = _series_arrays(clean, "clean")
     arrays.update(_series_arrays(noisy, "noisy"))
-    # write aside and rename, so a crash never leaves a truncated checkpoint
-    partial = f"{path}.{os.getpid()}.tmp"
-    with open(partial, "wb") as fh:
-        np.savez(
-            fh,
-            t=np.array(t),
-            truncation_error=np.array(state.mps.truncation_error),
-            **tensors,
-            **arrays,
-        )
-    os.replace(partial, path)
+    buffer = io.BytesIO()
+    np.savez(
+        buffer,
+        t=np.array(t),
+        truncation_error=np.array(state.mps.truncation_error),
+        **tensors,
+        **arrays,
+    )
+    _write_atomic(path, buffer.getvalue())
     previous = os.path.join(directory, f"{key}_t{t - 1}.npz")
     if os.path.exists(previous):
         os.remove(previous)

@@ -74,10 +74,10 @@ def mps_deltas(rows, cols, eps, phi, cycles, chi_max=8):
     )
     s0 = neel_state(lattice)
     state = MPSState(s0, order, chi_max=chi_max)
-    z_rows = [state.per_site_z()]
+    z_rows = [state.zz_matrix()[0]]
     for _ in range(cycles):
         state.apply_cycle(cycle)
-        z_rows.append(state.per_site_z())
+        z_rows.append(state.zz_matrix()[0])
     return np.array(z_rows), s0.spins
 
 
@@ -120,11 +120,11 @@ def test_criterion_02_oracle_equivalence():
             for _ in range(10):
                 sv.apply_cycle(cycle)
                 state.apply_cycle(cycle)
-            z_e, z_m = sv.per_site_z(), state.per_site_z()
-            zz_e, zz_m = sv.zz_matrix(), state.zz_matrix()
+            (z_e, zz_e), (z_m, zz_m) = sv.zz_matrix(), state.zz_matrix()
             assert abs(delta(z_e, s0.spins) - delta(z_m, s0.spins)) < 1e-6
             chi_e = chi(np.array([zz_e[i, j] for i, j in edges]))
-            chi_m = chi(state.zz_pairs(edges))
+            _, zz_m_edges = state.zz_matrix(edges)
+            chi_m = chi(np.array([zz_m_edges[i, j] for i, j in edges]))
             assert abs(chi_e - chi_m) < 1e-6
             assert abs(chi_from_matrix(zz_e) - chi_from_matrix(zz_m)) < 1e-6
             assert abs(qfi(z_e, zz_e, s0.spins) - qfi(z_m, zz_m, s0.spins)) < 1e-6
@@ -139,10 +139,10 @@ def test_criterion_03_subharmonic_response():
         )
         s0 = neel_state(lattice)
         sv = StateVector.from_product(s0)
-        deltas = [delta(sv.per_site_z(), s0.spins)]
+        deltas = [delta(sv.zz_matrix()[0], s0.spins)]
         for _ in range(50):
             sv.apply_cycle(cycle)
-            deltas.append(delta(sv.per_site_z(), s0.spins))
+            deltas.append(delta(sv.zz_matrix()[0], s0.spins))
         # even-length window t = 1..50 puts a frequency bin exactly at pi
         omega, magnitude = fourier_spectrum(np.array(deltas[1:]))
         peak = np.argmin(np.abs(omega - np.pi))
@@ -308,10 +308,11 @@ def test_criterion_11_consistency_identities():
             dist = hamming_distribution(samples, s0.spins)
             mean, var = distribution_mean_var(dist)
 
-            mu_predicted = 0.5 * n * (1.0 - delta(sv.per_site_z(), s0.spins))
+            z, zz = sv.zz_matrix()
+            mu_predicted = 0.5 * n * (1.0 - delta(z, s0.spins))
             assert abs(mean - mu_predicted) < 6 * np.sqrt(max(var, 1e-12) / shots)
 
-            sigma_predicted = qfi(sv.per_site_z(), sv.zz_matrix(), s0.spins)
+            sigma_predicted = qfi(z, zz, s0.spins)
             d = hamming_distances(samples, s0.spins)
             m4 = np.mean((d - mean) ** 4)
             se_var = np.sqrt(max(m4 - var**2, 1e-12) / shots)

@@ -92,7 +92,7 @@ class TestInit:
         rng = np.random.default_rng(3)
         spins = rng.choice([-1, 1], size=8)
         sv = StateVector.from_product(ProductState(spins=spins))
-        np.testing.assert_array_equal(sv.per_site_z(), spins)
+        np.testing.assert_array_equal(sv.zz_matrix()[0], spins)
 
 
 class TestGateApplication:
@@ -106,7 +106,7 @@ class TestGateApplication:
         for _ in range(5):
             q = int(rng.integers(n))
             gate = x_kick_gate(rng.uniform(0, np.pi / 2))
-            sv.apply_1q(q, gate)
+            sv._apply_block(q, gate)
             reference = dense_1q(n, q, gate) @ reference
             a, b = rng.choice(n, size=2, replace=False)
             gate2 = xxz_gate(rng.uniform(0.5, 1.5), rng.uniform(0, 1))
@@ -152,13 +152,13 @@ class TestGateApplication:
         grouped.apply_cycle(GateSequence(n_qubits=n, kick=kick, layers=()))
         single = StateVector(psi, n)
         for q in range(n):
-            single.apply_1q(q, kick)
+            single._apply_block(q, kick)
         assert np.max(np.abs(grouped.amplitudes - single.amplitudes)) < 1e-12
 
     def test_index_bounds(self):
         sv = StateVector.from_product(ProductState(spins=np.array([1, 1])))
         with pytest.raises(IndexError):
-            sv.apply_1q(2, np.eye(2))
+            sv.apply_2q(0, 2, np.eye(4))
         with pytest.raises(ValueError):
             sv.apply_2q(0, 0, np.eye(4))
 
@@ -188,7 +188,7 @@ class TestCycle:
 
     def test_dtc_point_regression(self, dtc_cycle, hexagon_neel, evolve):
         sv = evolve(hexagon_neel, dtc_cycle, 2)
-        value = delta(sv.per_site_z(), hexagon_neel.spins)
+        value = delta(sv.zz_matrix()[0], hexagon_neel.spins)
         assert value > 0.8
         assert abs(value - DELTA_AFTER_TWO_CYCLES) < 1e-9
 
@@ -206,39 +206,46 @@ class TestExpectations:
     def test_basis_state_z(self):
         spins = np.array([1, -1, 1, -1])
         sv = StateVector.from_product(ProductState(spins=spins))
+        z, _ = sv.zz_matrix()
         for q in range(4):
-            assert sv.per_site_z()[q] == spins[q]
+            assert z[q] == spins[q]
 
     def test_zz_self_is_one(self, dtc_cycle, hexagon_neel, evolve):
         sv = evolve(hexagon_neel, dtc_cycle, 1)
-        assert sv.zz_pairs([(3, 3)])[0] == 1.0
+        assert sv.zz_matrix([(3, 3)])[1][3, 3] == 1.0
 
     def test_uniform_superposition(self):
         n = 4
         sv = StateVector(np.full(2**n, 2.0 ** (-n / 2), dtype=complex), n)
+        z, _ = sv.zz_matrix()
         for q in range(n):
-            assert abs(sv.per_site_z()[q]) < 1e-12
+            assert abs(z[q]) < 1e-12
 
     def test_zz_matrix_matches_pairwise(self, dtc_cycle, hexagon_neel, evolve):
+        # the one table gives every entry, so the pairs change nothing
         sv = evolve(hexagon_neel, dtc_cycle, 2)
-        matrix = sv.zz_matrix()
+        z, matrix = sv.zz_matrix()
         pairs = [(i, j) for i in range(0, 12, 3) for j in range(12)]
-        for (i, j), value in zip(pairs, sv.zz_pairs(pairs)):
-            assert abs(matrix[i, j] - value) < 1e-12
+        z_pairs, matrix_pairs = sv.zz_matrix(pairs)
+        np.testing.assert_array_equal(z_pairs, z)
+        for i, j in pairs:
+            assert abs(matrix[i, j] - matrix_pairs[i, j]) < 1e-12
 
     @pytest.mark.parametrize("n", [17, 21])
     def test_split_table_matches_direct_marginals(self, n):
         sv = StateVector(random_state(n, seed=n), n)
         z, zz = direct_marginals(sv.probabilities(), n)
-        assert np.max(np.abs(sv.per_site_z() - z)) < 1e-12
-        assert np.max(np.abs(sv.zz_matrix() - zz)) < 1e-12
+        z_read, zz_read = sv.zz_matrix()
+        assert np.max(np.abs(z_read - z)) < 1e-12
+        assert np.max(np.abs(zz_read - zz)) < 1e-12
         pairs = [(0, n - 1), (n // 2, n // 2 - 1), (3, 4)]
-        expected = [zz[i, j] for i, j in pairs]
-        assert np.max(np.abs(sv.zz_pairs(pairs) - expected)) < 1e-12
+        _, zz_read = sv.zz_matrix(pairs)
+        for i, j in pairs:
+            assert abs(zz_read[i, j] - zz[i, j]) < 1e-12
 
     def test_values_in_range(self, dtc_cycle, hexagon_neel, evolve):
         sv = evolve(hexagon_neel, dtc_cycle, 3)
-        z = sv.per_site_z()
+        z, _ = sv.zz_matrix()
         assert np.all(z >= -1) and np.all(z <= 1)
 
 
@@ -261,7 +268,7 @@ class TestSampling:
         shots = 100_000
         bits = sv.sample_bits(shots=shots, seed=5)
         z_hat = 1.0 - 2.0 * bits.mean(axis=0)
-        z = sv.per_site_z()
+        z, _ = sv.zz_matrix()
         for q in range(12):
             assert abs(z_hat[q] - z[q]) < 3.0 / np.sqrt(shots) + 1e-12
 

@@ -75,6 +75,11 @@ def row_restart_zz_matrix(mps):
     return matrix
 
 
+def on_pairs(matrix, pairs):
+    """The entries of a correlator matrix at the given (i, j) pairs."""
+    return np.array([matrix[i, j] for i, j in pairs])
+
+
 def norm(mps):
     value = np.ones((1, 1), dtype=complex)
     for t in mps.tensors:
@@ -119,7 +124,7 @@ def random_chain_state(n, seed):
     for site in range(n):
         u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         mps.apply_1q(site, u)
-        sv.apply_1q(site, u)
+        sv._apply_block(site, u)
     for a, b in [(0, 1), (2, 5), (7, 3), (4, 10), (11, 8)]:
         if max(a, b) < n:
             g = random_gate(int(rng.integers(1 << 30)))
@@ -265,7 +270,7 @@ class TestCliffordEvolution:
         state = MPSState(s0, hexagon_order, chi_max=chi_max)
         for t in range(1, 7):
             state.apply_cycle(cycle)
-            value = delta(state.per_site_z(), s0.spins)
+            value = delta(state.zz_matrix()[0], s0.spins)
             assert abs(value - (-1.0) ** t) < 1e-12
 
 
@@ -283,13 +288,12 @@ class TestOracleEquivalence:
             for _ in range(10):
                 sv.apply_cycle(cycle)
                 state.apply_cycle(cycle)
-            z_e, z_m = sv.per_site_z(), state.per_site_z()
+            (z_e, zz_e), (z_m, zz_m) = sv.zz_matrix(), state.zz_matrix()
             assert np.max(np.abs(z_e - z_m)) < 1e-8
-            zz_e, zz_m = sv.zz_matrix(), state.zz_matrix()
             assert np.max(np.abs(zz_e - zz_m)) < 1e-8
             edges = list(hexagon.edges)
-            chi_e = chi(np.array([zz_e[i, j] for i, j in edges]))
-            chi_m = chi(state.zz_pairs(edges))
+            chi_e = chi(on_pairs(zz_e, edges))
+            chi_m = chi(on_pairs(state.zz_matrix(edges)[1], edges))
             assert abs(chi_e - chi_m) < 1e-8
             assert abs(chi_from_matrix(zz_e) - chi_from_matrix(zz_m)) < 1e-8
             assert abs(qfi(z_e, zz_e, s0.spins) - qfi(z_m, zz_m, s0.spins)) < 1e-8
@@ -305,12 +309,13 @@ class TestOracleEquivalence:
         sv.apply_cycle(cycle)
         state.apply_cycle(cycle)
         assert state.truncation_error < 1e-20
-        z_e, z_m = sv.per_site_z(), state.per_site_z()
+        (z_e, zz_e), (z_m, zz_m) = sv.zz_matrix(), state.zz_matrix()
         assert np.max(np.abs(z_e - z_m)) < 1e-8
-        zz_e, zz_m = sv.zz_matrix(), state.zz_matrix()
         assert np.max(np.abs(zz_e - zz_m)) < 1e-8
         edges = list(lattice.edges)
-        assert np.max(np.abs(sv.zz_pairs(edges) - state.zz_pairs(edges))) < 1e-8
+        zz_e_pairs = on_pairs(sv.zz_matrix(edges)[1], edges)
+        zz_m_pairs = on_pairs(state.zz_matrix(edges)[1], edges)
+        assert np.max(np.abs(zz_e_pairs - zz_m_pairs)) < 1e-8
         assert abs(qfi(z_e, zz_e, s0.spins) - qfi(z_m, zz_m, s0.spins)) < 1e-8
 
 
@@ -318,15 +323,16 @@ class TestExpectations:
     def test_product_state_recovery(self, hexagon, hexagon_order):
         s0 = neel_state(hexagon)
         state = MPSState(s0, hexagon_order, chi_max=4)
-        np.testing.assert_array_equal(state.per_site_z(), s0.spins)
         edges = list(hexagon.edges)
-        for (i, j), value in zip(edges, state.zz_pairs(edges)):
-            assert value == s0.spins[i] * s0.spins[j]
+        z, zz = state.zz_matrix(edges)
+        np.testing.assert_array_equal(z, s0.spins)
+        for i, j in edges:
+            assert zz[i, j] == s0.spins[i] * s0.spins[j]
 
     def test_single_site_matches_sweep(self, hexagon, hexagon_order, dtc_cycle):
         state = MPSState(neel_state(hexagon), hexagon_order, chi_max=64)
         state.apply_cycle(dtc_cycle)
-        z = state.per_site_z()
+        z, _ = state.zz_matrix()
         for q in (0, 5, 11):
             site = hexagon_order.position[q]
             assert abs(expect_z(state.mps, site) - z[q]) < 1e-12
@@ -342,16 +348,17 @@ class TestExpectations:
         assert state.truncation_error > 0
         assert max(state.mps.bond_dims) == 32
         mps = state.mps
+        z_chain, zz_chain = mps.zz_matrix()
         np.testing.assert_allclose(
-            mps.zz_matrix(), row_restart_zz_matrix(mps), rtol=0, atol=1e-12
+            zz_chain, row_restart_zz_matrix(mps), rtol=0, atol=1e-12
         )
         z = [expect_z(mps, site) for site in range(mps.n_sites)]
-        np.testing.assert_allclose(mps.per_site_z(), z, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(z_chain, z, rtol=0, atol=1e-12)
         # the pair sweep keeps each string only up to its site's last partner
         edges = list(lattice_2x2.edges)
-        matrix = state.zz_matrix()
-        expected = [matrix[i, j] for i, j in edges]
-        np.testing.assert_allclose(state.zz_pairs(edges), expected, rtol=0, atol=1e-14)
+        expected = on_pairs(state.zz_matrix()[1], edges)
+        pruned = on_pairs(state.zz_matrix(edges)[1], edges)
+        np.testing.assert_allclose(pruned, expected, rtol=0, atol=1e-14)
 
     def test_zz_pairs_match_zz_matrix(self, hexagon, hexagon_order, dtc_cycle):
         s0 = neel_state(hexagon)
@@ -361,15 +368,17 @@ class TestExpectations:
         state = MPSState(s0, hexagon_order, chi_max=64)
         sv.apply_cycle(dtc_cycle)
         state.apply_cycle(dtc_cycle)
-        dense_matrix, mps_matrix = sv.zz_matrix(), state.zz_matrix()
+        (dense_z, dense_matrix), (mps_z, mps_matrix) = sv.zz_matrix(), state.zz_matrix()
         for pairs in (edges, flipped):
-            # the dense backend indexes its matrix
-            expected = [dense_matrix[i, j] for i, j in pairs]
-            np.testing.assert_array_equal(sv.zz_pairs(pairs), expected)
+            # the dense backend reads the same table either way
+            z, matrix = sv.zz_matrix(pairs)
+            np.testing.assert_array_equal(z, dense_z)
+            np.testing.assert_array_equal(matrix, dense_matrix)
             # the MPS one runs a pruned sweep, whose stacks differ in size
-            expected = [mps_matrix[i, j] for i, j in pairs]
+            z, matrix = state.zz_matrix(pairs)
+            np.testing.assert_allclose(z, mps_z, rtol=0, atol=1e-14)
             np.testing.assert_allclose(
-                state.zz_pairs(pairs), expected, rtol=0, atol=1e-14
+                on_pairs(matrix, pairs), on_pairs(mps_matrix, pairs), rtol=0, atol=1e-14
             )
 
 
@@ -390,4 +399,4 @@ class TestSampling:
         shots = 40_000
         bits = state.sample_bits(shots=shots, seed=8)
         z_hat = 1.0 - 2.0 * bits.mean(axis=0)
-        assert np.max(np.abs(z_hat - sv.per_site_z())) < 4.0 / np.sqrt(shots)
+        assert np.max(np.abs(z_hat - sv.zz_matrix()[0])) < 4.0 / np.sqrt(shots)

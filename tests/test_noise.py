@@ -92,33 +92,28 @@ class TestCorruptCorrelators:
         rng = np.random.default_rng(4)
         model = mismatched_noise(n, seed=5, bias_scale=0.2)
         z = rng.uniform(-1, 1, size=n)
-        pairs = [(0, 1), (1, 0), (2, 6), (5, 3), (4, 4), (6, 0)]
-        zz = rng.uniform(-1, 1, size=len(pairs))
+        zz = rng.uniform(-1, 1, size=(n, n))
+        zz = (zz + zz.T) / 2
+        np.fill_diagonal(zz, 1.0)
         f, b = model.attenuation(t), model.bias(t)
-        expected = np.array(
-            [
-                f[i] * f[j] * zz[k]
-                + f[i] * b[j] * z[i]
-                + f[j] * b[i] * z[j]
-                + b[i] * b[j]
-                for k, (i, j) in enumerate(pairs)
-            ]
-        )
-        expected = np.clip(expected, -1.0, 1.0)
-        np.testing.assert_array_equal(
-            corrupt_correlators(zz, pairs, z, model, t), expected
-        )
-        index = np.array(pairs)
-        np.testing.assert_array_equal(
-            corrupt_correlators(zz, index, z, model, t), expected
-        )
+        # the formula at (i, j) with i < j, mirrored; the diagonal stays 1
+        expected = np.eye(n)
+        for i in range(n):
+            for j in range(i + 1, n):
+                value = (
+                    f[i] * f[j] * zz[i, j]
+                    + f[i] * b[j] * z[i]
+                    + f[j] * b[i] * z[j]
+                    + b[i] * b[j]
+                )
+                expected[i, j] = expected[j, i] = np.clip(value, -1.0, 1.0)
+        np.testing.assert_array_equal(corrupt_correlators(zz, z, model, t), expected)
 
     def test_clamped(self):
         model = uniform_noise(2, decay=1.0, bias_even=0.5)
-        noisy = corrupt_correlators(
-            np.array([0.9]), [(0, 1)], np.array([0.9, 0.9]), model, 0
-        )
-        assert noisy[0] == 1.0
+        zz = np.array([[1.0, 0.9], [0.9, 1.0]])
+        noisy = corrupt_correlators(zz, np.array([0.9, 0.9]), model, 0)
+        np.testing.assert_array_equal(noisy, np.ones((2, 2)))
 
 
 class TestCorruptBits:

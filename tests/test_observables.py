@@ -120,7 +120,7 @@ class TestHamming:
         dist = hamming_distribution(samples, hexagon_neel.spins)
         mean, _ = distribution_mean_var(dist)
         predicted = hamming_mean_from_delta(
-            12, delta(sv.per_site_z(), hexagon_neel.spins)
+            12, delta(sv.zz_matrix()[0], hexagon_neel.spins)
         )
         assert abs(mean - predicted) < 5 * np.sqrt(12) / np.sqrt(shots)
 
@@ -139,12 +139,12 @@ class TestQFI:
         amplitudes = np.zeros(2**n, dtype=complex)
         amplitudes[0] = amplitudes[-1] = 1 / np.sqrt(2)
         sv = StateVector(amplitudes, n)
-        value = qfi(sv.per_site_z(), sv.zz_matrix(), np.ones(n))
+        value = qfi(*sv.zz_matrix(), np.ones(n))
         assert value == pytest.approx(n**2 / 4.0, abs=1e-12)
 
     def test_variance_of_hamming_distribution(self, dtc_cycle, hexagon_neel, evolve):
         sv = evolve(hexagon_neel, dtc_cycle, 2)
-        sigma = qfi(sv.per_site_z(), sv.zz_matrix(), hexagon_neel.spins)
+        sigma = qfi(*sv.zz_matrix(), hexagon_neel.spins)
         samples = sv.sample_bits(100_000, seed=6)
         d = hamming_distances(samples, hexagon_neel.spins)
         assert abs(np.var(d) - sigma) < 6 * np.var(d) * np.sqrt(2.0 / len(d)) + 0.05

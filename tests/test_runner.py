@@ -1,13 +1,15 @@
 import json
 import math
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dtc2d.cli import main as cli_main
-from dtc2d.exact import CapacityError
+from dtc2d.exact import CapacityError, StateVector
+from dtc2d.mps import MPSState
 from dtc2d.noise import NoiseSpec
 from dtc2d.observables import TimeSeries
 from dtc2d.recovery import TRIAL_CURVATURE_FLOOR
@@ -22,6 +24,7 @@ from dtc2d.runner import (
     write_point_outputs,
     write_raw_bundle,
     write_recovery_report,
+    write_resolved_config,
     _simulate_system,
 )
 
@@ -188,6 +191,32 @@ class TestRunPoint:
         keep = ~result.recovery.delta_flags
         assert np.max(np.abs(rec[keep] - clean[keep])) < 0.02
 
+    @pytest.mark.parametrize("full", [True, False], ids=["full", "edges"])
+    @pytest.mark.parametrize("backend", ["exact", "mps"])
+    def test_one_read_per_cycle(self, monkeypatch, backend, full):
+        reads = []
+        for cls in (StateVector, MPSState):
+
+            def counted(state, pairs=None, read=cls.zz_matrix):
+                reads.append(pairs is None)
+                return read(state, pairs)
+
+            monkeypatch.setattr(cls, "zz_matrix", counted)
+        config = small_config(
+            backend=backend,
+            mps=MPSOptions(chi_max=32),
+            full_correlations=full,
+            noise=NoiseSpec(decay=0.97, bias_even=0.03, bias_odd=-0.03),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = _simulate_system(config, 1, 1, 0.05, DTC_PHI)
+        assert reads == [full] * (config.cycles + 1)
+        for series in (result.clean, result.noisy):
+            assert np.all(np.isfinite(series.chi_nn))
+            assert np.all(np.isfinite(series.corr_avg))
+            assert len(series.qfi) == (config.cycles + 1 if full else 0)
+
     def test_initial_state_options(self):
         polarized = run_point(small_config(initial_state="polarized"), 0.0, 0.0)
         assert np.all(polarized.s0 == 1)
@@ -289,6 +318,27 @@ class TestOutputs:
         reused = write_raw_bundle(result, result.reference, str(tmp_path / "a"))
         fresh = write_raw_bundle(result, separate, str(tmp_path / "b"))
         assert open(reused, "rb").read() == open(fresh, "rb").read()
+
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        config = small_config(cycles=2)
+        result = run_point(config, 0.05, DTC_PHI)
+        (point_csv,) = write_point_outputs(result, str(tmp_path))
+        resolved = write_resolved_config(config, str(tmp_path))
+        before = {path: open(path, "rb").read() for path in (point_csv, resolved)}
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        longer = replace(config, cycles=3)
+        with pytest.raises(OSError, match="rename failed"):
+            write_point_outputs(run_point(longer, 0.05, DTC_PHI), str(tmp_path))
+        with pytest.raises(OSError, match="rename failed"):
+            write_resolved_config(longer, str(tmp_path))
+        for path, data in before.items():
+            assert open(path, "rb").read() == data
+        assert sorted(os.listdir(tmp_path)) == sorted(map(os.path.basename, before))
 
 
 class TestCheckpointing:
