@@ -8,7 +8,9 @@ Clifford point and removes the parity offsets, which are learned by
 regularized least squares against a classically simulated small system.
 
 The same machinery recovers squared-correlator order parameters via two
-learned coefficients per run, and Hamming-distance distributions via the
+learned coefficients per run. Each estimate is one guarded ratio with two
+parameters above and two below the line, fitted by a ridge solve and
+Gauss-Newton steps. Hamming-distance distributions are recovered via the
 binomial flip kernel. Each kernel column is a reversed binomial pmf
 convolved with another; the kernel is diagonal in the Krawtchouk basis,
 with eigenvalues (1 - 2p)^j (MacWilliams & Sloane, 1977). Deconvolution
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -32,6 +34,12 @@ from scipy.special import expit, gammaln, log_expit, xlog1py, xlogy
 DEFAULT_GUARD = 1e-3
 DEFAULT_GRID_HALF_WIDTH = 0.2
 DEFAULT_GRID_POINTS = 41
+# The nested fits halve a Gauss-Newton step that raises the objective by
+# more than FIT_ROUNDING of it (its rounding noise is about 1e-11), and stop
+# at a step within FIT_STEP_FLOOR (a converged one is about 1e-16).
+FIT_ROUNDING = 1e-9
+FIT_STEP_FLOOR = 1e-14
+FIT_MAX_STEPS = 100
 
 
 def clifford_reference(phi: float) -> float:
@@ -59,25 +67,117 @@ class OffsetVector:
     reference_odd: float
 
     def __post_init__(self) -> None:
-        values = (
-            self.target_even,
-            self.target_odd,
-            self.reference_even,
-            self.reference_odd,
-        )
+        values = astuple(self)
         if not all(np.isfinite(v) and abs(v) <= 1.0 for v in values):
             raise ValueError(f"offsets must be finite and within [-1, 1], got {values}")
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.target_even, self.target_odd, self.reference_even, self.reference_odd]
-        )
+        return np.array(astuple(self))
 
-    def target(self, t: np.ndarray) -> np.ndarray:
-        return np.where(t % 2 == 0, self.target_even, self.target_odd)
 
-    def reference(self, t: np.ndarray) -> np.ndarray:
-        return np.where(t % 2 == 0, self.reference_even, self.reference_odd)
+def _series(*arrays) -> list[np.ndarray]:
+    """The arrays as float series over one cycle range, else ValueError."""
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    if arrays[0].ndim != 1 or any(a.shape != arrays[0].shape for a in arrays):
+        raise ValueError("series must share the cycle range")
+    return arrays
+
+
+def _affine(base: np.ndarray, columns: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """base + columns @ pair per cycle, for one pair or an array of pairs."""
+    return base + columns[:, 0] * pair[..., :1] + columns[:, 1] * pair[..., 1:]
+
+
+@dataclass(frozen=True)
+class _Ratio:
+    """The estimate (shift + numerator @ c) / (denominator + slope @ u) per
+    cycle: shift and denominator are (T,) series, numerator and slope (T, 2)."""
+
+    shift: np.ndarray
+    numerator: np.ndarray
+    denominator: np.ndarray
+    slope: np.ndarray
+
+    def top(self, c) -> np.ndarray:
+        return _affine(self.shift, self.numerator, c)
+
+    def bottom(self, u) -> np.ndarray:
+        return _affine(self.denominator, self.slope, u)
+
+    def apply(self, params: np.ndarray, guard: float) -> tuple[np.ndarray, np.ndarray]:
+        """(estimate at (c0, c1, u0, u1) clamped to [-1, 1], guard flags)."""
+        bottom = self.bottom(params[2:])
+        flagged = np.abs(bottom) < guard
+        estimate = self.top(params[:2]) / np.where(flagged, 1.0, bottom)
+        return np.clip(estimate, -1.0, 1.0), flagged
+
+
+def _delta_model(noisy_target, noisy_reference, exact_reference) -> _Ratio:
+    """Delta_hat = E (N - target offset) / (R - reference offset), per parity."""
+    noisy, reference, exact = _series(noisy_target, noisy_reference, exact_reference)
+    one_hot = (np.arange(len(noisy))[:, None] % 2 == np.arange(2)).astype(float)
+    return _Ratio(exact * noisy, -exact[:, None] * one_hot, reference, -one_hot)
+
+
+def _chi_model(chi_noisy, corr_noisy, chi_ref, corr_ref, n_qubits: int) -> _Ratio:
+    """chi_hat = (chi + 2 c1 C + (N-1) c2) / (chi' + 2 c1' C' + (N-1) c2')."""
+    chi, corr, chi_ref, corr_ref = _series(chi_noisy, corr_noisy, chi_ref, corr_ref)
+    constant = np.full(len(chi), n_qubits - 1.0)
+    columns = [np.stack([2 * c, constant], axis=-1) for c in (corr, corr_ref)]
+    return _Ratio(chi, columns[0], chi_ref, columns[1])
+
+
+def _nested_fit(model: _Ratio, simulated, ridge: float, guard: float) -> tuple:
+    """Fit the model to the simulated series: ((c0, c1, u0, u1), objective).
+
+    Minimizes sum_t r(t)^2 + ridge (|c|^2 + |u|^2), r = estimate - simulated,
+    over usable cycles: t >= 1 with |denominator| >= ``guard``. For each u, c
+    is one ridge solve (variable projection; Golub & Pereyra, SIAM J. Numer.
+    Anal. 10, 413, 1973). The 41x41 grid of u is scored in one call, a cell
+    with no usable cycle scoring inf. From the best cell (the first in
+    u0-major order), Gauss-Newton steps move u, with c solved again at each
+    u (Kaufman, BIT 15, 49, 1975): with w = 1/denominator on usable cycles,
+    dr/dc = w numerator and dr/du = -w^2 (shift + numerator @ c) slope.
+    """
+    if ridge <= 0:
+        raise ValueError("ridge must be positive")
+    _, simulated = _series(model.shift, simulated)
+    late = np.arange(len(simulated)) >= 1
+
+    def profile(u: np.ndarray) -> tuple[np.ndarray, ...]:
+        bottom = model.bottom(u)
+        usable = late & (np.abs(bottom) >= guard)
+        w = np.where(usable, 1.0 / np.where(usable, bottom, 1.0), 0.0)
+        design = w[..., None] * model.numerator
+        rhs = np.where(usable, simulated - w * model.shift, 0.0)
+        design_t = np.swapaxes(design, -1, -2)
+        normal = design_t @ design + ridge * np.eye(2)
+        c = np.linalg.solve(normal, design_t @ rhs[..., None])[..., 0]
+        residual = np.where(usable, w * model.top(c) - simulated, 0.0)
+        objective = np.sum(residual**2, axis=-1) + ridge * np.sum(c**2 + u**2, axis=-1)
+        return np.where(usable.any(axis=-1), objective, np.inf), c, w, residual
+
+    axis = np.linspace(
+        -DEFAULT_GRID_HALF_WIDTH, DEFAULT_GRID_HALF_WIDTH, DEFAULT_GRID_POINTS
+    )
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    u = grid[np.argmin(profile(grid)[0])]
+    objective, c, w, residual = profile(u)
+    for _ in range(FIT_MAX_STEPS):
+        slope = -(w**2 * model.top(c))[:, None] * model.slope
+        jacobian = np.concatenate([w[:, None] * model.numerator, slope], axis=1)
+        gradient = jacobian.T @ residual + ridge * np.concatenate([c, u])
+        step = -np.linalg.solve(jacobian.T @ jacobian + ridge * np.eye(4), gradient)[2:]
+        while np.max(np.abs(step)) > FIT_STEP_FLOOR:
+            trial = profile(u + step)
+            if trial[0] <= objective * (1 + FIT_ROUNDING):
+                break
+            step = step / 2
+        else:
+            break
+        u = u + step
+        objective, c, w, residual = trial
+    return (*map(float, c), *map(float, u)), float(objective)
 
 
 def renormalize_delta(
@@ -87,67 +187,15 @@ def renormalize_delta(
     offsets: OffsetVector,
     guard: float = DEFAULT_GUARD,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Recover the order parameter by Clifford-point renormalization.
+    """Recover the order parameter by Clifford-point renormalization,
+    Delta_hat = E (N - target offset) / (R - reference offset) per parity.
 
     Returns (recovered, flagged): recovered values are clamped to [-1, 1];
     a point is flagged (and should be excluded from metrics) when the
     denominator magnitude falls below ``guard``.
     """
-    noisy_target = np.asarray(noisy_target, dtype=float)
-    noisy_reference = np.asarray(noisy_reference, dtype=float)
-    exact_reference = np.asarray(exact_reference, dtype=float)
-    if not noisy_target.shape == noisy_reference.shape == exact_reference.shape:
-        raise ValueError("series must share the cycle range")
-    t = np.arange(len(noisy_target))
-    denominator = noisy_reference - offsets.reference(t)
-    flagged = np.abs(denominator) < guard
-    safe = np.where(flagged, 1.0, denominator)
-    recovered = exact_reference * (noisy_target - offsets.target(t)) / safe
-    return np.clip(recovered, -1.0, 1.0), flagged
-
-
-def _nested_fit(inner) -> tuple[tuple[float, ...], float]:
-    """Solve a four-parameter least-squares fit that is quadratic in two.
-
-    ``inner(outer)`` takes an array of outer pairs (last axis of length 2),
-    solves the two inner parameters of each in closed form and returns
-    arrays (objective, a, b): the objective with the inner pair profiled
-    out (variable projection; Golub & Pereyra, SIAM J. Numer. Anal. 10,
-    413, 1973). The whole outer grid is scored in one call, the best cell
-    (the first in u0-major order) seeds a Nelder-Mead refinement of the
-    outer pair on the same objective, and the inner pair is solved at the
-    refined point. Deterministic. Returns ((a, b, u0, u1), objective).
-    """
-    axis = np.linspace(
-        -DEFAULT_GRID_HALF_WIDTH, DEFAULT_GRID_HALF_WIDTH, DEFAULT_GRID_POINTS
-    )
-    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    start = grid[np.argmin(inner(grid)[0])]
-    result = minimize(
-        lambda outer: float(inner(outer)[0]),
-        start,
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000},
-    )
-    objective, a, b = inner(result.x)
-    return (float(a), float(b), *map(float, result.x)), float(objective)
-
-
-def _profile(
-    design: np.ndarray, rhs: np.ndarray, outer: np.ndarray, ridge: float
-) -> tuple[np.ndarray, ...]:
-    """Ridge solve of the inner pair c for each outer pair, in closed form.
-
-    ``design`` (..., T, 2) and ``rhs`` (..., T) give the residual
-    design @ c - rhs, zero on excluded cycles. Returns (objective, c0, c1),
-    objective = |residual|^2 + ridge * (|c|^2 + |outer|^2).
-    """
-    design_t = np.swapaxes(design, -1, -2)
-    c = np.linalg.solve(design_t @ design + ridge * np.eye(2), design_t @ rhs[..., None])
-    residual = (design @ c)[..., 0] - rhs
-    c = c[..., 0]
-    objective = np.sum(residual**2, axis=-1) + ridge * np.sum(c**2 + outer**2, axis=-1)
-    return objective, c[..., 0], c[..., 1]
+    model = _delta_model(noisy_target, noisy_reference, exact_reference)
+    return model.apply(offsets.as_array(), guard)
 
 
 def learn_offsets(
@@ -161,31 +209,13 @@ def learn_offsets(
     """Learn the four parity offsets by regularized least squares.
 
     Minimizes sum_t (Delta_sim(t) - Delta_hat(t))^2 + ridge * |offsets|^2
-    over t = 1..T. The reference offsets enter the denominator, so the
-    problem is not jointly convex. With the reference offsets fixed, the
-    recovered series is linear in the target offsets, which are solved in
-    closed form per parity class; ``_nested_fit`` searches the reference
-    offsets on that one profiled objective.
+    over t = 1..T, with Delta_hat of ``renormalize_delta`` unclamped. The
+    reference offsets enter the denominator, so the problem is not jointly
+    convex; ``_nested_fit`` solves for the target offsets in closed form
+    and takes Gauss-Newton steps on the reference offsets.
     """
-    noisy_target = np.asarray(noisy_target, dtype=float)
-    noisy_reference = np.asarray(noisy_reference, dtype=float)
-    exact_reference = np.asarray(exact_reference, dtype=float)
-    delta_sim = np.asarray(delta_sim, dtype=float)
-    if ridge <= 0:
-        raise ValueError("ridge must be positive")
-    t = np.arange(len(noisy_target))
-    parity = t % 2
-    one_hot = (parity[:, None] == np.arange(2)).astype(float)
-
-    def inner(reference_offsets: np.ndarray) -> tuple[np.ndarray, ...]:
-        denominator = noisy_reference - reference_offsets[..., parity]
-        valid = (np.abs(denominator) >= guard) & (t >= 1)
-        ratio = np.where(valid, exact_reference / np.where(valid, denominator, 1.0), 0.0)
-        # residual Delta_sim - Delta_hat = ratio * target offset - rhs
-        rhs = np.where(valid, ratio * noisy_target - delta_sim, 0.0)
-        return _profile(ratio[..., None] * one_hot, rhs, reference_offsets, ridge)
-
-    solution, objective = _nested_fit(inner)
+    model = _delta_model(noisy_target, noisy_reference, exact_reference)
+    solution, objective = _nested_fit(model, delta_sim, ridge, guard)
     return OffsetVector(*solution), {"objective": objective}
 
 
@@ -213,19 +243,12 @@ def recover_chi(
     chi_hat = [chi_noisy + 2 c1 C_noisy + (N-1) c2]
             / [chi_noisy_ref + 2 c1' C_noisy_ref + (N-1) c2'],
     using that the noiseless reference value is 1 at Clifford points.
-    Returns (recovered, flagged).
+    Returns (recovered, flagged), as ``renormalize_delta`` does.
     """
-    numerator = (
-        chi_noisy + 2 * coeffs.c1_target * corr_noisy + (n_qubits - 1) * coeffs.c2_target
+    model = _chi_model(
+        chi_noisy, corr_noisy, chi_noisy_reference, corr_noisy_reference, n_qubits
     )
-    denominator = (
-        chi_noisy_reference
-        + 2 * coeffs.c1_reference * corr_noisy_reference
-        + (n_qubits - 1) * coeffs.c2_reference
-    )
-    flagged = np.abs(denominator) < guard
-    safe = np.where(flagged, 1.0, denominator)
-    return np.clip(numerator / safe, -1.0, 1.0), flagged
+    return model.apply(np.array(astuple(coeffs)), guard)
 
 
 def learn_chi_coefficients(
@@ -238,37 +261,17 @@ def learn_chi_coefficients(
     ridge: float = 1e-4,
     guard: float = DEFAULT_GUARD,
 ) -> tuple[ChiCoefficients, dict]:
-    """Learn c1/c2 pairs by the same nested least-squares scheme as offsets.
+    """Learn c1/c2 pairs by the same nested least-squares fit as the offsets.
 
     Minimizes sum_t (chi_sim(t) - chi_hat(t))^2 + ridge * |coefficients|^2
-    over t = 1..T, with chi_hat unclipped. With the reference pair fixed,
-    chi_hat is linear in the target pair, which is solved in closed form;
-    ``_nested_fit`` searches the reference pair on that profiled objective.
+    over t = 1..T, with chi_hat of ``recover_chi`` unclamped; ``_nested_fit``
+    solves for the target pair in closed form and takes Gauss-Newton steps
+    on the reference pair.
     """
-    chi_noisy = np.asarray(chi_noisy, dtype=float)
-    corr_noisy = np.asarray(corr_noisy, dtype=float)
-    chi_ref = np.asarray(chi_noisy_reference, dtype=float)
-    corr_ref = np.asarray(corr_noisy_reference, dtype=float)
-    chi_sim = np.asarray(chi_sim, dtype=float)
-    if ridge <= 0:
-        raise ValueError("ridge must be positive")
-    t = np.arange(len(chi_noisy))
-    columns = np.stack([2 * corr_noisy, np.full(len(t), n_qubits - 1.0)], axis=-1)
-
-    def inner(ref_pair: np.ndarray) -> tuple[np.ndarray, ...]:
-        denominator = (
-            chi_ref
-            + 2 * ref_pair[..., 0, None] * corr_ref
-            + (n_qubits - 1) * ref_pair[..., 1, None]
-        )
-        valid = (np.abs(denominator) >= guard) & (t >= 1)
-        safe = np.where(valid, denominator, 1.0)
-        design = np.where(valid[..., None], columns / safe[..., None], 0.0)
-        rhs = np.where(valid, chi_sim - chi_noisy / safe, 0.0)
-        objective, c1, c2 = _profile(design, rhs, ref_pair, ridge)
-        return np.where(np.any(valid, axis=-1), objective, np.inf), c1, c2
-
-    solution, objective = _nested_fit(inner)
+    model = _chi_model(
+        chi_noisy, corr_noisy, chi_noisy_reference, corr_noisy_reference, n_qubits
+    )
+    solution, objective = _nested_fit(model, chi_sim, ridge, guard)
     return ChiCoefficients(*solution), {"objective": objective}
 
 
@@ -380,12 +383,8 @@ def learn_flip_schedule(
     noisy_distributions: np.ndarray, d_cliff: np.ndarray
 ) -> np.ndarray:
     """Per-cycle flip probabilities from Clifford-point distributions."""
-    return np.array(
-        [
-            learn_flip_probability(dist, int(d))
-            for dist, d in zip(noisy_distributions, d_cliff)
-        ]
-    )
+    pairs = zip(noisy_distributions, d_cliff)
+    return np.array([learn_flip_probability(dist, int(d)) for dist, d in pairs])
 
 
 @dataclass(frozen=True)

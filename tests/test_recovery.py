@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -58,15 +60,21 @@ def synthetic_delta_series(n_cycles, seed=0):
 KNOWN_OFFSETS = OffsetVector(0.05, -0.03, 0.02, -0.02)
 
 
+def parity_offsets(offsets, t):
+    """(target, reference) offset series of ``offsets`` over cycles t."""
+    even = t % 2 == 0
+    values = offsets.as_array()
+    return np.where(even, *values[:2]), np.where(even, *values[2:])
+
+
 def known_offsets_inputs(n_cycles=30):
     """(noisy, noisy_ref, exact_ref, clean) with KNOWN_OFFSETS and decay."""
     t = np.arange(n_cycles + 1)
     clean = synthetic_delta_series(n_cycles, seed=3)
     reference = clifford_delta(np.pi / 2, n_cycles)
     f = 0.96**t
-    noisy = f * clean + KNOWN_OFFSETS.target(t)
-    noisy_ref = f * reference + KNOWN_OFFSETS.reference(t)
-    return noisy, noisy_ref, reference, clean
+    target_offset, reference_offset = parity_offsets(KNOWN_OFFSETS, t)
+    return f * clean + target_offset, f * reference + reference_offset, reference, clean
 
 
 def uniform_bias_chi_inputs():
@@ -146,8 +154,9 @@ class TestRenormalizeDelta:
         reference = clifford_delta(np.pi / 2, n_cycles)
         f = 0.95**t
         offsets = OffsetVector(0.05, -0.03, 0.02, -0.02)
-        noisy = f * clean + offsets.target(t)
-        noisy_ref = f * reference + offsets.reference(t)
+        target_offset, reference_offset = parity_offsets(offsets, t)
+        noisy = f * clean + target_offset
+        noisy_ref = f * reference + reference_offset
         recovered, flagged = renormalize_delta(noisy, noisy_ref, reference, offsets)
         np.testing.assert_allclose(recovered[~flagged], clean[~flagged], atol=1e-10)
         assert flagged.sum() == 0
@@ -263,6 +272,51 @@ class TestLearnChi:
             vec,
             info["objective"],
         )
+
+
+LEARNER_CASES = {
+    "offsets": (learn_offsets, known_offsets_inputs),
+    "chi": (learn_chi_coefficients, uniform_bias_chi_inputs),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEARNER_CASES))
+def test_learned_parameters_do_not_follow_the_last_bit_of_the_inputs(case):
+    # a fit that stops on objective values fixes its denominator pair only
+    # to about sqrt(eps); Gauss-Newton resolves it to rounding
+    learner, make_inputs = LEARNER_CASES[case]
+    inputs = make_inputs()
+    base = np.array(astuple(learner(*inputs)[0]))
+    for k in (1, 2, 3, 4, -1, -2, -3, -4):
+        scale = 1 + k * 2.0**-52
+        scaled = [a * scale if isinstance(a, np.ndarray) else a for a in inputs]
+        moved = np.array(astuple(learner(*scaled)[0]))
+        assert np.max(np.abs(moved - base)) < 1e-12, k
+
+
+def short_series_calls():
+    """Each recovery function, called with one of its series cut to one cycle."""
+    offsets = known_offsets_inputs()
+    chi = uniform_bias_chi_inputs()
+    coeffs = ChiCoefficients(0.0, 0.0, 0.0, 0.0)
+    return {
+        "renormalize_delta": lambda: renormalize_delta(
+            *offsets[:2], offsets[2][:1], ZERO_OFFSETS
+        ),
+        "learn_offsets": lambda: learn_offsets(*offsets[:3], offsets[3][:1]),
+        "recover_chi": lambda: recover_chi(
+            *chi[:2], chi[2][:1], chi[3][:1], coeffs, chi[5]
+        ),
+        "learn_chi_coefficients": lambda: learn_chi_coefficients(
+            *chi[:4], chi[4][:1], chi[5]
+        ),
+    }
+
+
+@pytest.mark.parametrize("function", sorted(short_series_calls()))
+def test_a_short_series_is_rejected(function):
+    with pytest.raises(ValueError, match="series must share the cycle range"):
+        short_series_calls()[function]()
 
 
 class TestFlipKernel:
