@@ -37,6 +37,11 @@ class CapacityError(ValueError):
     """Raised when a statevector would exceed the dense-backend qubit cap."""
 
 
+def check_capacity(n_qubits: int) -> None:
+    if n_qubits > MAX_QUBITS:
+        raise CapacityError(f"dense backend capped at {MAX_QUBITS} qubits, got {n_qubits}")
+
+
 def _z_table(m: int) -> np.ndarray:
     """(2^m, m) table of Z eigenvalues: entry [x, j] is +1 or -1 by bit j of x."""
     indices = np.arange(2**m, dtype=np.int64)
@@ -69,10 +74,7 @@ def _combine(row: np.ndarray, views: list[np.ndarray], states: tuple[int, ...]):
 
 class StateVector:
     def __init__(self, amplitudes: np.ndarray, n_qubits: int):
-        if n_qubits > MAX_QUBITS:
-            raise CapacityError(
-                f"dense backend capped at {MAX_QUBITS} qubits, got {n_qubits}"
-            )
+        check_capacity(n_qubits)
         if amplitudes.shape != (2**n_qubits,):
             raise ValueError("amplitude array has wrong length")
         # an owned contiguous copy: two-qubit gates update it in place
@@ -82,10 +84,7 @@ class StateVector:
     @classmethod
     def from_product(cls, state: ProductState) -> "StateVector":
         n = state.n_qubits
-        if n > MAX_QUBITS:
-            raise CapacityError(
-                f"dense backend capped at {MAX_QUBITS} qubits, got {n}"
-            )
+        check_capacity(n)
         amplitudes = np.zeros(2**n, dtype=complex)
         index = int(np.sum(state.bits.astype(np.int64) << np.arange(n)))
         amplitudes[index] = 1.0

@@ -24,12 +24,14 @@ right-canonical rest (the plain entry gives <Z_j>, the string of site i
 gives <Z_i Z_j>) and opens the string of site j; one contraction with the
 plain tensor carries the stack on. Without ``pairs`` every string lives to
 the end; with ``pairs`` each one is dropped after its site's last partner.
+
+scipy.linalg is imported on the first factorization or contraction, not
+with this module, which costs numpy alone to import. Each SVD looks up
+``scipy.linalg.svd`` when it runs, so a wrapper put there sees every one.
 """
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.blas
 
 from .circuit import GateSequence, ProductState
 from .lattice import UnrollOrder
@@ -39,6 +41,7 @@ _GATE_SPLIT_TOL = 1e-14
 
 
 def _svd(matrix: np.ndarray):
+    import scipy.linalg
     try:
         return scipy.linalg.svd(matrix, full_matrices=False, check_finite=False)
     except scipy.linalg.LinAlgError:
@@ -48,6 +51,7 @@ def _svd(matrix: np.ndarray):
 
 
 def _qr(matrix: np.ndarray):
+    import scipy.linalg
     return scipy.linalg.qr(matrix, mode="economic", check_finite=False)
 
 
@@ -57,8 +61,10 @@ def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Runs in the BLAS that scipy.linalg uses. numpy and scipy each bundle
     their own threaded BLAS; the engine's factorizations run in scipy's, and
     keeping its products there too stops the two thread pools from
-    contending (about 3x on a 2-core machine at chi 32).
+    contending (about 3x on a 2-core machine at chi 32). Like the
+    factorizations, it imports scipy.linalg on its first call.
     """
+    import scipy.linalg.blas
     a2 = np.ascontiguousarray(a.reshape(-1, a.shape[-1]), dtype=complex)
     b2 = np.ascontiguousarray(b.reshape(b.shape[0], -1), dtype=complex)
     # row-major a2 @ b2 is column-major b2.T @ a2.T, without copies

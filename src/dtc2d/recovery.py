@@ -28,8 +28,6 @@ import warnings
 from dataclasses import astuple, dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import expit, gammaln, log_expit, xlog1py, xlogy
 
 DEFAULT_GUARD = 1e-3
 DEFAULT_GRID_HALF_WIDTH = 0.2
@@ -295,6 +293,7 @@ TRIAL_LOG_WEIGHT_FLOOR = -600.0
 
 def _binomial_pmf(n: int, p: np.ndarray) -> np.ndarray:
     """Bin(n, p) pmf over k = 0..n along a new last axis, for each p."""
+    from scipy.special import gammaln, xlog1py, xlogy
     p = np.asarray(p, dtype=float)[..., None]
     k = np.arange(n + 1)
     log_choose = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
@@ -398,6 +397,7 @@ class TrialDistribution:
 
     def log_weights(self, n_bits: int) -> np.ndarray:
         """Unnormalized log-weights -(d - d0)^2 / (2 sigma^2) + log expit(-(k d + q))."""
+        from scipy.special import log_expit
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         d = np.arange(n_bits + 1, dtype=float)
@@ -411,6 +411,13 @@ class TrialDistribution:
             raise ValueError("trial distribution has no support on [0, N]")
         weights = np.exp(log_w - log_w.max())
         return weights / weights.sum()
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call (only the
+    deconvolution needs it); a wrapper put on this name sees every fit."""
+    import scipy.optimize
+    return scipy.optimize.minimize(*args, **kwargs)
 
 
 def deconvolve_hamming(
@@ -432,6 +439,7 @@ def deconvolve_hamming(
     holds its objective, iteration count and ``at_bound``, true when beta
     ended on its bound.
     """
+    from scipy.special import expit, log_expit
     noisy_distribution = np.asarray(noisy_distribution, dtype=float)
     n_bits = len(noisy_distribution) - 1
     if n_bits < 1:

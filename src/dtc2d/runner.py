@@ -44,9 +44,8 @@ from .circuit import (
     polarized_state,
     sample_disorder,
 )
-from .exact import StateVector
+from .exact import StateVector, check_capacity
 from .lattice import build_lattice, unroll
-from .mps import MPSState
 from .noise import NoiseSpec, corrupt_bits, corrupt_correlators, corrupt_expectations
 from .observables import (
     PhasePoint,
@@ -139,14 +138,18 @@ class RunConfig:
     checkpoint: bool = False
 
     def __post_init__(self) -> None:
-        if self.cycles < 1:
-            raise ValueError("cycles must be >= 1")
-        if self.shots < 0:
-            raise ValueError("shots must be >= 0")
+        least = {"rows": 1, "cols": 1, "cycles": 1, "shots": 0, "workers": 1, "seed": 0}
+        for name, low in least.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}")
         if self.backend not in ("exact", "mps"):
             raise ValueError(f"unknown backend {self.backend!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if self.backend == "exact":
+            for rows, cols in {(self.rows, self.cols), self.learn_lattice}:
+                check_capacity(build_lattice(rows, cols).n_qubits)
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "phis", tuple(float(p) for p in self.phis))
         for eps in self.epsilons:
@@ -329,6 +332,7 @@ def _simulate_system(
     if config.backend == "exact":
         state = StateVector.from_product(s0)
     else:
+        from .mps import MPSState
         state = MPSState(
             s0, order, chi_max=config.mps.chi_max, cutoff=config.mps.cutoff
         )
@@ -538,6 +542,8 @@ def run_phase_diagram(config: RunConfig) -> list[PhasePoint]:
         config, full_correlations=False, shots=0, noise=None, recovery=None
     )
     if config.workers > 1:
+        if config.backend == "mps":
+            import scipy.linalg  # once here: every forked worker inherits it
         with ProcessPoolExecutor(
             max_workers=config.workers, initializer=limit_blas_threads
         ) as pool:

@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dtc2d
 from dtc2d import (
     FloquetParams,
     build_cycle,
@@ -9,7 +16,7 @@ from dtc2d import (
     sample_disorder,
     unroll,
 )
-from dtc2d.blas import limit_blas_threads
+from dtc2d.blas import THREAD_VARIABLES, limit_blas_threads
 from dtc2d.exact import StateVector
 
 # the suite runs with the program's own thread policy, as the CLI does
@@ -55,5 +62,28 @@ def evolve():
         for _ in range(n_cycles):
             sv.apply_cycle(cycle)
         return sv
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """``run(code)`` runs ``code`` in a new interpreter that imports dtc2d
+    from this tree, with no BLAS thread variable set, and returns the JSON
+    value of its last output line."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    paths = [str(Path(dtc2d.__file__).resolve().parents[1]), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+
+    def run(code):
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
 
     return run

@@ -95,3 +95,21 @@ def test_phase_diagram_workers_run_one_thread(two_threads, monkeypatch):
     assert len({pid for pid, _ in reports}) == 2
     for _, counts in reports:
         assert counts == {"numpy": 1, "scipy": 1}
+
+
+def test_threads_set_before_scipy_linalg_loads_stay_set(fresh_python):
+    # cli.main limits the threads before any path imports scipy.linalg; the
+    # library it loads then is the one already set
+    counts = fresh_python(
+        """
+import json, sys
+from dtc2d.blas import blas_threads, limit_blas_threads
+limit_blas_threads()
+assert "scipy.linalg" not in sys.modules
+import scipy.linalg
+print(json.dumps(blas_threads()))
+"""
+    )
+    if set(counts) != PACKAGES:
+        pytest.skip("numpy or scipy has no bundled OpenBLAS")
+    assert counts == {"numpy": 1, "scipy": 1}

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import expit, gammaln, logsumexp
 from scipy.stats import binom
 
+from dtc2d import recovery
 from dtc2d.noise import corrupt_bits, uniform_noise
 from dtc2d.observables import distribution_mean_var
 from dtc2d.recovery import (
@@ -589,3 +590,22 @@ class TestDeconvolveHamming:
     def test_invalid_penalties(self):
         with pytest.raises(ValueError):
             deconvolve_hamming(np.ones(5) / 5, 0.1, 1.0, 1.0, lambda_mean=0.0)
+
+    def test_each_seed_calls_the_module_minimize(self, monkeypatch):
+        # the fit calls the module-level name, so a wrapper put there (as
+        # perfbench's optimizer counter is) sees every start
+        evaluations = []
+        minimize = recovery.minimize
+
+        def counted(*args, **kwargs):
+            result = minimize(*args, **kwargs)
+            evaluations.append(result.nfev)
+            return result
+
+        monkeypatch.setattr(recovery, "minimize", counted)
+        n, p = 12, 0.05
+        truth = TrialDistribution(d0=5.0, sigma=1.5, k=0.0, q=-20.0)
+        mu, var = distribution_mean_var(truth.pmf(n))
+        deconvolve_hamming(flip_kernel(n, p) @ truth.pmf(n), p, mu, var)
+        assert len(evaluations) == 3
+        assert all(nfev > 0 for nfev in evaluations)

@@ -47,6 +47,20 @@ def small_config(**overrides):
     return RunConfig(**base)
 
 
+# configs that were accepted before, only to fail once a grid point ran
+INVALID_CONFIGS = {
+    "exact-35-qubits": {"rows": 2, "cols": 2},
+    "exact-learns-on-35-qubits": {"recovery": {"learn_rows": 2, "learn_cols": 2}},
+    "no-rows": {"rows": 0},
+    "no-cols": {"cols": 0},
+    "fractional-cycles": {"cycles": 1.5},
+    "bool-shots": {"shots": True},
+    "float-workers": {"workers": 2.0},
+    "string-seed": {"seed": "7"},
+    "negative-seed": {"seed": -1},
+}
+
+
 class TestConfig:
     def test_json_roundtrip(self):
         config = small_config(
@@ -141,9 +155,28 @@ class TestConfig:
         assert restored == config
 
     def test_exact_backend_qubit_cap(self):
-        config = small_config(rows=2, cols=2)  # 35 qubits
+        # rejected when the config is built, before any evolution
         with pytest.raises(CapacityError):
-            run_point(config, 0.05, DTC_PHI)
+            small_config(rows=2, cols=2)  # 35 qubits
+        with pytest.raises(CapacityError):
+            small_config(recovery=RecoverySettings(learn_rows=2, learn_cols=2))
+        assert small_config(rows=2, cols=2, backend="mps").rows == 2
+
+    @pytest.mark.parametrize(
+        "override", INVALID_CONFIGS.values(), ids=list(INVALID_CONFIGS)
+    )
+    def test_invalid_config_fails_before_any_file(self, tmp_path, override):
+        payload = json.loads(small_config().to_json())
+        payload.update(override)
+        with pytest.raises(ValueError):
+            RunConfig.from_json(json.dumps(payload))
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        for command in ("simulate", "phase-diagram"):
+            with pytest.raises(ValueError):
+                cli_main([command, "--config", str(path), "--out", str(out)])
+        assert not out.exists()
 
 
 class TestRunPoint:
@@ -251,6 +284,79 @@ class TestPhaseDiagram:
         config = small_config(epsilons=())
         with pytest.raises(ValueError):
             run_phase_diagram(config)
+
+
+SCIPY_SUBMODULES = ("scipy.linalg", "scipy.special", "scipy.optimize")
+
+
+def loaded_scipy(fresh_python, code: str) -> list[str]:
+    """The scipy submodules a new interpreter holds after running ``code``."""
+    return fresh_python(
+        f"{code}\nimport json, sys\n"
+        f"print(json.dumps([m for m in {SCIPY_SUBMODULES!r} if m in sys.modules]))"
+    )
+
+
+def cli_code(command: str, config: RunConfig, tmp_path) -> str:
+    path = tmp_path / "run.json"
+    path.write_text(config.to_json())
+    args = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    return f"from dtc2d.cli import main\nmain({args!r})"
+
+
+class TestImports:
+    """Each CLI path loads only the scipy submodules it runs."""
+
+    def test_importing_the_program_loads_none(self, fresh_python):
+        code = "import dtc2d.cli, dtc2d.mps, dtc2d.recovery"
+        assert loaded_scipy(fresh_python, code) == []
+
+    def test_exact_noiseless_phase_diagram_loads_none(self, fresh_python, tmp_path):
+        config = small_config(cycles=1, phis=(0.3, DTC_PHI))
+        code = cli_code("phase-diagram", config, tmp_path)
+        assert loaded_scipy(fresh_python, code) == []
+        assert len(json.loads((tmp_path / "out" / "phase_grid.json").read_text())) == 2
+
+    def test_run_without_deconvolution_loads_no_optimizer(
+        self, fresh_python, tmp_path
+    ):
+        config = small_config(
+            cycles=2,
+            shots=100,
+            noise=NoiseSpec(decay=0.97, bias_even=0.03, flip_slope=0.01),
+            recovery=RecoverySettings(),
+        )
+        loaded = loaded_scipy(fresh_python, cli_code("simulate", config, tmp_path))
+        # the flip schedule needs scipy.special; only deconvolution minimizes
+        assert "scipy.special" in loaded
+        assert "scipy.optimize" not in loaded
+        assert list(tmp_path.glob("out/recovery_*.json"))
+
+    def test_mps_pool_inherits_scipy_linalg_from_the_parent(self, fresh_python):
+        # the parent imports scipy.linalg before it forks the workers, so
+        # they do not each import it
+        at_pool = fresh_python(
+            """
+import json, sys
+from concurrent.futures import ProcessPoolExecutor
+from dtc2d import runner
+from dtc2d.runner import RunConfig, run_phase_diagram
+
+at_pool = []
+
+class RecordingPool(ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        at_pool.append("scipy.linalg" in sys.modules)
+        super().__init__(*args, **kwargs)
+
+runner.ProcessPoolExecutor = RecordingPool
+config = RunConfig(cycles=1, epsilons=(0.0,), phis=(0.2, 1.2), backend="mps", workers=2)
+assert "scipy.linalg" not in sys.modules
+assert len(run_phase_diagram(config)) == 2
+print(json.dumps(at_pool))
+"""
+        )
+        assert at_pool == [True]
 
 
 class TestOutputs:
