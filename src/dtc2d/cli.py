@@ -91,8 +91,8 @@ def _simulate_config(config: RunConfig) -> None:
         for phi in config.phis:
             result = run_point(config, eps, phi)
             files = write_point_outputs(result, out)
-            if result.noisy is not None:
-                files.append(write_raw_bundle(result, result.reference, out))
+            if result.raw is not None:
+                files.append(write_raw_bundle(result, out))
             for path in files:
                 print(path)
 
@@ -128,8 +128,7 @@ def _bundle_point(config: RunConfig, raw_path: str) -> tuple[float, float]:
 def cmd_recover(args: argparse.Namespace) -> int:
     config = _load_config(args)
     eps, phi = _bundle_point(config, args.raw)
-    n_qubits = build_lattice(config.rows, config.cols).n_qubits
-    report = recover_from_raw(config, args.raw, phi, n_qubits)
+    report = recover_from_raw(config, args.raw, phi)
     print(write_recovery_report(report, point_tag(eps, phi), config.output_dir))
     return 0
 

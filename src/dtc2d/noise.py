@@ -93,6 +93,7 @@ def mismatched_noise(
     decay_range: tuple[float, float] = (0.95, 0.99),
     bias_scale: float = 0.05,
     flip_slope: float = 0.0,
+    flip_cap: float = 0.5,
     readout_flip: float = 0.0,
 ) -> NoiseModel:
     """Qubit-dependent schedules that violate the uniformity assumption."""
@@ -102,6 +103,7 @@ def mismatched_noise(
         bias_even=rng.uniform(-bias_scale, bias_scale, size=n_qubits),
         bias_odd=rng.uniform(-bias_scale, bias_scale, size=n_qubits),
         flip_slope=flip_slope,
+        flip_cap=flip_cap,
         readout_flip=readout_flip,
     )
 
@@ -205,6 +207,7 @@ class NoiseSpec:
                 decay_range=(low, high),
                 bias_scale=self.bias_scale,
                 flip_slope=self.flip_slope,
+                flip_cap=self.flip_cap,
                 readout_flip=self.readout_flip,
             )
         raise ValueError(f"unknown noise kind {self.kind!r}")

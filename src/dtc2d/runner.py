@@ -7,20 +7,20 @@ bitstrings once, and one record (`_record`) appends every diagnostic of a
 channel: the noiseless channel records them as read, the noisy one after
 the per-qubit noise channel has corrupted them. Recovery adds a third,
 recovered channel. With noise, the point's reference run at the nearest
-Clifford point is simulated too. Recovery is one pipeline, shared by
-`simulate` and by `recover` on an exported raw bundle: parity offsets
-learned against a classically simulated system (optionally a smaller
-lattice), Clifford-point renormalization, correlator coefficients learned
-the same way, and, when Hamming data exists, per-cycle flip probabilities
-learned from the Clifford-point distributions and the optional
-deconvolution.
+Clifford point is simulated too, and the series recovery reads make up the
+point's raw bundle (`RAW_COLUMNS` maps each column to its run, channel and
+`TimeSeries` field). Recovery is one pipeline on that bundle, run by
+`simulate` and by `recover` on the written file, so `recover` repeats every
+run's report exactly: parity offsets learned against a classically
+simulated system (optionally a smaller lattice, whose columns the bundle
+then holds), Clifford-point renormalization, correlator coefficients
+learned the same way, and, when the bundle holds Hamming histograms,
+per-cycle flip probabilities and the optional deconvolution.
 
 All randomness is derived from the config seed plus the point coordinates
 and cycle index, so re-running any config reproduces its outputs byte for
-byte, serial or parallel. The MPS checkpoints and the raw bundle are laid
-out from `TimeSeries` fields: a checkpoint stores one array per channel and
-field, and `RAW_COLUMNS` maps each bundle column to its run, channel and
-field for both the writer and the reader.
+byte, serial or parallel. An MPS checkpoint stores one array per channel
+and `TimeSeries` field.
 """
 from __future__ import annotations
 
@@ -84,14 +84,21 @@ RECOVERED_COLUMNS = [
 ]
 
 
+def _check_integer(name: str, value, least: int) -> None:
+    """Raise unless ``value`` is an integer, not a bool, and at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 @dataclass(frozen=True)
 class MPSOptions:
     chi_max: int = 64
     cutoff: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.chi_max < 1:
-            raise ValueError("mps.chi_max must be >= 1")
+        _check_integer("mps.chi_max", self.chi_max, 1)
         if not self.cutoff >= 0:
             raise ValueError("mps.cutoff must be >= 0")
 
@@ -112,10 +119,8 @@ class RecoverySettings:
                 raise ValueError(f"recovery.{name} must be positive")
         for name in ("learn_rows", "learn_cols"):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(
-                    f"recovery.{name} must be >= 1 (null: the run's own lattice)"
-                )
+            if value is not None:  # null: the run's own lattice
+                _check_integer(f"recovery.{name}", value, 1)
 
 
 @dataclass(frozen=True)
@@ -140,13 +145,12 @@ class RunConfig:
     def __post_init__(self) -> None:
         least = {"rows": 1, "cols": 1, "cycles": 1, "shots": 0, "workers": 1, "seed": 0}
         for name, low in least.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}")
+            _check_integer(name, getattr(self, name), low)
         if self.backend not in ("exact", "mps"):
             raise ValueError(f"unknown backend {self.backend!r}")
+        n_qubits = build_lattice(self.rows, self.cols).n_qubits
+        if self.noise is not None:
+            self.noise.build(n_qubits)  # raises what the noise model rejects
         if self.backend == "exact":
             for rows, cols in {(self.rows, self.cols), self.learn_lattice}:
                 check_capacity(build_lattice(rows, cols).n_qubits)
@@ -159,7 +163,6 @@ class RunConfig:
             clifford_reference(phi)  # raises outside [0, pi/2]
         if self.initial_state not in ("neel", "polarized"):
             bits = self.initial_state
-            n_qubits = build_lattice(self.rows, self.cols).n_qubits
             if set(bits) - {"0", "1"} or len(bits) != n_qubits:
                 raise ValueError(
                     f"initial_state must be 'neel', 'polarized' or a 0/1 string "
@@ -283,7 +286,7 @@ class PointResult:
     clean: TimeSeries
     noisy: TimeSeries | None = None
     recovery: RecoveryReport | None = None
-    reference: PointResult | None = None  # Clifford-point run of a noisy point
+    raw: dict[str, np.ndarray] | None = None  # raw bundle of a noisy point
 
     def phase_point(self) -> PhasePoint:
         return phase_order_params(
@@ -414,9 +417,10 @@ def _record(
 def run_point(config: RunConfig, eps: float, phi: float) -> PointResult:
     """Simulate one parameter point, with noise and recovery if configured.
 
-    With noise, the point's Clifford reference is simulated too and kept in
-    ``PointResult.reference``; the raw bundle needs it with or without
-    recovery.
+    With noise, the point's Clifford reference is simulated too, and so is
+    the learn pair when recovery learns on another lattice. Their series
+    make up the raw bundle, ``PointResult.raw``, which in-run recovery
+    reads and `write_raw_bundle` writes, with or without recovery.
     """
     checkpoint_dir = None
     if config.checkpoint and config.output_dir:
@@ -429,74 +433,71 @@ def run_point(config: RunConfig, eps: float, phi: float) -> PointResult:
         return result
 
     phi0 = clifford_reference(phi)
-    result.reference = _simulate_system(config, config.rows, config.cols, 0.0, phi0)
-    settings = config.recovery
-    if settings is None:
-        return result
-
+    reference = _simulate_system(config, config.rows, config.cols, 0.0, phi0)
+    runs = {"target": result, "reference": reference}
     learn = config.learn_lattice
-    if learn == (config.rows, config.cols):
-        learn_target, learn_reference = result, result.reference
-    else:
-        learn_target = _simulate_system(config, *learn, eps, phi)
-        learn_reference = _simulate_system(config, *learn, 0.0, phi0)
-    result.recovery = _recover(
-        result, result.reference, learn_target, learn_reference, phi0, settings
-    )
+    if learn != (config.rows, config.cols):
+        runs["learn_target"] = _simulate_system(config, *learn, eps, phi)
+        runs["learn_reference"] = _simulate_system(config, *learn, 0.0, phi0)
+    result.raw = _raw_bundle(runs)
+    if config.recovery is not None:
+        result.recovery = _recover(result.raw, config, phi)
     return result
 
 
 def _recover(
-    result: PointResult,
-    reference: PointResult,
-    learn_target: PointResult,
-    learn_reference: PointResult,
-    phi0: float,
-    settings: RecoverySettings,
+    bundle: dict[str, np.ndarray], config: RunConfig, phi: float
 ) -> RecoveryReport:
-    """The recovery pipeline of both `simulate` and `recover`.
+    """The recovery pipeline of both `simulate` and `recover`, on a raw bundle.
 
     Parity offsets and correlator coefficients are learned on the learn
-    pair (target and Clifford reference, possibly on a smaller lattice)
-    against its clean series, then applied to the result/reference pair.
-    When the reference carries noisy Hamming data, the per-cycle flip
-    schedule is learned from it, and with ``settings.deconvolve`` and a
-    recorded QFI the target's Hamming distributions are deconvolved.
+    pair (target and Clifford reference) against its clean series, then
+    applied to the target/reference pair. The learn pair is the bundle's
+    ``learn_`` columns when it has them, otherwise the target and reference
+    columns themselves. When the bundle carries the reference's noisy
+    Hamming histograms, the per-cycle flip schedule is learned from them,
+    and with ``deconvolve`` and a recorded QFI the target's histograms are
+    deconvolved.
     """
-    cycles = len(result.noisy.delta) - 1
+    settings = config.recovery or RecoverySettings()
+    n = build_lattice(config.rows, config.cols).n_qubits
+    n_learn = build_lattice(*config.learn_lattice).n_qubits
+    learn = "learn_" if "learn_delta_noisy" in bundle else ""
+    phi0 = clifford_reference(phi)
+    cycles = len(bundle["delta_noisy"]) - 1
     exact_reference = clifford_delta(phi0, cycles)
     offsets, offset_info = learn_offsets(
-        np.array(learn_target.noisy.delta),
-        np.array(learn_reference.noisy.delta),
+        bundle[learn + "delta_noisy"],
+        bundle[learn + "delta_noisy_ref"],
         exact_reference,
-        np.array(learn_target.clean.delta),
+        bundle[learn + "delta_sim"],
         ridge=settings.ridge,
         guard=settings.guard,
     )
     delta_recovered, delta_flags = renormalize_delta(
-        np.array(result.noisy.delta),
-        np.array(reference.noisy.delta),
+        bundle["delta_noisy"],
+        bundle["delta_noisy_ref"],
         exact_reference,
         offsets,
         guard=settings.guard,
     )
     coefficients, chi_info = learn_chi_coefficients(
-        np.array(learn_target.noisy.chi_nn),
-        np.array(learn_target.noisy.corr_avg),
-        np.array(learn_reference.noisy.chi_nn),
-        np.array(learn_reference.noisy.corr_avg),
-        np.array(learn_target.clean.chi_nn),
-        learn_target.n_qubits,
+        bundle[learn + "chi_noisy"],
+        bundle[learn + "corr_noisy"],
+        bundle[learn + "chi_noisy_ref"],
+        bundle[learn + "corr_noisy_ref"],
+        bundle[learn + "chi_sim"],
+        n_learn,
         ridge=settings.ridge,
         guard=settings.guard,
     )
     chi_recovered, chi_flags = recover_chi(
-        np.array(result.noisy.chi_nn),
-        np.array(result.noisy.corr_avg),
-        np.array(reference.noisy.chi_nn),
-        np.array(reference.noisy.corr_avg),
+        bundle["chi_noisy"],
+        bundle["corr_noisy"],
+        bundle["chi_noisy_ref"],
+        bundle["corr_noisy_ref"],
         coefficients,
-        result.n_qubits,
+        n,
         guard=settings.guard,
     )
     report = RecoveryReport(
@@ -509,21 +510,22 @@ def _recover(
         chi_recovered=chi_recovered,
         chi_flags=chi_flags,
     )
-    if not reference.noisy.hamming:
+    if "hamming_noisy_ref_0" not in bundle:
         return report
 
-    n = result.n_qubits
-    d_cliff = hamming_mean_from_delta(n, exact_reference).astype(int)
-    report.flip_schedule = learn_flip_schedule(
-        np.array(reference.noisy.hamming), d_cliff
+    hamming, hamming_ref = (
+        np.column_stack([bundle[f"{name}_{d}"] for d in range(n + 1)])
+        for name in ("hamming_noisy", "hamming_noisy_ref")
     )
-    if settings.deconvolve and result.clean.qfi:
+    d_cliff = hamming_mean_from_delta(n, exact_reference).astype(int)
+    report.flip_schedule = learn_flip_schedule(hamming_ref, d_cliff)
+    if settings.deconvolve and "qfi_sim" in bundle:
         report.deconvolved = [
             deconvolve_hamming(
-                np.array(result.noisy.hamming[t]),
+                hamming[t],
                 float(report.flip_schedule[t]),
                 hamming_mean_from_delta(n, delta_recovered[t]),
-                result.clean.qfi[t],
+                bundle["qfi_sim"][t],
                 lambda_mean=settings.lambda_mean,
                 lambda_var=settings.lambda_var,
             )
@@ -675,10 +677,10 @@ def write_resolved_config(config: RunConfig, out_dir: str) -> str:
     return path
 
 
-# --- raw-bundle export and offline recovery (the `recover` CLI path) ---
+# --- the raw bundle: the one input of recovery, written for `recover` ---
 
-# every column after "t": (run, channel, TimeSeries field) it holds
-RAW_COLUMNS = {
+# the columns of a target/reference pair: (run, channel, TimeSeries field)
+_PAIR_COLUMNS = {
     "delta_noisy": ("target", "noisy", "delta"),
     "delta_noisy_ref": ("reference", "noisy", "delta"),
     "delta_sim": ("target", "clean", "delta"),
@@ -689,69 +691,65 @@ RAW_COLUMNS = {
     "chi_sim": ("target", "clean", "chi_nn"),
 }
 
+# every bundle column after "t", in file order. A Hamming field gives one
+# column per distance d, named <column>_<d>; the learn pair's columns
+# exist only when recovery learns on another lattice.
+RAW_COLUMNS = {
+    **_PAIR_COLUMNS,
+    "qfi_sim": ("target", "clean", "qfi"),
+    "hamming_noisy": ("target", "noisy", "hamming"),
+    "hamming_noisy_ref": ("reference", "noisy", "hamming"),
+    **{
+        f"learn_{name}": (f"learn_{run}", channel, series)
+        for name, (run, channel, series) in _PAIR_COLUMNS.items()
+    },
+}
 
-def _raw_series(target: PointResult, reference: PointResult) -> list[list[float]]:
-    """The series of each `RAW_COLUMNS` column, in column order."""
-    runs = {"target": target, "reference": reference}
-    return [
-        getattr(getattr(runs[run], channel), name)
-        for run, channel, name in RAW_COLUMNS.values()
-    ]
+
+def _raw_bundle(runs: dict[str, PointResult]) -> dict[str, np.ndarray]:
+    """Each `RAW_COLUMNS` column whose run and series exist, by name."""
+    bundle = {}
+    for name, (run, channel, series) in RAW_COLUMNS.items():
+        values = getattr(getattr(runs[run], channel), series) if run in runs else []
+        array = np.array(values)
+        if array.ndim == 2:
+            bundle.update({f"{name}_{d}": array[:, d] for d in range(array.shape[1])})
+        elif len(array):
+            bundle[name] = array
+    return bundle
 
 
-def write_raw_bundle(
-    result: PointResult, reference: PointResult, out_dir: str
-) -> str:
-    """Raw series bundle consumed by `recover`: target + Clifford reference."""
+def write_raw_bundle(result: PointResult, out_dir: str) -> str:
+    """Write the point's raw bundle (``result.raw``), which `recover` reads."""
     tag = point_tag(result.epsilon, result.phi)
     path = os.path.join(out_dir, f"raw_{tag}.csv")
-    columns = _raw_series(result, reference)
-    lines = [",".join(["t", *RAW_COLUMNS])]
+    columns = result.raw.values()
+    lines = [",".join(["t", *result.raw])]
     for t in range(len(result.clean.delta)):
         lines.append(",".join([str(t)] + [_format(column[t]) for column in columns]))
     _write_atomic(path, "\n".join(lines) + "\n")
     return path
 
 
-def recover_from_raw(
-    config: RunConfig, raw_path: str, phi: float, n_qubits: int
-) -> RecoveryReport:
-    """Re-run Delta and chi recovery on a previously exported raw bundle.
+def recover_from_raw(config: RunConfig, raw_path: str, phi: float) -> RecoveryReport:
+    """Re-run the recovery of a run on the raw bundle it wrote.
 
-    The bundle's target and reference columns are both the learn pair and
-    the pair to recover, as in a run that learns on its own lattice. The
-    bundle carries no other lattice, so a config that learns elsewhere is
+    The bundle holds the learn pair's columns exactly when the config
+    learns on another lattice; a bundle and config that disagree on it are
     rejected.
     """
-    if config.learn_lattice != (config.rows, config.cols):
-        raise ValueError(
-            "recovery.learn_rows/learn_cols select the %dx%d lattice, but a raw "
-            "bundle carries only the run's own %dx%d lattice"
-            % (*config.learn_lattice, config.rows, config.cols)
-        )
-    phi0 = clifford_reference(phi)
-    # the bundle does not carry eps, and recovery does not read it
-    target = PointResult(
-        epsilon=float("nan"),
-        phi=phi,
-        n_qubits=n_qubits,
-        s0=np.empty(0),
-        clean=TimeSeries(),
-        noisy=TimeSeries(),
-    )
-    reference = PointResult(
-        epsilon=0.0,
-        phi=phi0,
-        n_qubits=n_qubits,
-        s0=np.empty(0),
-        clean=TimeSeries(),
-        noisy=TimeSeries(),
-    )
     table = np.genfromtxt(raw_path, delimiter=",", names=True)
-    for column, series in zip(RAW_COLUMNS, _raw_series(target, reference)):
-        series.extend(table[column])
-    settings = config.recovery or RecoverySettings()
-    return _recover(target, reference, target, reference, phi0, settings)
+    # contiguous copies, like the in-run columns: BLAS dot products of a
+    # strided column sum in another order and move the last bits
+    bundle = {name: table[name].copy() for name in table.dtype.names[1:]}
+    elsewhere = config.learn_lattice != (config.rows, config.cols)
+    if elsewhere != ("learn_delta_noisy" in bundle):
+        raise ValueError(
+            "recovery.learn_rows/learn_cols select the %dx%d lattice, but the raw "
+            "bundle %s learn-lattice columns"
+            % (*config.learn_lattice, "has no" if elsewhere else "has")
+        )
+    return _recover(bundle, config, phi)
 
 
 # --- MPS checkpointing ---

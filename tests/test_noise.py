@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dtc2d.noise import (
+    NoiseSpec,
     corrupt_bits,
     corrupt_correlators,
     corrupt_expectations,
@@ -39,6 +40,11 @@ class TestNoiseModel:
         assert model.flip_probability(0) == 0.0
         assert model.flip_probability(5) == pytest.approx(0.1)
         assert model.flip_probability(100) == 0.3
+
+    @pytest.mark.parametrize("kind", ["uniform", "mismatched"])
+    def test_spec_keeps_the_flip_cap(self, kind):
+        model = NoiseSpec(kind=kind, flip_slope=0.5, flip_cap=0.1).build(12)
+        assert model.flip_probability(3) == 0.1
 
 
 class TestCorruptExpectations:

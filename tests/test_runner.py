@@ -25,6 +25,7 @@ from dtc2d.runner import (
     write_raw_bundle,
     write_recovery_report,
     write_resolved_config,
+    _raw_bundle,
     _simulate_system,
 )
 
@@ -58,6 +59,13 @@ INVALID_CONFIGS = {
     "float-workers": {"workers": 2.0},
     "string-seed": {"seed": "7"},
     "negative-seed": {"seed": -1},
+    "fractional-learn-rows": {"recovery": {"learn_rows": 1.5}},
+    "bool-learn-cols": {"recovery": {"learn_cols": True}},
+    "fractional-chi-max": {"mps": {"chi_max": 2.5}},
+    "bool-chi-max": {"mps": {"chi_max": True}},
+    "unknown-noise-kind": {"noise": {"kind": "bogus"}},
+    "noise-decay-above-1": {"noise": {"decay": 1.5}},
+    "noise-flip-cap-above-half": {"noise": {"flip_cap": 0.9}},
 }
 
 
@@ -406,9 +414,8 @@ class TestOutputs:
             recovery=RecoverySettings(ridge=1e-4),
         )
         result = run_point(config, 0.05, DTC_PHI)
-        reference = _simulate_system(config, 1, 1, 0.0, np.pi / 2)
-        raw = write_raw_bundle(result, reference, str(tmp_path))
-        report = recover_from_raw(config, raw, DTC_PHI, result.n_qubits)
+        raw = write_raw_bundle(result, str(tmp_path))
+        report = recover_from_raw(config, raw, DTC_PHI)
         np.testing.assert_allclose(
             report.delta_recovered, result.recovery.delta_recovered, atol=1e-9
         )
@@ -421,8 +428,9 @@ class TestOutputs:
         )
         result = run_point(config, 0.05, DTC_PHI)
         separate = _simulate_system(config, 1, 1, 0.0, np.pi / 2)
-        reused = write_raw_bundle(result, result.reference, str(tmp_path / "a"))
-        fresh = write_raw_bundle(result, separate, str(tmp_path / "b"))
+        reused = write_raw_bundle(result, str(tmp_path / "a"))
+        bundle = _raw_bundle({"target": result, "reference": separate})
+        fresh = write_raw_bundle(replace(result, raw=bundle), str(tmp_path / "b"))
         assert open(reused, "rb").read() == open(fresh, "rb").read()
 
 
@@ -531,11 +539,13 @@ class TestCLI:
         assert {"eps", "phi", "delta_mbl", "delta_dtc"} <= set(grid[0])
 
     def test_recover_cli(self, tmp_path, capsys):
+        noise = NoiseSpec(decay=0.97, bias_even=0.02, bias_odd=-0.02, flip_slope=0.01)
         path = self.write_config(
             tmp_path,
             cycles=10,
-            noise=NoiseSpec(decay=0.97, bias_even=0.02, bias_odd=-0.02),
-            recovery=RecoverySettings(ridge=1e-4),
+            shots=200,
+            noise=noise,
+            recovery=RecoverySettings(ridge=1e-4, deconvolve=True),
         )
         out = str(tmp_path / "sim")
         assert cli_main(["simulate", "--config", path, "--out", out]) == 0
@@ -552,20 +562,12 @@ class TestCLI:
         (name,) = os.listdir(tmp_path / "rec")
         assert name.startswith("recovery_")
         # one pipeline: the offline report repeats the in-run one exactly
-        offline = json.loads((tmp_path / "rec" / name).read_text())
-        in_run = json.loads((tmp_path / "sim" / name).read_text())
-        assert set(offline) == {
-            "offsets", "offsets_objective", "chi_coefficients", "chi_objective",
-            "delta_recovered", "delta_flags", "chi_recovered", "chi_flags",
-        }
-        assert offline == {key: in_run[key] for key in offline}
+        offline = (tmp_path / "rec" / name).read_bytes()
+        assert offline == (tmp_path / "sim" / name).read_bytes()
+        assert {"flip_schedule", "deconvolved"} <= set(json.loads(offline))
 
         # noise without recovery still writes the same raw bundle
-        path = self.write_config(
-            tmp_path,
-            cycles=10,
-            noise=NoiseSpec(decay=0.97, bias_even=0.02, bias_odd=-0.02),
-        )
+        path = self.write_config(tmp_path, cycles=10, shots=200, noise=noise)
         bare = tmp_path / "bare"
         assert cli_main(["simulate", "--config", path, "--out", str(bare)]) == 0
         assert not any(f.startswith("recovery_") for f in os.listdir(bare))
@@ -583,7 +585,7 @@ class TestCLI:
         )
         config = RunConfig.load(path)
         result = run_point(config, 0.05, DTC_PHI)
-        raw = write_raw_bundle(result, result.reference, str(tmp_path / "sim"))
+        raw = write_raw_bundle(result, str(tmp_path / "sim"))
         out = tmp_path / "rec"
         code = cli_main(["recover", "--config", path, "--raw", raw, "--out", str(out)])
         assert code == 0
@@ -601,18 +603,42 @@ class TestCLI:
         with pytest.raises(SystemExit, match="eps0.3_phi0.7"):
             cli_main(["recover", "--config", path, "--raw", str(raw)])
 
-    def test_recover_rejects_another_learn_lattice(self, tmp_path, capsys):
-        # the bundle holds only the run's own lattice; no evolution runs
+    def test_recover_repeats_a_run_that_learns_elsewhere(self, tmp_path, capsys):
         path = self.write_config(
             tmp_path,
             cols=2,
-            noise=NoiseSpec(decay=0.97),
-            recovery=RecoverySettings(learn_rows=1, learn_cols=1),
+            cycles=3,
+            backend="mps",
+            mps=MPSOptions(chi_max=16),
+            shots=200,
+            noise=NoiseSpec(decay=0.97, bias_even=0.02, bias_odd=-0.02, flip_slope=0.01),
+            recovery=RecoverySettings(learn_rows=1, learn_cols=1, deconvolve=True),
         )
+        out = tmp_path / "sim"
+        assert cli_main(["simulate", "--config", path, "--out", str(out)]) == 0
+        (raw,) = out.glob("raw_*.csv")
+        header = raw.read_text().splitlines()[0].split(",")
+        assert header[-8:] == ["learn_" + name for name in header[1:9]]
+        rec = tmp_path / "rec"
+        args = ["recover", "--config", path, "--raw", str(raw), "--out", str(rec)]
+        assert cli_main(args) == 0
+        (report,) = rec.iterdir()
+        assert report.read_bytes() == (out / report.name).read_bytes()
+
+    def test_recover_rejects_another_learn_lattice(self, tmp_path, capsys):
+        # the bundle holds the learn pair's columns exactly when the config
+        # learns on another lattice; a mismatch fails before any fit
         raw = tmp_path / "raw_eps0.05_phi1.41372.csv"
-        raw.write_text("t\n0\n")
-        with pytest.raises(ValueError, match="learn_rows/learn_cols"):
-            cli_main(["recover", "--config", path, "--raw", str(raw)])
+        for learn, header in ((1, "t,delta_noisy"), (None, "t,learn_delta_noisy")):
+            path = self.write_config(
+                tmp_path,
+                cols=2,
+                noise=NoiseSpec(decay=0.97),
+                recovery=RecoverySettings(learn_rows=learn, learn_cols=learn),
+            )
+            raw.write_text(f"{header}\n0,1\n1,1\n")
+            with pytest.raises(ValueError, match="learn_rows/learn_cols"):
+                cli_main(["recover", "--config", path, "--raw", str(raw)])
 
     def test_export_lattice(self, capsys):
         assert cli_main(["export-lattice", "--rows", "2", "--cols", "2"]) == 0
