@@ -36,6 +36,8 @@ class NoiseModel:
             raise ValueError("decay factors must lie in [0, 1]")
         if np.any(np.abs(even) > 1) or np.any(np.abs(odd) > 1):
             raise ValueError("biases must lie in [-1, 1]")
+        if not self.flip_slope >= 0:
+            raise ValueError("flip_slope must be >= 0")
         if not 0 <= self.flip_cap <= 0.5:
             raise ValueError("flip_cap must lie in [0, 1/2]")
         if not 0 <= self.readout_flip <= 0.5:

@@ -10,7 +10,9 @@ regularized least squares against a classically simulated small system.
 The same machinery recovers squared-correlator order parameters via two
 learned coefficients per run. Each estimate is one guarded ratio with two
 parameters above and two below the line, fitted by a ridge solve and
-Gauss-Newton steps. Hamming-distance distributions are recovered via the
+Gauss-Newton steps. The per-cycle flip probability is the binomial
+maximum-likelihood estimate from the Clifford reference's Hamming
+distribution. Hamming-distance distributions are recovered via the
 binomial flip kernel. Each kernel column is a reversed binomial pmf
 convolved with another; the kernel is diagonal in the Krawtchouk basis,
 with eigenvalues (1 - 2p)^j (MacWilliams & Sloane, 1977). Deconvolution
@@ -24,7 +26,6 @@ the fit has a finite minimum.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -331,59 +332,25 @@ def flip_kernel(n_bits: int, p: float) -> np.ndarray:
     )
 
 
-def _golden_section(f, lo: float, hi: float, tol: float = 1e-10) -> float:
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def learn_flip_probability(
-    noisy_distribution: np.ndarray, d_cliff: int
-) -> float:
-    """Fit the flip probability from one noisy Clifford-point distribution.
-
-    The noiseless Clifford distribution is a point mass at d_cliff, so the
-    model prediction is a single kernel column. The loss is not unimodal on
-    [0, 1/2] (it has a shallow tail toward 1/2), so the global minimum is
-    bracketed by a coarse grid scan, scored from one table of columns,
-    before golden-section refinement.
-    """
-    noisy_distribution = np.asarray(noisy_distribution, dtype=float)
-    n_bits = len(noisy_distribution) - 1
-
-    def loss(p):
-        column = kernel_column(n_bits, p, d_cliff)
-        return np.sum((noisy_distribution - column) ** 2, axis=-1)
-
-    grid = np.linspace(0.0, 0.5, 101)
-    values = loss(grid)
-    if np.ptp(values) < 1e-14:
-        warnings.warn("flat flip-probability objective; returning boundary 0")
-        return 0.0
-    best = int(np.argmin(values))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-    return _golden_section(loss, lo, hi)
-
-
 def learn_flip_schedule(
     noisy_distributions: np.ndarray, d_cliff: np.ndarray
 ) -> np.ndarray:
-    """Per-cycle flip probabilities from Clifford-point distributions."""
-    pairs = zip(noisy_distributions, d_cliff)
-    return np.array([learn_flip_probability(dist, int(d)) for dist, d in pairs])
+    """Per-cycle flip probabilities from Clifford-point distributions.
+
+    Row t holds the reference's noisy Hamming distribution h(t, d). Its
+    noiseless output is one bitstring at distance d_cliff(t), 0 or N, so the
+    noisy distance is Bin(N, p(t)) with the maximum-likelihood estimate
+    p(t) = |sum_d d h(t, d) - d_cliff(t)| / N, capped at 1/2.
+    """
+    noisy_distributions = np.asarray(noisy_distributions, dtype=float)
+    d_cliff = np.asarray(d_cliff)
+    n_bits = noisy_distributions.shape[-1] - 1
+    if n_bits < 1:
+        raise ValueError("need distributions over at least one bit")
+    if not np.all((d_cliff == 0) | (d_cliff == n_bits)):
+        raise ValueError(f"d_cliff must be 0 or {n_bits}, got {d_cliff}")
+    mean = noisy_distributions @ np.arange(n_bits + 1)
+    return np.minimum(np.abs(mean - d_cliff) / n_bits, 0.5)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import json
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -92,6 +92,14 @@ def _check_integer(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}")
 
 
+def _section(cls, payload: dict, prefix: str = ""):
+    """``cls(**payload)``; a key that names no field of ``cls`` raises ValueError."""
+    unknown = sorted(prefix + k for k in set(payload) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    return cls(**payload)
+
+
 @dataclass(frozen=True)
 class MPSOptions:
     chi_max: int = 64
@@ -150,6 +158,7 @@ class RunConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
         n_qubits = build_lattice(self.rows, self.cols).n_qubits
         if self.noise is not None:
+            _check_integer("noise.seed", self.noise.seed, 0)
             self.noise.build(n_qubits)  # raises what the noise model rejects
         if self.backend == "exact":
             for rows, cols in {(self.rows, self.cols), self.learn_lattice}:
@@ -205,25 +214,22 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         payload = json.loads(text)
-        if payload.get("mps") is not None:
-            mps = dict(payload["mps"])
-            # older configs carry the zip-up factor of the layer-MPO
-            # contraction that the span-local gate engine replaced
-            if "zip_factor" in mps:
-                del mps["zip_factor"]
-                warnings.warn(
-                    "config key mps.zip_factor no longer has any effect; ignoring it",
-                    stacklevel=2,
-                )
-            payload["mps"] = MPSOptions(**mps)
-        if payload.get("noise") is not None:
-            payload["noise"] = NoiseSpec(**payload["noise"])
-        if payload.get("recovery") is not None:
-            payload["recovery"] = RecoverySettings(**payload["recovery"])
+        # older configs carry the zip-up factor of the layer-MPO
+        # contraction that the span-local gate engine replaced
+        if "zip_factor" in (payload.get("mps") or {}):
+            del payload["mps"]["zip_factor"]
+            warnings.warn(
+                "config key mps.zip_factor no longer has any effect; ignoring it",
+                stacklevel=2,
+            )
+        sections = {"mps": MPSOptions, "noise": NoiseSpec, "recovery": RecoverySettings}
+        for key, section in sections.items():
+            if payload.get(key) is not None:
+                payload[key] = _section(section, payload[key], key + ".")
         for key in ("epsilons", "phis"):
             if key in payload:
                 payload[key] = tuple(payload[key])
-        return cls(**payload)
+        return _section(cls, payload)
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":

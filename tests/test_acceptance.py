@@ -39,7 +39,7 @@ from dtc2d.recovery import (
     clifford_reference,
     deconvolve_hamming,
     flip_kernel,
-    learn_flip_probability,
+    learn_flip_schedule,
     renormalize_delta,
 )
 from dtc2d.runner import (
@@ -241,7 +241,7 @@ def test_criterion_07_flip_probability_learning():
             noisy = corrupt_bits(clean, model, t, rng)
             distances = np.sum(noisy != bits0[None, :], axis=1)
             dist = np.bincount(distances, minlength=n + 1) / shots
-            p_hat = learn_flip_probability(dist, d_cliff)
+            p_hat = learn_flip_schedule(dist[None], [d_cliff])[0]
             assert abs(p_hat - p_true) <= 0.01
 
 

@@ -9,7 +9,7 @@ from scipy.stats import binom
 
 from dtc2d import recovery
 from dtc2d.noise import corrupt_bits, uniform_noise
-from dtc2d.observables import distribution_mean_var
+from dtc2d.observables import distribution_mean_var, hamming_distribution
 from dtc2d.recovery import (
     TRIAL_CURVATURE_FLOOR,
     TRIAL_LOG_WEIGHT_FLOOR,
@@ -22,7 +22,6 @@ from dtc2d.recovery import (
     flip_kernel,
     kernel_column,
     learn_chi_coefficients,
-    learn_flip_probability,
     learn_flip_schedule,
     learn_offsets,
     recover_chi,
@@ -432,18 +431,19 @@ class TestLearnFlipProbability:
     def test_exact_binomial_recovered(self):
         n, p_true = 20, 0.07
         dist = kernel_column(n, p_true, 0)
-        assert abs(learn_flip_probability(dist, 0) - p_true) < 1e-6
+        assert abs(learn_flip_schedule(dist[None], [0])[0] - p_true) < 1e-6
 
     def test_point_mass_gives_zero(self):
         n = 15
         dist = np.zeros(n + 1)
         dist[0] = 1.0
-        assert learn_flip_probability(dist, 0) < 1e-8
+        assert learn_flip_schedule(dist[None], [0])[0] < 1e-8
 
-    def test_flat_objective_warns(self):
-        with pytest.warns(UserWarning):
-            p = learn_flip_probability(np.full(1, 1.0), 0)  # single-bin edge case
-        assert p == 0.0
+    def test_rejects_no_bits_and_a_d_cliff_off_the_ends(self):
+        with pytest.raises(ValueError, match="one bit"):
+            learn_flip_schedule(np.ones((1, 1)), [0])
+        with pytest.raises(ValueError, match="d_cliff"):
+            learn_flip_schedule(kernel_column(12, 0.1, 3)[None], [3])
 
     def test_sampled_clifford_data(self):
         # closed loop at the flip point: the noiseless output alternates
@@ -457,7 +457,7 @@ class TestLearnFlipProbability:
             noisy = corrupt_bits(clean, model, t=1, rng=rng)
             distances = np.sum(noisy != bits0[None, :], axis=1)
             dist = np.bincount(distances, minlength=n + 1) / shots
-            p_hat = learn_flip_probability(dist, d_cliff)
+            p_hat = learn_flip_schedule(dist[None], [d_cliff])[0]
             assert abs(p_hat - p_true) < 0.005
 
     def test_schedule(self):
@@ -465,6 +465,26 @@ class TestLearnFlipProbability:
         dists = np.stack([kernel_column(n, 0.02 * t, 0) for t in range(5)])
         p = learn_flip_schedule(dists, np.zeros(5, dtype=int))
         np.testing.assert_allclose(p, 0.02 * np.arange(5), atol=1e-6)
+
+    def test_equals_the_flip_fraction_of_corrupt_bits(self):
+        # the reference's distance from its one noiseless bitstring counts
+        # the flipped bits, readout flips included
+        n, shots = 12, 500
+        s0 = np.tile([1, -1], n // 2)
+        bits0 = ((1 - s0) // 2).astype(np.uint8)
+        model = uniform_noise(
+            n, decay=1.0, flip_slope=0.02, flip_cap=0.3, readout_flip=0.01
+        )
+        rng = np.random.default_rng(3)
+        cycles = np.arange(8)
+        dists, fractions = [], []
+        for t in cycles:
+            clean = np.tile(bits0 ^ (t % 2), (shots, 1))
+            noisy = corrupt_bits(clean, model, t, rng)
+            dists.append(hamming_distribution(noisy, s0))
+            fractions.append(np.mean(noisy != clean))
+        schedule = learn_flip_schedule(np.array(dists), n * (cycles % 2))
+        np.testing.assert_allclose(schedule, fractions, rtol=0, atol=1e-15)
 
 
 class TestTrialDistribution:

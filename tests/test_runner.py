@@ -66,6 +66,13 @@ INVALID_CONFIGS = {
     "unknown-noise-kind": {"noise": {"kind": "bogus"}},
     "noise-decay-above-1": {"noise": {"decay": 1.5}},
     "noise-flip-cap-above-half": {"noise": {"flip_cap": 0.9}},
+    "negative-flip-slope": {"noise": {"flip_slope": -1}},
+    "nan-flip-slope": {"noise": {"flip_slope": float("nan")}},
+    "fractional-noise-seed": {"noise": {"kind": "mismatched", "seed": 1.5}},
+    "unknown-mps-key": {"mps": {"chi": 3}},
+    "unknown-noise-key": {"noise": {"decai": 0.9}},
+    "unknown-recovery-key": {"recovery": {"ridg": 1}},
+    "unknown-top-level-key": {"cycle": 3},
 }
 
 
@@ -116,6 +123,8 @@ class TestConfig:
             pytest.param({"recovery": {"lambda_var": -1.0}}, "lambda_var", id="var-neg"),
             pytest.param({"recovery": {"learn_rows": 0}}, "learn_rows", id="rows-0"),
             pytest.param({"recovery": {"learn_cols": 0}}, "learn_cols", id="cols-0"),
+            pytest.param({"mps": {"chi": 3}}, "mps.chi", id="key-mps.chi"),
+            pytest.param({"cycle": 3}, "key.*: cycle", id="key-cycle"),
             pytest.param(
                 {"recovery": {"deconvolve": True}, "shots": 0},
                 "deconvolve",
@@ -335,8 +344,9 @@ class TestImports:
             recovery=RecoverySettings(),
         )
         loaded = loaded_scipy(fresh_python, cli_code("simulate", config, tmp_path))
-        # the flip schedule needs scipy.special; only deconvolution minimizes
-        assert "scipy.special" in loaded
+        # the flip schedule is closed form; only deconvolution needs the
+        # flip kernel's scipy.special and the minimizer
+        assert "scipy.special" not in loaded
         assert "scipy.optimize" not in loaded
         assert list(tmp_path.glob("out/recovery_*.json"))
 
