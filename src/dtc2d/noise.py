@@ -32,9 +32,10 @@ class NoiseModel:
         decay = np.asarray(self.decay, dtype=float)
         even = np.asarray(self.bias_even, dtype=float)
         odd = np.asarray(self.bias_odd, dtype=float)
-        if np.any(decay < 0) or np.any(decay > 1):
+        # written so that a NaN fails each check
+        if not np.all((decay >= 0) & (decay <= 1)):
             raise ValueError("decay factors must lie in [0, 1]")
-        if np.any(np.abs(even) > 1) or np.any(np.abs(odd) > 1):
+        if not np.all((np.abs(even) <= 1) & (np.abs(odd) <= 1)):
             raise ValueError("biases must lie in [-1, 1]")
         if not self.flip_slope >= 0:
             raise ValueError("flip_slope must be >= 0")
@@ -201,6 +202,11 @@ class NoiseSpec:
                 readout_flip=self.readout_flip,
             )
         if self.kind == "mismatched":
+            # max and min would turn a NaN into an end of [0, 1]
+            if not (0 <= self.decay <= 1 and self.decay_spread >= 0):
+                raise ValueError(
+                    "mismatched noise needs decay in [0, 1] and decay_spread >= 0"
+                )
             low = max(0.0, self.decay - self.decay_spread)
             high = min(1.0, self.decay + self.decay_spread)
             return mismatched_noise(

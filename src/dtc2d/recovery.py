@@ -18,14 +18,16 @@ convolved with another; the kernel is diagonal in the Krawtchouk basis,
 with eigenvalues (1 - 2p)^j (MacWilliams & Sloane, 1977). Deconvolution
 fits a Gaussian-times-logistic trial distribution whose mean and variance
 are anchored to the recovered order parameter and the quantum Fisher
-information. The fit runs over the trial's natural parameters with an
-analytic gradient and L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci.
-Comput. 16, 1190, 1995), with the curvature bounded away from zero so that
-the fit has a finite minimum.
+information. That fit is one bounded least-squares problem over the
+trial's natural parameters: it starts from the best cell of a fixed grid
+and takes Levenberg-Marquardt steps with the analytic Jacobian (Levenberg,
+Q. Appl. Math. 2, 164, 1944; Marquardt, J. SIAM 11, 431, 1963), in the
+step loop that the nested fits use. Everything here runs in numpy.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -33,12 +35,15 @@ import numpy as np
 DEFAULT_GUARD = 1e-3
 DEFAULT_GRID_HALF_WIDTH = 0.2
 DEFAULT_GRID_POINTS = 41
-# The nested fits halve a Gauss-Newton step that raises the objective by
-# more than FIT_ROUNDING of it (its rounding noise is about 1e-11), and stop
-# at a step within FIT_STEP_FLOOR (a converged one is about 1e-16).
+# The fits take a proposed step unless it raises the objective by more than
+# FIT_ROUNDING of it (the nested fits' rounding noise is about 1e-11), and
+# stop at a step within FIT_STEP_FLOOR of the parameters (a converged one is
+# about 1e-16), or after FIT_MAX_STEPS steps. The nested fits stop within 20
+# steps; a deconvolution fit that follows a valley of the trial to its bound
+# can take a few hundred.
 FIT_ROUNDING = 1e-9
 FIT_STEP_FLOOR = 1e-14
-FIT_MAX_STEPS = 100
+FIT_MAX_STEPS = 300
 
 
 def clifford_reference(phi: float) -> float:
@@ -134,8 +139,9 @@ def _nested_fit(model: _Ratio, simulated, ridge: float, guard: float) -> tuple:
     is one ridge solve (variable projection; Golub & Pereyra, SIAM J. Numer.
     Anal. 10, 413, 1973). The 41x41 grid of u is scored in one call, a cell
     with no usable cycle scoring inf. From the best cell (the first in
-    u0-major order), Gauss-Newton steps move u, with c solved again at each
-    u (Kaufman, BIT 15, 49, 1975): with w = 1/denominator on usable cycles,
+    u0-major order), ``_descend`` takes Gauss-Newton steps on u, halving one
+    that raises the objective, with c solved again at each u (Kaufman,
+    BIT 15, 49, 1975): with w = 1/denominator on usable cycles,
     dr/dc = w numerator and dr/du = -w^2 (shift + numerator @ c) slope.
     """
     if ridge <= 0:
@@ -156,27 +162,48 @@ def _nested_fit(model: _Ratio, simulated, ridge: float, guard: float) -> tuple:
         objective = np.sum(residual**2, axis=-1) + ridge * np.sum(c**2 + u**2, axis=-1)
         return np.where(usable.any(axis=-1), objective, np.inf), c, w, residual
 
-    axis = np.linspace(
-        -DEFAULT_GRID_HALF_WIDTH, DEFAULT_GRID_HALF_WIDTH, DEFAULT_GRID_POINTS
-    )
-    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    u = grid[np.argmin(profile(grid)[0])]
-    objective, c, w, residual = profile(u)
-    for _ in range(FIT_MAX_STEPS):
+    def halvings(u: np.ndarray, state: tuple) -> Iterator[np.ndarray]:
+        _, c, w, residual = state
         slope = -(w**2 * model.top(c))[:, None] * model.slope
         jacobian = np.concatenate([w[:, None] * model.numerator, slope], axis=1)
         gradient = jacobian.T @ residual + ridge * np.concatenate([c, u])
         step = -np.linalg.solve(jacobian.T @ jacobian + ridge * np.eye(4), gradient)[2:]
-        while np.max(np.abs(step)) > FIT_STEP_FLOOR:
-            trial = profile(u + step)
-            if trial[0] <= objective * (1 + FIT_ROUNDING):
-                break
+        while True:
+            yield step
             step = step / 2
-        else:
-            break
-        u = u + step
-        objective, c, w, residual = trial
+
+    axis = np.linspace(
+        -DEFAULT_GRID_HALF_WIDTH, DEFAULT_GRID_HALF_WIDTH, DEFAULT_GRID_POINTS
+    )
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    u, (objective, c, _, _) = _descend(
+        profile, halvings, grid[np.argmin(profile(grid)[0])]
+    )
     return (*map(float, c), *map(float, u)), float(objective)
+
+
+def _descend(profile, proposals, x, lower=-np.inf, upper=np.inf) -> tuple:
+    """Minimize ``profile(x)[0]`` from x within lower <= x <= upper.
+
+    ``profile(x)`` returns (objective, ...), the state at x.
+    ``proposals(x, state)`` yields steps from x, each a shorter or more
+    damped try than the last. The first whose end point, clipped into the
+    bounds, raises the objective by at most FIT_ROUNDING of it is taken.
+    The loop stops at a proposed step within FIT_STEP_FLOOR of x (relative
+    to each entry of x above 1) or after FIT_MAX_STEPS steps, and returns
+    (x, state).
+    """
+    state = profile(x)
+    for _ in range(FIT_MAX_STEPS):
+        for step in proposals(x, state):
+            if np.max(np.abs(step) / np.maximum(np.abs(x), 1.0)) <= FIT_STEP_FLOOR:
+                return x, state
+            moved = np.clip(x + step, lower, upper)
+            trial = profile(moved)
+            if trial[0] <= state[0] * (1 + FIT_ROUNDING):
+                break
+        x, state = moved, trial
+    return x, state
 
 
 def renormalize_delta(
@@ -288,48 +315,72 @@ def learn_chi_coefficients(
 #   pays a quadratic penalty once a smooth upper bound of it (logsumexp)
 #   falls below TRIAL_LOG_WEIGHT_FLOOR + 100, so the logistic takes up the
 #   tilt; a fit that still ends below the floor raises.
+# The logistic's rise over [0, N], |k N|, is bounded by TRIAL_SLOPE_BOUND:
+# a fit that sharpens the logistic toward a step then ends on the bound
+# instead of following that valley without end.
 TRIAL_CURVATURE_FLOOR = 0.05
 TRIAL_LOG_WEIGHT_FLOOR = -600.0
+TRIAL_SLOPE_BOUND = 100.0
 
 
-def _binomial_pmf(n: int, p: np.ndarray) -> np.ndarray:
-    """Bin(n, p) pmf over k = 0..n along a new last axis, for each p."""
-    from scipy.special import gammaln, xlog1py, xlogy
-    p = np.asarray(p, dtype=float)[..., None]
+def _xlogy(k: np.ndarray, log_y: float) -> np.ndarray:
+    """k log(y) from log(y), 0 where k == 0 (also where log(y) is -inf)."""
+    return np.multiply(k, log_y, out=np.zeros(np.shape(k)), where=k != 0)
+
+
+def _binomial_pmfs(n: int, p: float) -> np.ndarray:
+    """Row m holds the Bin(m, p) pmf over k = 0..n, zero for k > m; m = 0..n."""
+    log_factorial = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    m = np.arange(n + 1)[:, None]
     k = np.arange(n + 1)
-    log_choose = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-    return np.exp(log_choose + xlogy(k, p) + xlog1py(n - k, -p))
+    rest = np.maximum(m - k, 0)
+    with np.errstate(divide="ignore"):
+        log_p, log_q = np.log(p), np.log1p(-p)
+    log_pmf = (
+        log_factorial[m]
+        - log_factorial[k]
+        - log_factorial[rest]
+        + _xlogy(k, log_p)
+        + _xlogy(rest, log_q)
+    )
+    return np.where(k <= m, np.exp(log_pmf), 0.0)
 
 
-def kernel_column(n_bits: int, p, d_in: int) -> np.ndarray:
+def kernel_column(n_bits: int, p: float, d_in: int) -> np.ndarray:
     """Column d_in of the flip kernel: output-distance distribution when
     each of ``n_bits`` spins flips independently with probability p.
 
     The output distance is (d_in - X) + Y with X ~ Bin(d_in, p) and
     Y ~ Bin(n_bits - d_in, p), so the column is a reversed binomial pmf
-    convolved with another. ``p`` may be an array; the column then runs
-    along a new last axis, one per p.
+    convolved with another.
     """
-    p = np.asarray(p, dtype=float)
-    if np.any((p < 0) | (p > 1)):
-        raise ValueError("flip probability must lie in [0, 1]")
     if not 0 <= d_in <= n_bits:
         raise ValueError("input distance out of range")
-    kept = _binomial_pmf(d_in, p)[..., ::-1]
-    flipped = _binomial_pmf(n_bits - d_in, p)
-    short, long = sorted((kept, flipped), key=lambda a: a.shape[-1])
-    column = np.zeros(p.shape + (n_bits + 1,))
-    for i in range(short.shape[-1]):
-        column[..., i : i + long.shape[-1]] += short[..., i, None] * long
-    return column
+    return flip_kernel(n_bits, p)[:, d_in]
 
 
 def flip_kernel(n_bits: int, p: float) -> np.ndarray:
     """Full (N+1)x(N+1) flip kernel T[d_out, d_in] on Hamming-distance
-    histograms; columns sum to 1."""
-    return np.column_stack(
-        [kernel_column(n_bits, p, d_in) for d_in in range(n_bits + 1)]
+    histograms; columns sum to 1.
+
+    T[d_out, d_in] = sum_x B[d_in, x] B[N - d_in, d_out - d_in + x], with
+    B the binomial table of ``_binomial_pmfs``: x of the d_in differing
+    spins flip back and d_out - d_in + x of the others flip. Row d_in of
+    ``shifted`` holds B[N - d_in] moved right by d_in, so the sum runs over a
+    window of it, without a copy.
+    """
+    if not 0 <= p <= 1:
+        raise ValueError("flip probability must lie in [0, 1]")
+    pmfs = _binomial_pmfs(n_bits, p)
+    d_in = np.arange(n_bits + 1)[:, None]
+    offset = np.arange(2 * n_bits + 1) - d_in
+    shifted = np.where(
+        (offset >= 0) & (offset <= n_bits),
+        pmfs[n_bits - d_in, np.clip(offset, 0, n_bits)],
+        0.0,
     )
+    windows = np.lib.stride_tricks.sliding_window_view(shifted, n_bits + 1, axis=1)
+    return np.einsum("ix,iox->oi", pmfs, windows)
 
 
 def learn_flip_schedule(
@@ -363,13 +414,12 @@ class TrialDistribution:
     q: float
 
     def log_weights(self, n_bits: int) -> np.ndarray:
-        """Unnormalized log-weights -(d - d0)^2 / (2 sigma^2) + log expit(-(k d + q))."""
-        from scipy.special import log_expit
+        """Unnormalized log-weights -(d - d0)^2 / (2 sigma^2) - softplus(k d + q)."""
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         d = np.arange(n_bits + 1, dtype=float)
-        return -((d - self.d0) ** 2) / (2 * self.sigma**2) + log_expit(
-            -(self.k * d + self.q)
+        return -((d - self.d0) ** 2) / (2 * self.sigma**2) - np.logaddexp(
+            0.0, self.k * d + self.q
         )
 
     def pmf(self, n_bits: int) -> np.ndarray:
@@ -380,11 +430,30 @@ class TrialDistribution:
         return weights / weights.sum()
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on the first call (only the
-    deconvolution needs it); a wrapper put on this name sees every fit."""
-    import scipy.optimize
-    return scipy.optimize.minimize(*args, **kwargs)
+def _trial_cells(n_bits: int, mu_target: float, var_target: float) -> np.ndarray:
+    """Start cells of the deconvolution, as rows (alpha, beta, k N, q).
+
+    The Gaussian factor is centered at mu + (-2..2) s with width
+    s (1/2, 1/sqrt 2, 1, sqrt 2, 2), where s = sqrt(max(var, 1/4)), or it is
+    one of the tilts alpha = -16, -14, .., 16 on the curvature bound. The
+    logistic is a step of rise k N = +-6, +-20 or +-60 centered at
+    x = 0.1, 0.3, .., 0.9. None is switched off: its gradient would then
+    vanish, and the fit could not switch it on again.
+    """
+    spread = math.sqrt(max(var_target, 0.25))
+    d0 = mu_target + np.arange(-2.0, 3.0)[:, None] * spread
+    sigma = 2.0 ** np.arange(-1.0, 1.5, 0.5) * spread
+    beta = np.minimum(-(n_bits**2) / (2 * sigma**2), -TRIAL_CURVATURE_FLOOR)
+    gaussians = np.stack(np.broadcast_arrays(-2 * beta * d0 / n_bits, beta), axis=-1)
+    tilts = np.stack(
+        np.broadcast_arrays(np.arange(-16.0, 17.0, 2.0), -TRIAL_CURVATURE_FLOOR), axis=-1
+    )
+    shapes = np.concatenate([gaussians.reshape(-1, 2), tilts])
+    rises = np.array([-60.0, -20.0, -6.0, 6.0, 20.0, 60.0])[:, None]
+    centers = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+    logistics = np.stack(np.broadcast_arrays(rises, -rises * centers), axis=-1)
+    cells = np.broadcast_arrays(shapes[:, None], logistics.reshape(1, -1, 2))
+    return np.concatenate(cells, axis=-1).reshape(-1, 4)
 
 
 def deconvolve_hamming(
@@ -397,16 +466,30 @@ def deconvolve_hamming(
 ) -> tuple[TrialDistribution, dict]:
     """Invert the flip channel by fitting the constrained trial distribution.
 
-    Minimizes the push-forward misfit plus moment-anchoring penalties tying
+    Minimizes |r|^2 for one residual vector r: the push-forward misfit
+    h - K pmf, sqrt(lambda_mean) (mean - mu), sqrt(lambda_var) (var - var)
+    and the float-range shortfall (see TRIAL_LOG_WEIGHT_FLOOR), which ties
     the trial mean and variance to the recovered order parameter and the
     QFI. The fit runs over the natural parameters of the trial, with
     x = d/N: log w = alpha x + beta x^2 - softplus(k x + q), bounded by
-    beta <= -TRIAL_CURVATURE_FLOOR. L-BFGS-B with the analytic gradient
-    starts from three deterministic seeds; the best fit wins. The info dict
-    holds its objective, iteration count and ``at_bound``, true when beta
-    ended on its bound.
+    beta <= -TRIAL_CURVATURE_FLOOR and |k| <= TRIAL_SLOPE_BOUND.
+
+    It scores the cells of ``_trial_cells`` in one call and starts from the
+    best. From there ``_descend`` takes Levenberg-Marquardt steps with the
+    analytic Jacobian J, solving (J^T J + damping D) h = -J^T r with D the
+    diagonal of J^T J, floored at FIT_ROUNDING of its largest entry. A
+    parameter on a bound that the gradient pushes outward is held. The
+    damping starts at FIT_ROUNDING; a rejected try doubles it, and so does a
+    step that gains less than 1/4 of its predicted decrease; one that gains
+    more than 3/4 halves it. A decrease too small to measure (its prediction
+    below FIT_ROUNDING of the objective) counts as a full gain, so no choice
+    follows the last bits of the inputs. The fit stops at a step predicted
+    to lower the objective by at most FIT_ROUNDING^2 of it: the residual
+    would move by at most FIT_ROUNDING of its length.
+
+    The info dict holds the objective, the number of steps and ``at_bound``,
+    true when beta ended on its bound.
     """
-    from scipy.special import expit, log_expit
     noisy_distribution = np.asarray(noisy_distribution, dtype=float)
     n_bits = len(noisy_distribution) - 1
     if n_bits < 1:
@@ -416,73 +499,90 @@ def deconvolve_hamming(
     kernel = flip_kernel(n_bits, p)
     d = np.arange(n_bits + 1, dtype=float)
     x = d / n_bits
+    root_mean, root_var = math.sqrt(lambda_mean), math.sqrt(lambda_var)
 
-    def loss(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        alpha, beta, k, q = theta
+    def profile(theta: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(objective, r, pmf, z) at one or an array of parameter rows."""
+        alpha, beta, k, q = theta.T[..., None]
         z = k * x + q
-        log_w = alpha * x + beta * x**2 + log_expit(-z)
-        shift = log_w.max()
+        log_w = alpha * x + beta * x**2 - np.logaddexp(0.0, z)
+        shift = log_w.max(axis=-1, keepdims=True)
         weights = np.exp(log_w - shift)
-        total = weights.sum()
+        total = weights.sum(axis=-1, keepdims=True)
         pmf = weights / total
         # logsumexp of the reported (unshifted) log-weights
-        top = shift + math.log(total) + alpha**2 / (4 * beta)
-        shortfall = max(TRIAL_LOG_WEIGHT_FLOOR + 100.0 - top, 0.0)
-        residual = noisy_distribution - kernel @ pmf
-        mean = d @ pmf
-        var = d**2 @ pmf - mean**2
-        mean_gap = mean - mu_target
-        var_gap = var - var_target
-        # dL/dpmf, then through the softmax to dL/dlog_w
-        grad_pmf = (
-            -2.0 * kernel.T @ residual
-            + 2.0 * lambda_mean * mean_gap * d
-            + 2.0 * lambda_var * var_gap * (d**2 - 2.0 * mean * d)
-        )
-        grad_log_w = pmf * (grad_pmf - pmf @ grad_pmf - 2.0 * shortfall)
-        slope = grad_log_w * expit(z)
-        grad = np.array(
+        top = shift + np.log(total) + alpha**2 / (4 * beta)
+        mean = pmf @ d
+        r = np.concatenate(
             [
-                grad_log_w @ x - shortfall * alpha / beta,
-                grad_log_w @ x**2 + shortfall * alpha**2 / (2 * beta**2),
-                -(slope @ x),
-                -slope.sum(),
+                noisy_distribution - pmf @ kernel.T,
+                root_mean * (mean - mu_target)[..., None],
+                root_var * (pmf @ d**2 - mean**2 - var_target)[..., None],
+                np.maximum(TRIAL_LOG_WEIGHT_FLOOR + 100.0 - top, 0.0),
+            ],
+            axis=-1,
+        )
+        return np.sum(r**2, axis=-1), r, pmf, z
+
+    def jacobian(theta: np.ndarray, r: np.ndarray, pmf: np.ndarray, z) -> np.ndarray:
+        alpha, beta = theta[:2]
+        expit_z = np.exp(-np.logaddexp(0.0, -z))
+        dlog_w = np.stack([x, x**2, -expit_z * x, -expit_z], axis=1)
+        dpmf = pmf[:, None] * (dlog_w - pmf @ dlog_w)  # through the softmax
+        dtop = pmf @ dlog_w + [alpha / (2 * beta), -(alpha**2) / (4 * beta**2), 0, 0]
+        return np.vstack(
+            [
+                -kernel @ dpmf,
+                root_mean * (d @ dpmf),
+                root_var * ((d**2 - 2 * (pmf @ d) * d) @ dpmf),
+                -dtop if r[-1] > 0 else np.zeros(4),
             ]
         )
-        value = (
-            residual @ residual
-            + lambda_mean * mean_gap**2
-            + lambda_var * var_gap**2
-            + shortfall**2
-        )
-        return float(value), grad
 
-    def natural(d0: float, sigma: float, k: float, q: float) -> np.ndarray:
-        beta = min(-(n_bits**2) / (2 * sigma**2), -TRIAL_CURVATURE_FLOOR)
-        return np.array([-2 * beta * d0 / n_bits, beta, k * n_bits, q])
+    lower = np.array([-np.inf, -np.inf, -TRIAL_SLOPE_BOUND, -np.inf])
+    upper = np.array([np.inf, -TRIAL_CURVATURE_FLOOR, TRIAL_SLOPE_BOUND, np.inf])
+    damping = FIT_ROUNDING
+    last = None  # (objective, predicted decrease) of the last try
+    n_steps = 0
 
-    width = math.sqrt(max(var_target, 0.25))
-    seeds = [
-        natural(mu_target, width, 0.0, -20.0),
-        natural(0.9 * mu_target, 1.5 * width, 0.5, -5.0),
-        natural(min(1.1 * mu_target, float(n_bits)), 0.75 * width, -0.5, 5.0),
-    ]
-    bounds = [(None, None), (None, -TRIAL_CURVATURE_FLOOR), (None, None), (None, None)]
-    best_result = None
-    for seed in seeds:
-        result = minimize(
-            loss,
-            seed,
-            method="L-BFGS-B",
-            jac=True,
-            bounds=bounds,
-            options={"ftol": 1e-15, "gtol": 1e-12},
-        )
-        if best_result is None or result.fun < best_result.fun:
-            best_result = result
-    if best_result is None or not np.isfinite(best_result.fun):
+    def levenberg_marquardt(theta: np.ndarray, state: tuple) -> Iterator[np.ndarray]:
+        nonlocal damping, last, n_steps
+        objective, r, pmf, z = state
+        if last is not None:
+            n_steps += 1
+            before, predicted = last
+            gain = 1.0
+            if predicted > FIT_ROUNDING * before:
+                gain = (before - objective) / predicted
+            if gain > 0.75:
+                damping = max(damping / 2, FIT_ROUNDING)
+            elif gain < 0.25:
+                damping *= 2
+        jac = jacobian(theta, r, pmf, z)
+        gradient = jac.T @ r
+        held = ((theta >= upper) & (gradient < 0)) | ((theta <= lower) & (gradient > 0))
+        jac, gradient = jac * ~held, gradient * ~held
+        normal = jac.T @ jac
+        diagonal = np.diag(normal)
+        scale = np.diag(np.maximum(diagonal, FIT_ROUNDING * diagonal.max()))
+        while True:
+            step = np.zeros(4)
+            if gradient.any():
+                h = -np.linalg.solve(normal + damping * scale, gradient)
+                predicted = -(2 * gradient @ h + h @ normal @ h)
+                if predicted > FIT_ROUNDING**2 * objective:
+                    step = h
+                last = (objective, predicted)
+            yield step
+            damping *= 2
+
+    cells = _trial_cells(n_bits, mu_target, var_target)
+    theta, (objective, *_) = _descend(
+        profile, levenberg_marquardt, cells[np.argmin(profile(cells)[0])], lower, upper
+    )
+    if not np.isfinite(objective):
         raise RuntimeError("trial-distribution fit failed")
-    alpha, beta, k, q = best_result.x
+    alpha, beta, k, q = map(float, theta)
     trial = TrialDistribution(
         d0=-alpha * n_bits / (2 * beta),
         sigma=n_bits / math.sqrt(-2 * beta),
@@ -492,8 +592,8 @@ def deconvolve_hamming(
     if trial.log_weights(n_bits).max() < TRIAL_LOG_WEIGHT_FLOOR:
         raise RuntimeError(f"trial-distribution fit left float range: {trial}")
     info = {
-        "objective": float(best_result.fun),
-        "n_iterations": int(best_result.nit),
+        "objective": float(objective),
+        "n_steps": n_steps,
         "at_bound": bool(beta >= -TRIAL_CURVATURE_FLOOR),
     }
     return trial, info

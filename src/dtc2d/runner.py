@@ -166,8 +166,8 @@ class RunConfig:
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "phis", tuple(float(p) for p in self.phis))
         for eps in self.epsilons:
-            if not np.isfinite(eps):
-                raise ValueError(f"epsilon must be finite, got {eps}")
+            if not (np.isfinite(eps) and eps >= 0):
+                raise ValueError(f"epsilon must be finite and >= 0, got {eps}")
         for phi in self.phis:
             clifford_reference(phi)  # raises outside [0, pi/2]
         if self.initial_state not in ("neel", "polarized"):

@@ -73,6 +73,11 @@ INVALID_CONFIGS = {
     "unknown-noise-key": {"noise": {"decai": 0.9}},
     "unknown-recovery-key": {"recovery": {"ridg": 1}},
     "unknown-top-level-key": {"cycle": 3},
+    "negative-epsilon": {"epsilons": [-0.1], "cycles": 1},
+    "nan-noise-decay": {"noise": {"decay": float("nan")}},
+    "nan-noise-bias-even": {"noise": {"bias_even": float("nan")}},
+    "nan-decay-spread": {"noise": {"kind": "mismatched", "decay_spread": float("nan")}},
+    "nan-mismatched-decay": {"noise": {"kind": "mismatched", "decay": float("nan")}},
 }
 
 
@@ -344,11 +349,28 @@ class TestImports:
             recovery=RecoverySettings(),
         )
         loaded = loaded_scipy(fresh_python, cli_code("simulate", config, tmp_path))
-        # the flip schedule is closed form; only deconvolution needs the
-        # flip kernel's scipy.special and the minimizer
         assert "scipy.special" not in loaded
         assert "scipy.optimize" not in loaded
         assert list(tmp_path.glob("out/recovery_*.json"))
+
+    def test_deconvolving_simulate_and_recover_load_none(
+        self, fresh_python, tmp_path
+    ):
+        # the flip kernel, the trial distribution and its fit are numpy
+        config = small_config(
+            cycles=2,
+            shots=100,
+            noise=NoiseSpec(decay=0.97, bias_even=0.03, flip_slope=0.01),
+            recovery=RecoverySettings(deconvolve=True),
+        )
+        assert loaded_scipy(fresh_python, cli_code("simulate", config, tmp_path)) == []
+        (raw,) = tmp_path.glob("out/raw_*.csv")
+        args = ["recover", "--config", str(tmp_path / "run.json"), "--raw", str(raw),
+                "--out", str(tmp_path / "recovered")]
+        code = f"from dtc2d.cli import main\nmain({args!r})"
+        assert loaded_scipy(fresh_python, code) == []
+        (report,) = tmp_path.glob("recovered/recovery_*.json")
+        assert len(json.loads(report.read_text())["deconvolved"]) == 3
 
     def test_mps_pool_inherits_scipy_linalg_from_the_parent(self, fresh_python):
         # the parent imports scipy.linalg before it forks the workers, so
