@@ -70,14 +70,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     if args.chi_sweep:
         # convergence protocol: one sub-run per bond cap, no automatic
-        # convergence verdict; compare the per-chi curves by eye
-        for chi in _parse_chi_sweep(args.chi_sweep):
-            sub = replace(
+        # convergence verdict; compare the per-chi curves by eye. Every
+        # sub-config is built, and so validated, before the first one runs.
+        subs = [
+            replace(
                 config,
                 backend="mps",
                 mps=replace(config.mps, chi_max=chi),
                 output_dir=os.path.join(config.output_dir, f"chi_{chi}"),
             )
+            for chi in _parse_chi_sweep(args.chi_sweep)
+        ]
+        for sub in subs:
             _simulate_config(sub)
         return 0
     _simulate_config(config)

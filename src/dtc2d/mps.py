@@ -24,10 +24,6 @@ right-canonical rest (the plain entry gives <Z_j>, the string of site i
 gives <Z_i Z_j>) and opens the string of site j; one contraction with the
 plain tensor carries the stack on. Without ``pairs`` every string lives to
 the end; with ``pairs`` each one is dropped after its site's last partner.
-
-scipy.linalg is imported on the first factorization or contraction, not
-with this module, which costs numpy alone to import. Each SVD looks up
-``scipy.linalg.svd`` when it runs, so a wrapper put there sees every one.
 """
 from __future__ import annotations
 
@@ -41,34 +37,24 @@ _GATE_SPLIT_TOL = 1e-14
 
 
 def _svd(matrix: np.ndarray):
-    import scipy.linalg
     try:
-        return scipy.linalg.svd(matrix, full_matrices=False, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        return scipy.linalg.svd(
-            matrix, full_matrices=False, check_finite=False, lapack_driver="gesvd"
-        )
-
-
-def _qr(matrix: np.ndarray):
-    import scipy.linalg
-    return scipy.linalg.qr(matrix, mode="economic", check_finite=False)
+        return np.linalg.svd(matrix, full_matrices=False)
+    except np.linalg.LinAlgError:
+        # the divide-and-conquer driver did not converge: factor the square
+        # R of a QR instead, of the matrix if tall, of its adjoint if wide
+        if matrix.shape[0] >= matrix.shape[1]:
+            q, r = np.linalg.qr(matrix)
+            u, s, vh = np.linalg.svd(r)
+            return q @ u, s, vh
+        q, r = np.linalg.qr(matrix.conj().T)
+        u, s, vh = np.linalg.svd(r)
+        return vh.conj().T, s, (q @ u).conj().T
 
 
 def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Contract the last axis of ``a`` with the first axis of ``b``.
-
-    Runs in the BLAS that scipy.linalg uses. numpy and scipy each bundle
-    their own threaded BLAS; the engine's factorizations run in scipy's, and
-    keeping its products there too stops the two thread pools from
-    contending (about 3x on a 2-core machine at chi 32). Like the
-    factorizations, it imports scipy.linalg on its first call.
-    """
-    import scipy.linalg.blas
-    a2 = np.ascontiguousarray(a.reshape(-1, a.shape[-1]), dtype=complex)
-    b2 = np.ascontiguousarray(b.reshape(b.shape[0], -1), dtype=complex)
-    # row-major a2 @ b2 is column-major b2.T @ a2.T, without copies
-    product = scipy.linalg.blas.zgemm(1.0, b2.T, a2.T).T
+    """Contract the last axis of ``a`` with the first axis of ``b``."""
+    k = a.shape[-1]
+    product = a.reshape(-1, k) @ b.reshape(k, -1)
     return product.reshape(a.shape[:-1] + b.shape[1:])
 
 
@@ -169,7 +155,7 @@ class MPS:
         t = np.einsum("qpk,lpr->lqkr", left, self.tensors[site_a])
         for i in range(site_a, site_b):
             dl = t.shape[0]
-            q, r = _qr(t.reshape(dl * 2, -1))
+            q, r = np.linalg.qr(t.reshape(dl * 2, -1))
             self.tensors[i] = q.reshape(dl, 2, -1)
             r = r.reshape(r.shape[0], rank, -1)  # (m, k, bond)
             t = _contract(r, self.tensors[i + 1])  # (m, k, p, s)
@@ -186,14 +172,14 @@ class MPS:
         while self.center < site:
             i = self.center
             t = self.tensors[i]
-            q, r = _qr(t.reshape(-1, t.shape[2]))
+            q, r = np.linalg.qr(t.reshape(-1, t.shape[2]))
             self.tensors[i] = q.reshape(t.shape[0], 2, -1)
             self.tensors[i + 1] = _contract(r, self.tensors[i + 1])
             self.center = i + 1
         while self.center > site:
             i = self.center
             t = self.tensors[i]
-            q, r = _qr(t.reshape(t.shape[0], -1).T)
+            q, r = np.linalg.qr(t.reshape(t.shape[0], -1).T)
             self.tensors[i] = q.T.reshape(-1, 2, t.shape[2])
             self.tensors[i - 1] = _contract(self.tensors[i - 1], r.T)
             self.center = i - 1

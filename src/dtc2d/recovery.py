@@ -346,19 +346,6 @@ def _binomial_pmfs(n: int, p: float) -> np.ndarray:
     return np.where(k <= m, np.exp(log_pmf), 0.0)
 
 
-def kernel_column(n_bits: int, p: float, d_in: int) -> np.ndarray:
-    """Column d_in of the flip kernel: output-distance distribution when
-    each of ``n_bits`` spins flips independently with probability p.
-
-    The output distance is (d_in - X) + Y with X ~ Bin(d_in, p) and
-    Y ~ Bin(n_bits - d_in, p), so the column is a reversed binomial pmf
-    convolved with another.
-    """
-    if not 0 <= d_in <= n_bits:
-        raise ValueError("input distance out of range")
-    return flip_kernel(n_bits, p)[:, d_in]
-
-
 def flip_kernel(n_bits: int, p: float) -> np.ndarray:
     """Full (N+1)x(N+1) flip kernel T[d_out, d_in] on Hamming-distance
     histograms; columns sum to 1.

@@ -550,8 +550,6 @@ def run_phase_diagram(config: RunConfig) -> list[PhasePoint]:
         config, full_correlations=False, shots=0, noise=None, recovery=None
     )
     if config.workers > 1:
-        if config.backend == "mps":
-            import scipy.linalg  # once here: every forked worker inherits it
         with ProcessPoolExecutor(
             max_workers=config.workers, initializer=limit_blas_threads
         ) as pool:

@@ -9,40 +9,36 @@ from dtc2d.blas import THREAD_VARIABLES, blas_threads, limit_blas_threads
 from dtc2d.cli import main as cli_main
 from dtc2d.runner import RunConfig, run_phase_diagram
 
-PACKAGES = {"numpy", "scipy"}
 
-
-def set_threads(counts):
-    for package, (_, set_count) in blas._thread_functions().items():
-        set_count(counts[package])
+def set_threads(count):
+    blas._thread_functions()[1](count)
 
 
 @pytest.fixture
 def two_threads(monkeypatch):
-    """Both pools at two threads and no thread variable set; restores the
-    counts it found."""
+    """numpy's pool at two threads and no thread variable set; restores the
+    count it found."""
     before = blas_threads()
-    if set(before) != PACKAGES:
-        pytest.skip("numpy or scipy has no bundled OpenBLAS")
+    if not before:
+        pytest.skip("numpy has no bundled OpenBLAS")
     for name in THREAD_VARIABLES:
         monkeypatch.delenv(name, raising=False)
-    set_threads({"numpy": 2, "scipy": 2})
-    assert blas_threads() == {"numpy": 2, "scipy": 2}
+    set_threads(2)
+    assert blas_threads() == {"numpy": 2}
     yield
-    set_threads(before)
+    set_threads(before["numpy"])
 
 
-def test_sets_one_thread_in_both_pools(two_threads):
-    assert limit_blas_threads() == {"numpy": 1, "scipy": 1}
-    assert blas_threads() == {"numpy": 1, "scipy": 1}
+def test_sets_one_thread(two_threads):
+    assert limit_blas_threads() == {"numpy": 1}
+    assert blas_threads() == {"numpy": 1}
 
 
 def test_one_thread_is_not_set_again(monkeypatch):
     # after a fork a set starts a spinning thread pool, so a library that
     # already runs one thread is left alone
     calls = []
-    fake = (lambda: 1, calls.append)
-    monkeypatch.setattr(blas, "_thread_functions", lambda: {"numpy": fake})
+    monkeypatch.setattr(blas, "_thread_functions", lambda: (lambda: 1, calls.append))
     for name in THREAD_VARIABLES:
         monkeypatch.delenv(name, raising=False)
     assert limit_blas_threads() == {"numpy": 1}
@@ -52,21 +48,20 @@ def test_one_thread_is_not_set_again(monkeypatch):
 @pytest.mark.parametrize("name", THREAD_VARIABLES)
 def test_thread_variable_wins(two_threads, monkeypatch, name):
     monkeypatch.setenv(name, "2")
-    assert limit_blas_threads() == {"numpy": 2, "scipy": 2}
+    assert limit_blas_threads() == {"numpy": 2}
 
 
 def test_no_library_found_is_a_no_op(two_threads, monkeypatch):
     found = blas._OPENBLAS
-    missing = tuple((package, "no-such-library-*.so", suffix) for package, _, suffix in found)
-    monkeypatch.setattr(blas, "_OPENBLAS", missing)
+    monkeypatch.setattr(blas, "_OPENBLAS", "no-such-library-*.so")
     assert limit_blas_threads() == {}
     monkeypatch.setattr(blas, "_OPENBLAS", found)
-    assert blas_threads() == {"numpy": 2, "scipy": 2}
+    assert blas_threads() == {"numpy": 2}
 
 
 def test_cli_sets_one_thread(two_threads, capsys):
     assert cli_main(["export-lattice", "--rows", "1", "--cols", "1"]) == 0
-    assert blas_threads() == {"numpy": 1, "scipy": 1}
+    assert blas_threads() == {"numpy": 1}
 
 
 def _threads_in_worker(barrier):
@@ -88,28 +83,10 @@ def test_phase_diagram_workers_run_one_thread(two_threads, monkeypatch):
     assert len(run_phase_diagram(config)) == 2
     (kwargs,) = pools
     # the parent still runs two threads, which forked workers would inherit
-    assert blas_threads() == {"numpy": 2, "scipy": 2}
+    assert blas_threads() == {"numpy": 2}
     with multiprocessing.Manager() as manager, ProcessPoolExecutor(**kwargs) as pool:
         barrier = manager.Barrier(2, timeout=60)
         reports = list(pool.map(_threads_in_worker, [barrier, barrier], timeout=120))
     assert len({pid for pid, _ in reports}) == 2
     for _, counts in reports:
-        assert counts == {"numpy": 1, "scipy": 1}
-
-
-def test_threads_set_before_scipy_linalg_loads_stay_set(fresh_python):
-    # cli.main limits the threads before any path imports scipy.linalg; the
-    # library it loads then is the one already set
-    counts = fresh_python(
-        """
-import json, sys
-from dtc2d.blas import blas_threads, limit_blas_threads
-limit_blas_threads()
-assert "scipy.linalg" not in sys.modules
-import scipy.linalg
-print(json.dumps(blas_threads()))
-"""
-    )
-    if set(counts) != PACKAGES:
-        pytest.skip("numpy or scipy has no bundled OpenBLAS")
-    assert counts == {"numpy": 1, "scipy": 1}
+        assert counts == {"numpy": 1}

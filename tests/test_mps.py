@@ -2,7 +2,6 @@ import copy
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from dtc2d import (
     FloquetParams,
@@ -15,7 +14,7 @@ from dtc2d import (
     unroll,
 )
 from dtc2d.exact import StateVector
-from dtc2d.mps import MPS, MPSState, _split_gate, evolve_cycle_mps
+from dtc2d.mps import MPS, MPSState, _split_gate, _svd, evolve_cycle_mps
 from dtc2d.observables import chi, chi_from_matrix, delta, qfi
 
 
@@ -261,19 +260,19 @@ class TestApplyMPO:
             state.apply_cycle(dtc_cycle)
         assert max(state.mps.bond_dims) <= 8
 
-    def test_every_svd_goes_through_scipy_linalg_svd(
+    def test_every_svd_goes_through_numpy_linalg_svd(
         self, monkeypatch, hexagon, hexagon_order, dtc_cycle
     ):
         # the engine looks the name up at each call, so a wrapper put there
-        # (as perfbench's SVD counter is) counts every factorization
+        # counts every factorization
         calls = []
-        svd = scipy.linalg.svd
+        svd = np.linalg.svd
 
         def counted(*args, **kwargs):
             calls.append(1)
             return svd(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "svd", counted)
+        monkeypatch.setattr(np.linalg, "svd", counted)
         state = MPSState(neel_state(hexagon), hexagon_order, chi_max=8)
         state.apply_cycle(dtc_cycle)
         position = hexagon_order.position
@@ -281,6 +280,30 @@ class TestApplyMPO:
         # per gate: the split of the gate, then one truncating SVD per bond
         # of its span
         assert len(calls) == sum(1 + abs(position[i] - position[j]) for i, j in gates)
+
+    @pytest.mark.parametrize("shape", [(12, 5), (5, 12)])
+    def test_svd_falls_back_when_the_driver_fails(self, monkeypatch, shape):
+        # the first SVD fails to converge; the fallback factors the R of a QR
+        svd = np.linalg.svd
+        calls = []
+
+        def fails_first(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", fails_first)
+        rng = np.random.default_rng(5)
+        matrix = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        u, s, vh = _svd(matrix)
+        assert len(calls) == 2
+        k = min(shape)
+        assert u.shape == (shape[0], k) and s.shape == (k,) and vh.shape == (k, shape[1])
+        np.testing.assert_allclose((u * s) @ vh, matrix, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(k), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(vh @ vh.conj().T, np.eye(k), rtol=0, atol=1e-13)
+        assert np.all(np.diff(s) <= 0)
 
 
 class TestCliffordEvolution:

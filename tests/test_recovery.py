@@ -21,7 +21,6 @@ from dtc2d.recovery import (
     clifford_reference,
     deconvolve_hamming,
     flip_kernel,
-    kernel_column,
     learn_chi_coefficients,
     learn_flip_schedule,
     learn_offsets,
@@ -331,7 +330,7 @@ class TestFlipKernel:
 
     def test_two_bit_column(self):
         p = 0.3
-        column = kernel_column(2, p, 0)
+        column = flip_kernel(2, p)[:, 0]
         np.testing.assert_allclose(
             column, [(1 - p) ** 2, 2 * p * (1 - p), p**2], atol=1e-15
         )
@@ -365,9 +364,7 @@ class TestFlipKernel:
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            kernel_column(5, 1.5, 0)
-        with pytest.raises(ValueError):
-            kernel_column(5, 0.1, 9)
+            flip_kernel(5, 1.5)
 
 
 def log_space_kernel_column(n_bits, p, d_in):
@@ -424,7 +421,7 @@ class TestFlipKernelOracles:
 class TestLearnFlipProbability:
     def test_exact_binomial_recovered(self):
         n, p_true = 20, 0.07
-        dist = kernel_column(n, p_true, 0)
+        dist = flip_kernel(n, p_true)[:, 0]
         assert abs(learn_flip_schedule(dist[None], [0])[0] - p_true) < 1e-6
 
     def test_point_mass_gives_zero(self):
@@ -437,7 +434,7 @@ class TestLearnFlipProbability:
         with pytest.raises(ValueError, match="one bit"):
             learn_flip_schedule(np.ones((1, 1)), [0])
         with pytest.raises(ValueError, match="d_cliff"):
-            learn_flip_schedule(kernel_column(12, 0.1, 3)[None], [3])
+            learn_flip_schedule(flip_kernel(12, 0.1)[:, 3][None], [3])
 
     def test_sampled_clifford_data(self):
         # closed loop at the flip point: the noiseless output alternates
@@ -456,7 +453,7 @@ class TestLearnFlipProbability:
 
     def test_schedule(self):
         n = 12
-        dists = np.stack([kernel_column(n, 0.02 * t, 0) for t in range(5)])
+        dists = np.stack([flip_kernel(n, 0.02 * t)[:, 0] for t in range(5)])
         p = learn_flip_schedule(dists, np.zeros(5, dtype=int))
         np.testing.assert_allclose(p, 0.02 * np.arange(5), atol=1e-6)
 

@@ -18,6 +18,7 @@ from dtc2d.runner import (
     RecoverySettings,
     RunConfig,
     point_csv_rows,
+    point_tag,
     recover_from_raw,
     run_phase_diagram,
     run_point,
@@ -308,95 +309,110 @@ class TestPhaseDiagram:
             run_phase_diagram(config)
 
 
-SCIPY_SUBMODULES = ("scipy.linalg", "scipy.special", "scipy.optimize")
+@pytest.fixture(scope="class")
+def scipy_blocked(fresh_python, tmp_path_factory):
+    """Every CLI path, run in one new interpreter in which any import of
+    scipy or a scipy submodule raises (scipy is a test-only dependency).
 
+    Returns the output directory, each path's traceback (None if it ran),
+    and the scipy modules the interpreter holds at the end. The
+    phase-diagram pool workers fork from that interpreter and inherit the
+    block.
+    """
+    out = tmp_path_factory.mktemp("scipy-blocked")
+    noise = NoiseSpec(decay=0.97, bias_even=0.03, flip_slope=0.01)
+    mps = MPSOptions(chi_max=16)
+    configs = {
+        "exact": small_config(
+            cycles=2, shots=100, noise=noise, recovery=RecoverySettings(deconvolve=True)
+        ),
+        "mps": small_config(
+            cols=2, cycles=2, shots=100, noise=noise, backend="mps", mps=mps,
+            recovery=RecoverySettings(learn_rows=1, learn_cols=1),
+        ),
+        "exact-phase": small_config(
+            cycles=1, phis=(0.3, DTC_PHI), full_correlations=False, workers=2
+        ),
+        "mps-phase": small_config(
+            cycles=1, phis=(0.3, DTC_PHI), full_correlations=False, workers=2,
+            backend="mps", mps=mps,
+        ),
+    }
+    for name, config in configs.items():
+        (out / f"{name}.json").write_text(config.to_json())
 
-def loaded_scipy(fresh_python, code: str) -> list[str]:
-    """The scipy submodules a new interpreter holds after running ``code``."""
-    return fresh_python(
-        f"{code}\nimport json, sys\n"
-        f"print(json.dumps([m for m in {SCIPY_SUBMODULES!r} if m in sys.modules]))"
+    def args(command, name, into=None):
+        return [command, "--config", str(out / f"{name}.json"),
+                "--out", str(out / (into or name))]
+
+    raw = str(out / "exact" / f"raw_{point_tag(0.05, DTC_PHI)}.csv")
+    calls = {
+        "simulate-exact": args("simulate", "exact"),
+        "recover-exact": args("recover", "exact", "recovered") + ["--raw", raw],
+        "simulate-mps": args("simulate", "mps"),
+        "phase-exact": args("phase-diagram", "exact-phase"),
+        "phase-mps": args("phase-diagram", "mps-phase"),
+        "export-lattice": ["export-lattice", "--rows", "1", "--cols", "1"],
+    }
+    report = fresh_python(
+        f"""
+import json, sys, traceback
+sys.modules["scipy"] = None  # any import of scipy or a submodule raises
+errors = {{}}
+
+def attempt(name, run):
+    try:
+        run()
+        errors[name] = None
+    except (Exception, SystemExit):
+        errors[name] = traceback.format_exc()
+
+attempt("import", lambda: __import__("dtc2d.cli"))
+from dtc2d.cli import main
+for name, args in {calls!r}.items():
+    attempt(name, lambda: main(args))
+loaded = [m for m, v in sys.modules.items() if m.partition(".")[0] == "scipy" and v]
+print(json.dumps({{"errors": errors, "loaded": loaded}}))
+"""
     )
-
-
-def cli_code(command: str, config: RunConfig, tmp_path) -> str:
-    path = tmp_path / "run.json"
-    path.write_text(config.to_json())
-    args = [command, "--config", str(path), "--out", str(tmp_path / "out")]
-    return f"from dtc2d.cli import main\nmain({args!r})"
+    return out, report["errors"], report["loaded"]
 
 
 class TestImports:
-    """Each CLI path loads only the scipy submodules it runs."""
+    """Each CLI path runs with every scipy import blocked."""
 
-    def test_importing_the_program_loads_none(self, fresh_python):
-        code = "import dtc2d.cli, dtc2d.mps, dtc2d.recovery"
-        assert loaded_scipy(fresh_python, code) == []
+    def test_importing_the_program_loads_none(self, scipy_blocked):
+        _, errors, loaded = scipy_blocked
+        assert errors["import"] is None, errors["import"]
+        assert loaded == []
 
-    def test_exact_noiseless_phase_diagram_loads_none(self, fresh_python, tmp_path):
-        config = small_config(cycles=1, phis=(0.3, DTC_PHI))
-        code = cli_code("phase-diagram", config, tmp_path)
-        assert loaded_scipy(fresh_python, code) == []
-        assert len(json.loads((tmp_path / "out" / "phase_grid.json").read_text())) == 2
+    def test_deconvolving_simulate_and_recover_load_none(self, scipy_blocked):
+        out, errors, _ = scipy_blocked
+        for name in ("simulate-exact", "recover-exact"):
+            assert errors[name] is None, errors[name]
+        (in_run,) = out.glob("exact/recovery_*.json")
+        offline = out / "recovered" / in_run.name
+        assert offline.read_bytes() == in_run.read_bytes()
+        assert len(json.loads(offline.read_text())["deconvolved"]) == 3
 
-    def test_run_without_deconvolution_loads_no_optimizer(
-        self, fresh_python, tmp_path
-    ):
-        config = small_config(
-            cycles=2,
-            shots=100,
-            noise=NoiseSpec(decay=0.97, bias_even=0.03, flip_slope=0.01),
-            recovery=RecoverySettings(),
-        )
-        loaded = loaded_scipy(fresh_python, cli_code("simulate", config, tmp_path))
-        assert "scipy.special" not in loaded
-        assert "scipy.optimize" not in loaded
-        assert list(tmp_path.glob("out/recovery_*.json"))
+    def test_mps_run_learning_on_a_smaller_lattice_loads_none(self, scipy_blocked):
+        out, errors, _ = scipy_blocked
+        assert errors["simulate-mps"] is None, errors["simulate-mps"]
+        assert list(out.glob("mps/recovery_*.json"))
 
-    def test_deconvolving_simulate_and_recover_load_none(
-        self, fresh_python, tmp_path
-    ):
-        # the flip kernel, the trial distribution and its fit are numpy
-        config = small_config(
-            cycles=2,
-            shots=100,
-            noise=NoiseSpec(decay=0.97, bias_even=0.03, flip_slope=0.01),
-            recovery=RecoverySettings(deconvolve=True),
-        )
-        assert loaded_scipy(fresh_python, cli_code("simulate", config, tmp_path)) == []
-        (raw,) = tmp_path.glob("out/raw_*.csv")
-        args = ["recover", "--config", str(tmp_path / "run.json"), "--raw", str(raw),
-                "--out", str(tmp_path / "recovered")]
-        code = f"from dtc2d.cli import main\nmain({args!r})"
-        assert loaded_scipy(fresh_python, code) == []
-        (report,) = tmp_path.glob("recovered/recovery_*.json")
-        assert len(json.loads(report.read_text())["deconvolved"]) == 3
+    def test_exact_noiseless_phase_diagram_loads_none(self, scipy_blocked):
+        out, errors, _ = scipy_blocked
+        assert errors["phase-exact"] is None, errors["phase-exact"]
+        assert len(json.loads((out / "exact-phase" / "phase_grid.json").read_text())) == 2
 
-    def test_mps_pool_inherits_scipy_linalg_from_the_parent(self, fresh_python):
-        # the parent imports scipy.linalg before it forks the workers, so
-        # they do not each import it
-        at_pool = fresh_python(
-            """
-import json, sys
-from concurrent.futures import ProcessPoolExecutor
-from dtc2d import runner
-from dtc2d.runner import RunConfig, run_phase_diagram
+    def test_mps_phase_diagram_pool_loads_none(self, scipy_blocked):
+        out, errors, _ = scipy_blocked
+        assert errors["phase-mps"] is None, errors["phase-mps"]
+        assert len(json.loads((out / "mps-phase" / "phase_grid.json").read_text())) == 2
 
-at_pool = []
-
-class RecordingPool(ProcessPoolExecutor):
-    def __init__(self, *args, **kwargs):
-        at_pool.append("scipy.linalg" in sys.modules)
-        super().__init__(*args, **kwargs)
-
-runner.ProcessPoolExecutor = RecordingPool
-config = RunConfig(cycles=1, epsilons=(0.0,), phis=(0.2, 1.2), backend="mps", workers=2)
-assert "scipy.linalg" not in sys.modules
-assert len(run_phase_diagram(config)) == 2
-print(json.dumps(at_pool))
-"""
-        )
-        assert at_pool == [True]
+    def test_export_lattice_loads_none(self, scipy_blocked):
+        _, errors, _ = scipy_blocked
+        assert errors["export-lattice"] is None, errors["export-lattice"]
 
 
 class TestOutputs:
@@ -693,3 +709,11 @@ class TestCLI:
             assert resolved["mps"]["chi_max"] == chi
             assert resolved["backend"] == "mps"
             assert any(n.startswith("point_") for n in os.listdir(sub))
+
+    def test_chi_sweep_is_validated_before_any_run(self, tmp_path):
+        # chi 0 is rejected before chi 8 evolves or writes anything
+        path = self.write_config(tmp_path, cycles=1, full_correlations=False)
+        out = tmp_path / "sweep"
+        with pytest.raises(ValueError, match="chi_max"):
+            cli_main(["simulate", "--config", path, "--out", str(out), "--chi-sweep", "8,0"])
+        assert not out.exists()
