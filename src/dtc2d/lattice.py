@@ -64,10 +64,6 @@ class UnrollOrder:
     position: tuple[int, ...]  # qubit index -> chain position
 
     @property
-    def n_sites(self) -> int:
-        return len(self.position)
-
-    @property
     def qubit_at(self) -> tuple[int, ...]:
         """Inverse permutation: chain position -> qubit index."""
         inv = [0] * len(self.position)

@@ -1,8 +1,10 @@
 """Matrix-product-state evolution of the unrolled lattice.
 
-Site tensors have shape (left_bond, 2, right_bond). Between cycles the
-state is right-canonical with the orthogonality center at site 0, so
-expectation values close with identity environments on the right.
+One class, ``MPSState``, holds the chain of site tensors and the unroll
+order that maps lattice qubits to chain positions. Site tensors have shape
+(left_bond, 2, right_bond) and are indexed by chain position. Between
+cycles the state is right-canonical with the orthogonality center at site
+0, so expectation values close with identity environments on the right.
 
 A two-qubit gate on chain positions a < b is applied over its span only.
 The center moves to a by QR; the 4x4 gate is split by SVD into two site
@@ -15,9 +17,10 @@ truncation there. When chi_max exceeds the entanglement requirement the
 result is exact up to the singular-value floor.
 
 Like the dense backend, ``MPSState`` answers ``apply_cycle``,
-``zz_matrix`` and ``sample_bits``. ``zz_matrix`` reads <Z> and <ZZ> in one
-left-to-right sweep of left environments, each stored (bra bond, ket
-bond). The sweep carries a stack: the plain environment, then one open
+``zz_matrix`` and ``sample_bits`` in lattice qubit indices, translated to
+chain positions through the unroll order. ``zz_matrix`` reads <Z> and <ZZ>
+in one left-to-right sweep of left environments, each stored (bra bond,
+ket bond). The sweep carries a stack: the plain environment, then one open
 Z-string for each earlier site. At each site one contraction with the
 Z-signed tensor closes every entry of the stack against the
 right-canonical rest (the plain entry gives <Z_j>, the string of site i
@@ -87,9 +90,12 @@ def _split_gate(gate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
-class MPS:
-    """MPS with bond cap ``chi_max`` and singular-value floor ``cutoff``.
+class MPSState:
+    """MPS of the unrolled lattice evolving under a Floquet cycle.
 
+    Answers the same three calls as the dense backend, in lattice qubit
+    indices; ``position`` maps each lattice qubit to its chain position.
+    ``chi_max`` caps every bond and ``cutoff`` is the singular-value floor.
     ``center`` is the site of the orthogonality center: sites left of it
     are left-isometries, sites right of it right-isometries, and the center
     tensor carries the norm. ``truncation_error`` accumulates the discarded
@@ -100,48 +106,57 @@ class MPS:
 
     def __init__(
         self,
-        tensors: list[np.ndarray],
+        state: ProductState,
+        order: UnrollOrder,
         chi_max: int = 64,
         cutoff: float = 1e-12,
     ):
-        self.tensors = tensors
+        self.position = np.asarray(order.position)
         self.chi_max = int(chi_max)
         self.cutoff = float(cutoff)
         self.truncation_error = 0.0
         self.center = 0
-
-    @classmethod
-    def from_product(
-        cls,
-        bits: np.ndarray,
-        chi_max: int = 64,
-        cutoff: float = 1e-12,
-    ) -> "MPS":
-        tensors = []
-        for b in bits:
+        self.tensors = []
+        for b in state.bits[list(order.qubit_at)]:
             t = np.zeros((1, 2, 1), dtype=complex)
             t[0, int(b), 0] = 1.0
-            tensors.append(t)
-        return cls(tensors, chi_max=chi_max, cutoff=cutoff)
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.tensors)
+            self.tensors.append(t)
 
     @property
     def bond_dims(self) -> list[int]:
         return [t.shape[2] for t in self.tensors[:-1]]
 
-    def apply_1q(self, site: int, gate: np.ndarray) -> None:
-        self.tensors[site] = np.einsum("qp,apb->aqb", gate, self.tensors[site])
+    def apply_cycle(self, cycle: GateSequence) -> None:
+        """Apply one Floquet cycle in place: kicks, then the three layers.
 
-    def apply_2q(self, site_a: int, site_b: int, gate: np.ndarray) -> None:
+        Single-qubit kicks act directly on site tensors (exact, no
+        truncation). The gates of a layer act on disjoint qubits, so they
+        commute; they are applied in order of their left chain end, which
+        keeps the center moving rightward. The cycle ends with the center
+        back at site 0.
+        """
+        for site, t in enumerate(self.tensors):
+            self.tensors[site] = np.einsum("qp,apb->aqb", cycle.kick, t)
+        for layer in cycle.layers:
+            seen: set[int] = set()
+            spans = []
+            for i, j, gate in layer:
+                if i in seen or j in seen or i == j:
+                    raise ValueError(f"layer gates overlap at qubits ({i}, {j})")
+                seen.update((i, j))
+                spans.append((self.position[i], self.position[j], gate))
+            spans.sort(key=lambda span: min(span[0], span[1]))
+            for pos_i, pos_j, gate in spans:
+                self._apply_2q(pos_i, pos_j, gate)
+        self._move_center(0)
+
+    def _apply_2q(self, site_a: int, site_b: int, gate: np.ndarray) -> None:
         """Apply a gate indexed (out_a, out_b, in_a, in_b) to chain sites a, b.
 
         Touches only the sites between the two ends and leaves the
         orthogonality center at the left end of the span.
         """
-        n = self.n_sites
+        n = len(self.tensors)
         if site_a == site_b or not (0 <= site_a < n and 0 <= site_b < n):
             raise ValueError(f"invalid gate span ({site_a}, {site_b}) on {n} sites")
         if site_a > site_b:
@@ -208,23 +223,22 @@ class MPS:
     def _keep(self, s: np.ndarray) -> int:
         return max(1, min(self.chi_max, int(np.sum(s > self.cutoff))))
 
-    # --- observables (chain indexing) ---
-
     def zz_matrix(self, pairs=None) -> tuple[np.ndarray, np.ndarray]:
-        """<Z_j> for every site and the <Z_i Z_j> matrix (diagonal = 1).
+        """<Z_q> for every qubit and the <Z_p Z_q> matrix (diagonal = 1).
 
-        ``pairs`` (chain positions, in any order) limits the matrix to those
-        entries: site i opens a Z-string only if it pairs with a later site,
-        and the sweep drops it after the last one; entries it never reaches
-        stay NaN. Needs right-canonical form (center at site 0): the sites
-        right of j then close each environment with the identity, which is
-        a trace.
+        ``pairs`` (lattice qubits, in any order) limits the matrix to those
+        entries. The sweep runs over chain sites: site i opens a Z-string
+        only if it pairs with a later site, and the sweep drops it after the
+        last one; entries it never reaches stay NaN. Needs right-canonical
+        form (center at site 0): the sites right of j then close each
+        environment with the identity, which is a trace.
         """
-        n = self.n_sites
+        n = len(self.tensors)
         if pairs is None:
             reach = np.full(n, n - 1)
         else:
-            a, b = np.sort(np.asarray(pairs, dtype=int).reshape(-1, 2), axis=1).T
+            chain_pairs = self.position[np.asarray(pairs, dtype=int)]
+            a, b = np.sort(chain_pairs.reshape(-1, 2), axis=1).T
             reach = np.arange(n)
             np.maximum.at(reach, a, b)
         # site 0 carries the norm; the rest is right-canonical
@@ -249,18 +263,19 @@ class MPS:
             if reach[j] > j:
                 stack = np.concatenate([stack, _env_step(half[:1], signed)])
                 strings = np.append(strings, j)
-        return z, matrix
+        return z[self.position], matrix[np.ix_(self.position, self.position)]
 
     def sample_bits(self, shots: int, seed: int) -> np.ndarray:
         """Perfect sampling from the MPS; returns (shots, n) bit array.
 
-        Requires right-canonical form (center at site 0), which
-        evolve_cycle_mps restores after every cycle. Vectorized over shots.
+        Sites are drawn in chain order and the columns returned in lattice
+        qubit order. Requires right-canonical form (center at site 0), which
+        ``apply_cycle`` restores after every cycle. Vectorized over shots.
         """
         if shots < 1:
             raise ValueError("shots must be >= 1")
         rng = np.random.default_rng(seed)
-        n = self.n_sites
+        n = len(self.tensors)
         bits = np.empty((shots, n), dtype=np.uint8)
         t0 = self.tensors[0] / np.linalg.norm(self.tensors[0])
         vec = np.ones((shots, 1), dtype=complex)
@@ -276,65 +291,4 @@ class MPS:
             vec = np.where(outcome[:, None] == 1, branch1, branch0)
             scale = np.sqrt(np.where(outcome == 1, w1, w0))
             vec = vec / scale[:, None]
-        return bits
-
-
-def evolve_cycle_mps(mps: MPS, cycle: GateSequence, order: UnrollOrder) -> None:
-    """Apply one Floquet cycle in place: local kicks, then the three layers.
-
-    Single-qubit kicks act directly on site tensors (exact, no truncation).
-    The gates of a layer act on disjoint qubits, so they commute; they are
-    applied in order of their left chain end, which keeps the center moving
-    rightward. The cycle ends with the center back at site 0.
-    """
-    for site in range(mps.n_sites):
-        mps.apply_1q(site, cycle.kick)
-    for layer in cycle.layers:
-        seen: set[int] = set()
-        spans = []
-        for i, j, gate in layer:
-            if i in seen or j in seen or i == j:
-                raise ValueError(f"layer gates overlap at qubits ({i}, {j})")
-            seen.update((i, j))
-            spans.append((order.position[i], order.position[j], gate))
-        spans.sort(key=lambda span: min(span[0], span[1]))
-        for pos_i, pos_j, gate in spans:
-            mps.apply_2q(pos_i, pos_j, gate)
-    mps._move_center(0)
-
-
-class MPSState:
-    """Lattice-indexed view of an MPS evolving under a Floquet cycle.
-
-    Answers the same three calls as the dense backend; qubit indices are
-    lattice indices, translated internally through the unroll order.
-    """
-
-    def __init__(
-        self,
-        state: ProductState,
-        order: UnrollOrder,
-        chi_max: int = 64,
-        cutoff: float = 1e-12,
-    ):
-        self.order = order
-        bits_chain = state.bits[list(order.qubit_at)]
-        self.mps = MPS.from_product(bits_chain, chi_max=chi_max, cutoff=cutoff)
-
-    @property
-    def truncation_error(self) -> float:
-        return self.mps.truncation_error
-
-    def apply_cycle(self, cycle: GateSequence) -> None:
-        evolve_cycle_mps(self.mps, cycle, self.order)
-
-    def zz_matrix(self, pairs=None) -> tuple[np.ndarray, np.ndarray]:
-        position = np.asarray(self.order.position)
-        if pairs is not None:
-            pairs = position[np.asarray(pairs, dtype=int)]
-        z, matrix = self.mps.zz_matrix(pairs)
-        return z[position], matrix[np.ix_(position, position)]
-
-    def sample_bits(self, shots: int, seed: int) -> np.ndarray:
-        chain_bits = self.mps.sample_bits(shots, seed)
-        return chain_bits[:, list(self.order.position)]
+        return bits[:, self.position]

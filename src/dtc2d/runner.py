@@ -45,7 +45,7 @@ from .circuit import (
     sample_disorder,
 )
 from .exact import StateVector, check_capacity
-from .lattice import build_lattice, unroll
+from .lattice import UnrollOrder, build_lattice, unroll
 from .noise import NoiseSpec, corrupt_bits, corrupt_correlators, corrupt_expectations
 from .observables import (
     PhasePoint,
@@ -165,6 +165,8 @@ class RunConfig:
                 check_capacity(build_lattice(rows, cols).n_qubits)
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "phis", tuple(float(p) for p in self.phis))
+        if not (self.epsilons and self.phis):
+            raise ValueError("epsilons and phis must each list at least one value")
         for eps in self.epsilons:
             if not (np.isfinite(eps) and eps >= 0):
                 raise ValueError(f"epsilon must be finite and >= 0, got {eps}")
@@ -353,7 +355,7 @@ def _simulate_system(
     start_t = 0
     checkpointed = checkpoint_dir is not None and config.backend == "mps"
     if checkpointed:
-        key = _checkpoint_key(config, rows, cols, eps, phi)
+        key = _checkpoint_key(config, rows, cols, eps, phi, order)
         start_t = _try_resume(state, checkpoint_dir, key, config.cycles, clean, noisy)
 
     for t in range(start_t, config.cycles + 1):
@@ -543,8 +545,6 @@ def _recover(
 def run_phase_diagram(config: RunConfig) -> list[PhasePoint]:
     """Order parameters over the (epsilon, phi) grid, optionally parallel."""
     cells = [(eps, phi) for eps in config.epsilons for phi in config.phis]
-    if not cells:
-        raise ValueError("empty parameter grid")
     # the grid only needs per-site z values; skip the expensive extras
     fast = replace(
         config, full_correlations=False, shots=0, noise=None, recovery=None
@@ -760,7 +760,12 @@ def recover_from_raw(config: RunConfig, raw_path: str, phi: float) -> RecoveryRe
 
 
 def _checkpoint_key(
-    config: RunConfig, rows: int, cols: int, eps: float, phi: float
+    config: RunConfig,
+    rows: int,
+    cols: int,
+    eps: float,
+    phi: float,
+    order: UnrollOrder,
 ) -> str:
     """Name prefix of a point's checkpoints.
 
@@ -771,6 +776,8 @@ def _checkpoint_key(
     spec = {
         "rows": rows,
         "cols": cols,
+        # the chain position of each lattice qubit, which the tensors follow
+        "order": list(order.position),
         "initial_state": config.initial_state,
         "seed": config.seed,
         "eps": float(eps).hex(),
@@ -806,14 +813,14 @@ def _restore_series(series: TimeSeries, data, channel: str) -> None:
 
 def _save_checkpoint(state, directory, key, t, clean, noisy) -> None:
     path = os.path.join(directory, f"{key}_t{t}.npz")
-    tensors = {f"site_{i}": a for i, a in enumerate(state.mps.tensors)}
+    tensors = {f"site_{i}": a for i, a in enumerate(state.tensors)}
     arrays = _series_arrays(clean, "clean")
     arrays.update(_series_arrays(noisy, "noisy"))
     buffer = io.BytesIO()
     np.savez(
         buffer,
         t=np.array(t),
-        truncation_error=np.array(state.mps.truncation_error),
+        truncation_error=np.array(state.truncation_error),
         **tensors,
         **arrays,
     )
@@ -833,9 +840,8 @@ def _try_resume(state, directory, key, cycles, clean, noisy) -> int:
     if best_path is None:
         return 0
     with np.load(best_path) as data:
-        n_sites = state.mps.n_sites
-        state.mps.tensors = [data[f"site_{i}"] for i in range(n_sites)]
-        state.mps.truncation_error = float(data["truncation_error"])
+        state.tensors = [data[f"site_{i}"] for i in range(len(state.tensors))]
+        state.truncation_error = float(data["truncation_error"])
         _restore_series(clean, data, "clean")
         if noisy is not None:
             _restore_series(noisy, data, "noisy")

@@ -14,7 +14,8 @@ from dtc2d import (
     unroll,
 )
 from dtc2d.exact import StateVector
-from dtc2d.mps import MPS, MPSState, _split_gate, _svd, evolve_cycle_mps
+from dtc2d.lattice import UnrollOrder
+from dtc2d.mps import MPSState, _split_gate, _svd
 from dtc2d.observables import chi, chi_from_matrix, delta, qfi
 
 
@@ -60,7 +61,7 @@ def expect_z(mps, site):
 
 def row_restart_zz_matrix(mps):
     """<Z_i Z_j> with one transfer sweep per row i, from site i onward."""
-    n = mps.n_sites
+    n = len(mps.tensors)
     left_envs = [np.ones((1, 1), dtype=complex)]
     for i in range(n - 1):
         left_envs.append(transfer(left_envs[-1], mps.tensors[i]))
@@ -99,13 +100,24 @@ def canonical_defect(mps):
 
 def to_statevector(mps):
     """Dense amplitudes in the chain's bit convention (site 0 = bit 0)."""
-    assert mps.n_sites <= 20, "refusing to densify an MPS with more than 20 sites"
+    n = len(mps.tensors)
+    assert n <= 20, "refusing to densify an MPS with more than 20 sites"
     psi = mps.tensors[0][0]  # (2, b)
     for t in mps.tensors[1:]:
         psi = np.tensordot(psi, t, axes=([-1], [0]))
     psi = psi[..., 0]  # axes ordered site0..siteN-1
     # match the dense backend: qubit/site 0 is the least significant bit
-    return np.transpose(psi, tuple(reversed(range(mps.n_sites)))).reshape(-1)
+    return np.transpose(psi, tuple(reversed(range(n)))).reshape(-1)
+
+
+def chain_state(state, chi_max=64):
+    """MPS of a product state on a chain whose site i is lattice qubit i."""
+    return MPSState(state, UnrollOrder(tuple(range(state.n_qubits))), chi_max=chi_max)
+
+
+def apply_local(mps, site, gate):
+    """A single-qubit gate on one site tensor, as the cycle's kick acts."""
+    mps.tensors[site] = np.einsum("qp,apb->aqb", gate, mps.tensors[site])
 
 
 def random_gate(seed):
@@ -119,16 +131,17 @@ def random_chain_state(n, seed):
     """Entangled n-site MPS and the matching dense state (chain ordering)."""
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=n).astype(np.uint8)
-    mps = MPS.from_product(bits)
-    sv = StateVector.from_product(ProductState(spins=1 - 2 * bits.astype(int)))
+    s0 = ProductState(spins=1 - 2 * bits.astype(int))
+    mps = chain_state(s0)
+    sv = StateVector.from_product(s0)
     for site in range(n):
         u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        mps.apply_1q(site, u)
+        apply_local(mps, site, u)
         sv._apply_block(site, u)
     for a, b in [(0, 1), (2, 5), (7, 3), (4, 10), (11, 8)]:
         if max(a, b) < n:
             g = random_gate(int(rng.integers(1 << 30)))
-            mps.apply_2q(a, b, g)
+            mps._apply_2q(a, b, g)
             sv.apply_2q(a, b, g)
     return mps, sv
 
@@ -148,10 +161,10 @@ class TestMPOConstruction:
     def test_empty_layer_is_identity(self, hexagon, hexagon_order, dtc_cycle):
         state = MPSState(neel_state(hexagon), hexagon_order, chi_max=64)
         state.apply_cycle(dtc_cycle)
-        before = to_statevector(state.mps)
+        before = to_statevector(state)
         idle = GateSequence(12, np.eye(2, dtype=complex), ((), (), ()))
-        evolve_cycle_mps(state.mps, idle, hexagon_order)
-        np.testing.assert_allclose(to_statevector(state.mps), before, atol=1e-12)
+        state.apply_cycle(idle)
+        np.testing.assert_allclose(to_statevector(state), before, atol=1e-12)
 
     def test_overlap_rejected(self, hexagon, hexagon_order):
         g = random_gate(1)
@@ -171,7 +184,7 @@ class TestMPOConstruction:
                 sv.apply_2q(i, j, gate)
             expected = chain_statevector_from_lattice(sv, hexagon_order)
             np.testing.assert_allclose(
-                to_statevector(state.mps), expected, atol=1e-10
+                to_statevector(state), expected, atol=1e-10
             )
 
     def test_bond_dims_bounded_by_overlap_count(self, lattice_2x2):
@@ -188,7 +201,7 @@ class TestMPOConstruction:
                 sorted((order.position[i], order.position[j]))
                 for i, j, _ in layer_gates
             ]
-            for cut, bond in enumerate(state.mps.bond_dims):
+            for cut, bond in enumerate(state.bond_dims):
                 overlap = sum(1 for a, b in spans if a <= cut < b)
                 assert bond <= 2**overlap
 
@@ -196,9 +209,9 @@ class TestMPOConstruction:
         a, b = random_gate(3), random_gate(4)
         mps, _ = random_chain_state(6, seed=9)
         twice = copy.deepcopy(mps)
-        twice.apply_2q(1, 4, b)
-        twice.apply_2q(1, 4, a)
-        mps.apply_2q(1, 4, a @ b)
+        twice._apply_2q(1, 4, b)
+        twice._apply_2q(1, 4, a)
+        mps._apply_2q(1, 4, a @ b)
         np.testing.assert_allclose(
             to_statevector(twice), to_statevector(mps), atol=1e-12
         )
@@ -210,7 +223,7 @@ class TestApplyMPO:
         # (0, 11) spans the whole chain; (9, 2) runs against the chain order
         mps, sv = random_chain_state(12, seed=site_a + 7 * site_b)
         gate = random_gate(site_a * 12 + site_b)
-        mps.apply_2q(site_a, site_b, gate)
+        mps._apply_2q(site_a, site_b, gate)
         sv.apply_2q(site_a, site_b, gate)
         np.testing.assert_allclose(to_statevector(mps), sv.amplitudes, atol=1e-12)
         assert mps.center == min(site_a, site_b)
@@ -218,17 +231,16 @@ class TestApplyMPO:
     def test_identity_leaves_state_unchanged(self, hexagon, hexagon_order, dtc_cycle):
         state = MPSState(neel_state(hexagon), hexagon_order, chi_max=64)
         state.apply_cycle(dtc_cycle)
-        before = to_statevector(state.mps)
-        state.mps.apply_2q(0, 11, np.eye(4, dtype=complex))
-        np.testing.assert_allclose(to_statevector(state.mps), before, atol=1e-12)
+        before = to_statevector(state)
+        state._apply_2q(0, 11, np.eye(4, dtype=complex))
+        np.testing.assert_allclose(to_statevector(state), before, atol=1e-12)
 
     def test_chi_one_reports_truncation(self, hexagon_order):
-        bits = np.zeros(12, dtype=np.uint8)
-        mps = MPS.from_product(bits, chi_max=1)
+        mps = chain_state(ProductState(spins=np.ones(12, dtype=int)), chi_max=1)
         kick = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         for site in range(12):
-            mps.apply_1q(site, kick)
-        mps.apply_2q(0, 1, random_gate(5))
+            apply_local(mps, site, kick)
+        mps._apply_2q(0, 1, random_gate(5))
         assert mps.truncation_error > 0
         assert max(mps.bond_dims) == 1
 
@@ -251,14 +263,14 @@ class TestApplyMPO:
         state = MPSState(neel_state(hexagon), hexagon_order, chi_max=16)
         for _ in range(4):
             state.apply_cycle(dtc_cycle)
-        assert canonical_defect(state.mps) < 1e-10
-        assert abs(norm(state.mps) - 1.0) < 1e-8
+        assert canonical_defect(state) < 1e-10
+        assert abs(norm(state) - 1.0) < 1e-8
 
     def test_bond_cap_respected(self, hexagon, hexagon_order, dtc_cycle):
         state = MPSState(neel_state(hexagon), hexagon_order, chi_max=8)
         for _ in range(5):
             state.apply_cycle(dtc_cycle)
-        assert max(state.mps.bond_dims) <= 8
+        assert max(state.bond_dims) <= 8
 
     def test_every_svd_goes_through_numpy_linalg_svd(
         self, monkeypatch, hexagon, hexagon_order, dtc_cycle
@@ -380,7 +392,7 @@ class TestExpectations:
         z, _ = state.zz_matrix()
         for q in (0, 5, 11):
             site = hexagon_order.position[q]
-            assert abs(expect_z(state.mps, site) - z[q]) < 1e-12
+            assert abs(expect_z(state, site) - z[q]) < 1e-12
 
     def test_stacked_sweep_matches_row_restart(self, lattice_2x2):
         # 35 sites at chi 32: both cycles truncate
@@ -391,17 +403,21 @@ class TestExpectations:
         for _ in range(2):
             state.apply_cycle(cycle)
         assert state.truncation_error > 0
-        assert max(state.mps.bond_dims) == 32
-        mps = state.mps
-        z_chain, zz_chain = mps.zz_matrix()
+        assert max(state.bond_dims) == 32
+        # the references sweep chain sites; read them back in lattice order
+        position = np.asarray(order.position)
+        z_lattice, zz_lattice = state.zz_matrix()
         np.testing.assert_allclose(
-            zz_chain, row_restart_zz_matrix(mps), rtol=0, atol=1e-12
+            zz_lattice,
+            row_restart_zz_matrix(state)[np.ix_(position, position)],
+            rtol=0,
+            atol=1e-12,
         )
-        z = [expect_z(mps, site) for site in range(mps.n_sites)]
-        np.testing.assert_allclose(z_chain, z, rtol=0, atol=1e-12)
+        z = [expect_z(state, site) for site in position]
+        np.testing.assert_allclose(z_lattice, z, rtol=0, atol=1e-12)
         # the pair sweep keeps each string only up to its site's last partner
         edges = list(lattice_2x2.edges)
-        expected = on_pairs(state.zz_matrix()[1], edges)
+        expected = on_pairs(zz_lattice, edges)
         pruned = on_pairs(state.zz_matrix(edges)[1], edges)
         np.testing.assert_allclose(pruned, expected, rtol=0, atol=1e-14)
 

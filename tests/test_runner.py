@@ -7,8 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dtc2d import runner
 from dtc2d.cli import main as cli_main
 from dtc2d.exact import CapacityError, StateVector
+from dtc2d.lattice import UnrollOrder
 from dtc2d.mps import MPSState
 from dtc2d.noise import NoiseSpec
 from dtc2d.observables import TimeSeries
@@ -79,6 +81,8 @@ INVALID_CONFIGS = {
     "nan-noise-bias-even": {"noise": {"bias_even": float("nan")}},
     "nan-decay-spread": {"noise": {"kind": "mismatched", "decay_spread": float("nan")}},
     "nan-mismatched-decay": {"noise": {"kind": "mismatched", "decay": float("nan")}},
+    "empty-epsilons": {"epsilons": []},
+    "empty-phis": {"phis": []},
 }
 
 
@@ -304,9 +308,8 @@ class TestPhaseDiagram:
             assert a == b
 
     def test_empty_grid_rejected(self):
-        config = small_config(epsilons=())
         with pytest.raises(ValueError):
-            run_phase_diagram(config)
+            run_phase_diagram(small_config(epsilons=()))
 
 
 @pytest.fixture(scope="class")
@@ -543,6 +546,31 @@ class TestCheckpointing:
         fresh = run_point(RunConfig(**base, initial_state="polarized"), 0.05, DTC_PHI)
         np.testing.assert_array_equal(second.clean.delta, fresh.clean.delta)
         assert len(os.listdir(tmp_path / "checkpoints")) == 2
+
+    def test_other_chain_order_does_not_resume(self, monkeypatch, tmp_path):
+        # the tensors follow the chain order, so a checkpoint written under
+        # one order must not be resumed under another
+        base = dict(
+            rows=1, cols=1, epsilons=(0.05,), phis=(DTC_PHI,), cycles=3,
+            backend="mps", mps=MPSOptions(chi_max=32), seed=7,
+            full_correlations=True, shots=0,
+        )
+        checkpointed = RunConfig(**base, output_dir=str(tmp_path), checkpoint=True)
+        run_point(checkpointed, 0.05, DTC_PHI)
+
+        snake = runner.unroll
+
+        def reversed_order(lattice):
+            n = lattice.n_qubits
+            return UnrollOrder(tuple(n - 1 - p for p in snake(lattice).position))
+
+        monkeypatch.setattr(runner, "unroll", reversed_order)
+        second = run_point(checkpointed, 0.05, DTC_PHI)
+        fresh = run_point(RunConfig(**base), 0.05, DTC_PHI)
+        assert len(os.listdir(tmp_path / "checkpoints")) == 2
+        for name in vars(TimeSeries()):
+            got, want = getattr(second.clean, name), getattr(fresh.clean, name)
+            np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 class TestCLI:
