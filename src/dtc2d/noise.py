@@ -5,12 +5,14 @@ Expectation values are corrupted by the linear model
 schedules f_i(t) = rate_i**t and parity-periodic biases
 (bias_i(t) = bias_i(t+2)). Sampled bitstrings are corrupted by independent
 per-bit flips with probability p(t) followed by readout flips. The <ZZ>
-matrix passes through the same per-qubit channel; each function maps a
-whole array of sites, the whole matrix or all shots at once.
+matrix passes through the same per-qubit channel: ``corrupt_zz`` maps one
+whole (z, zz) read, ``corrupt_bits`` all shots at once.
 
-The defaults realize exactly the model the recovery stack assumes, so
-closed-loop tests isolate recovery-code correctness; ``mismatched_noise``
-breaks the uniformity assumptions to probe robustness.
+``NoiseSpec.build`` makes the ``NoiseModel`` of one lattice. Its
+``uniform`` kind realizes exactly the model the recovery stack assumes, so
+closed-loop tests isolate recovery-code correctness; its ``mismatched``
+kind draws qubit-dependent schedules that break the uniformity
+assumptions to probe robustness.
 """
 from __future__ import annotations
 
@@ -62,64 +64,34 @@ class NoiseModel:
         return min(self.flip_slope * t, self.flip_cap)
 
 
-def uniform_noise(
-    n_qubits: int,
-    decay: float,
-    bias_even: float = 0.0,
-    bias_odd: float = 0.0,
-    s0: np.ndarray | None = None,
-    flip_slope: float = 0.0,
-    flip_cap: float = 0.5,
-    readout_flip: float = 0.0,
-) -> NoiseModel:
-    """Uniform attenuation with parity offsets.
+def corrupt_zz(
+    z: np.ndarray, zz: np.ndarray, model: NoiseModel, t: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the per-qubit linear channel to one (z, zz) read at cycle t.
 
-    When ``s0`` is given, per-qubit biases are aligned with the initial
-    spins so the collective offset of the order parameter equals bias_even
-    (even t) and bias_odd (odd t) exactly, independent of the initial
-    pattern.
+    Each Z_i -> f_i Z_i + b_i independently, so
+    <Z_i Z_j> -> f_i f_j <Z_i Z_j> + f_i b_j <Z_i> + f_j b_i <Z_j> + b_i b_j.
+    The recovery ansatz approximates the pair map by a collective
+    attenuation plus pair-averaged bias terms. Each entry i < j is mapped
+    and mirrored to (j, i); the diagonal stays 1. Outputs are clamped to
+    [-1, 1].
     """
-    weight = np.ones(n_qubits) if s0 is None else np.asarray(s0, dtype=float)
-    return NoiseModel(
-        decay=np.full(n_qubits, decay),
-        bias_even=bias_even * weight,
-        bias_odd=bias_odd * weight,
-        flip_slope=flip_slope,
-        flip_cap=flip_cap,
-        readout_flip=readout_flip,
-    )
-
-
-def mismatched_noise(
-    n_qubits: int,
-    seed: int,
-    decay_range: tuple[float, float] = (0.95, 0.99),
-    bias_scale: float = 0.05,
-    flip_slope: float = 0.0,
-    flip_cap: float = 0.5,
-    readout_flip: float = 0.0,
-) -> NoiseModel:
-    """Qubit-dependent schedules that violate the uniformity assumption."""
-    rng = np.random.default_rng(seed)
-    return NoiseModel(
-        decay=rng.uniform(*decay_range, size=n_qubits),
-        bias_even=rng.uniform(-bias_scale, bias_scale, size=n_qubits),
-        bias_odd=rng.uniform(-bias_scale, bias_scale, size=n_qubits),
-        flip_slope=flip_slope,
-        flip_cap=flip_cap,
-        readout_flip=readout_flip,
-    )
-
-
-def corrupt_expectations(
-    per_site_z: np.ndarray, model: NoiseModel, t: int
-) -> np.ndarray:
-    """Apply the linear noise model at cycle t; output clamped to [-1, 1]."""
-    per_site_z = np.asarray(per_site_z, dtype=float)
-    if len(per_site_z) != model.n_qubits:
+    z = np.asarray(z, dtype=float)
+    zz = np.asarray(zz, dtype=float)
+    if len(z) != model.n_qubits:
         raise ValueError("noise model and z values have different lengths")
-    noisy = model.attenuation(t) * per_site_z + model.bias(t)
-    return np.clip(noisy, -1.0, 1.0)
+    f = model.attenuation(t)
+    b = model.bias(t)
+    i, j = np.triu_indices(len(z), k=1)
+    noisy_zz = np.eye(len(z))
+    upper = (
+        f[i] * f[j] * zz[i, j]
+        + f[i] * b[j] * z[i]
+        + f[j] * b[i] * z[j]
+        + b[i] * b[j]
+    )
+    noisy_zz[i, j] = noisy_zz[j, i] = np.clip(upper, -1.0, 1.0)
+    return np.clip(f * z + b, -1.0, 1.0), noisy_zz
 
 
 def corrupt_bits(
@@ -136,34 +108,6 @@ def corrupt_bits(
     if model.readout_flip > 0:
         readout = (rng.random(samples.shape) < model.readout_flip).astype(np.uint8)
         noisy = noisy ^ readout
-    return noisy
-
-
-def corrupt_correlators(
-    zz: np.ndarray, per_site_z: np.ndarray, model: NoiseModel, t: int
-) -> np.ndarray:
-    """Apply the per-qubit linear channel to the <Z_i Z_j> matrix.
-
-    With Z_i -> f_i Z_i + b_i on each qubit independently,
-    <Z_i Z_j> -> f_i f_j <Z_i Z_j> + f_i b_j <Z_i> + f_j b_i <Z_j> + b_i b_j.
-    The same single-qubit model that corrupts the polarizations, extended
-    consistently; the recovery ansatz approximates this by a collective
-    attenuation plus pair-averaged bias terms. Each entry i < j is mapped
-    and mirrored to (j, i); the diagonal stays 1.
-    """
-    f = model.attenuation(t)
-    b = model.bias(t)
-    z = np.asarray(per_site_z, dtype=float)
-    zz = np.asarray(zz, dtype=float)
-    i, j = np.triu_indices(len(z), k=1)
-    noisy = np.eye(len(z))
-    upper = (
-        f[i] * f[j] * zz[i, j]
-        + f[i] * b[j] * z[i]
-        + f[j] * b[i] * z[j]
-        + b[i] * b[j]
-    )
-    noisy[i, j] = noisy[j, i] = np.clip(upper, -1.0, 1.0)
     return noisy
 
 
@@ -190,16 +134,19 @@ class NoiseSpec:
     bias_scale: float = 0.05
 
     def build(self, n_qubits: int, s0: np.ndarray | None = None) -> NoiseModel:
+        flips = dict(
+            flip_slope=self.flip_slope,
+            flip_cap=self.flip_cap,
+            readout_flip=self.readout_flip,
+        )
         if self.kind == "uniform":
-            return uniform_noise(
-                n_qubits,
-                decay=self.decay,
-                bias_even=self.bias_even,
-                bias_odd=self.bias_odd,
-                s0=s0 if self.align_bias_with_initial else None,
-                flip_slope=self.flip_slope,
-                flip_cap=self.flip_cap,
-                readout_flip=self.readout_flip,
+            aligned = s0 is not None and self.align_bias_with_initial
+            weight = np.asarray(s0, dtype=float) if aligned else np.ones(n_qubits)
+            return NoiseModel(
+                decay=np.full(n_qubits, self.decay),
+                bias_even=self.bias_even * weight,
+                bias_odd=self.bias_odd * weight,
+                **flips,
             )
         if self.kind == "mismatched":
             # max and min would turn a NaN into an end of [0, 1]
@@ -207,15 +154,18 @@ class NoiseSpec:
                 raise ValueError(
                     "mismatched noise needs decay in [0, 1] and decay_spread >= 0"
                 )
+            # checked before the draws, NaN included: a scale past 1 may draw
+            # legal biases on one lattice and an illegal one on another
+            scale = self.bias_scale
+            if not 0 <= scale <= 1:
+                raise ValueError("mismatched noise needs bias_scale in [0, 1]")
             low = max(0.0, self.decay - self.decay_spread)
             high = min(1.0, self.decay + self.decay_spread)
-            return mismatched_noise(
-                n_qubits,
-                seed=self.seed,
-                decay_range=(low, high),
-                bias_scale=self.bias_scale,
-                flip_slope=self.flip_slope,
-                flip_cap=self.flip_cap,
-                readout_flip=self.readout_flip,
+            rng = np.random.default_rng(self.seed)
+            return NoiseModel(
+                decay=rng.uniform(low, high, size=n_qubits),
+                bias_even=rng.uniform(-scale, scale, size=n_qubits),
+                bias_odd=rng.uniform(-scale, scale, size=n_qubits),
+                **flips,
             )
         raise ValueError(f"unknown noise kind {self.kind!r}")

@@ -409,13 +409,6 @@ class TrialDistribution:
             0.0, self.k * d + self.q
         )
 
-    def pmf(self, n_bits: int) -> np.ndarray:
-        log_w = self.log_weights(n_bits)
-        if not np.all(np.isfinite(log_w)):
-            raise ValueError("trial distribution has no support on [0, N]")
-        weights = np.exp(log_w - log_w.max())
-        return weights / weights.sum()
-
 
 def _trial_cells(n_bits: int, mu_target: float, var_target: float) -> np.ndarray:
     """Start cells of the deconvolution, as rows (alpha, beta, k N, q).

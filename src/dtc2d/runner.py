@@ -46,7 +46,7 @@ from .circuit import (
 )
 from .exact import StateVector, check_capacity
 from .lattice import UnrollOrder, build_lattice, unroll
-from .noise import NoiseSpec, corrupt_bits, corrupt_correlators, corrupt_expectations
+from .noise import NoiseSpec, corrupt_bits, corrupt_zz
 from .observables import (
     PhasePoint,
     TimeSeries,
@@ -373,15 +373,8 @@ def _simulate_system(
             if samples is not None:
                 rng = np.random.default_rng(_shot_seed(config, eps, phi, t, 1))
                 samples_noisy = corrupt_bits(samples, noise_model, t, rng)
-            _record(
-                noisy,
-                corrupt_expectations(z, noise_model, t),
-                corrupt_correlators(zz, z, noise_model, t),
-                edges,
-                full,
-                samples_noisy,
-                s0.spins,
-            )
+            noisy_z, noisy_zz = corrupt_zz(z, zz, noise_model, t)
+            _record(noisy, noisy_z, noisy_zz, edges, full, samples_noisy, s0.spins)
         if checkpointed:
             _save_checkpoint(state, checkpoint_dir, key, t, clean, noisy)
 

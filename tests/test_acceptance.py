@@ -20,7 +20,7 @@ from dtc2d import (
 )
 from dtc2d.exact import StateVector
 from dtc2d.mps import MPSState
-from dtc2d.noise import NoiseSpec, corrupt_bits, uniform_noise
+from dtc2d.noise import NoiseSpec, corrupt_bits
 from dtc2d.observables import (
     chi,
     chi_from_matrix,
@@ -50,6 +50,8 @@ from dtc2d.runner import (
     run_point,
     _simulate_system,
 )
+
+from test_recovery import trial_pmf
 
 DTC_EPS, DTC_PHI = 0.05, 0.45 * np.pi
 SEED = 7
@@ -173,7 +175,7 @@ def test_criterion_04_kernel_properties():
             sv.apply_cycle(cycle)
         samples = sv.sample_bits(shots, seed=40)
         clean_dist = hamming_distribution(samples, s0.spins)
-        model = uniform_noise(n, decay=1.0, flip_slope=p, flip_cap=0.5)
+        model = NoiseSpec(decay=1.0, flip_slope=p, flip_cap=0.5).build(n)
         noisy = corrupt_bits(samples, model, t=1, rng=np.random.default_rng(41))
         noisy_dist = hamming_distribution(noisy, s0.spins)
         pushed = flip_kernel(n, p) @ clean_dist
@@ -232,7 +234,7 @@ def test_criterion_07_flip_probability_learning():
         n, shots, cycles = 35, 10_000, 20
         slope, cap = 0.02, 0.3
         bits0 = np.zeros(n, dtype=np.uint8)  # polarized reference, s0 = +1
-        model = uniform_noise(n, decay=1.0, flip_slope=slope, flip_cap=cap)
+        model = NoiseSpec(decay=1.0, flip_slope=slope, flip_cap=cap).build(n)
         rng = np.random.default_rng(52)
         for t in range(cycles + 1):
             p_true = min(slope * t, cap)
@@ -249,12 +251,12 @@ def test_criterion_08_hamming_deconvolution():
     with criterion(8, "deconvolution recovers a known trial to TV <= 0.05"):
         n, p, shots = 35, 0.1, 10_000
         truth = TrialDistribution(d0=12.0, sigma=3.0, k=0.8, q=-12.0)
-        clean = truth.pmf(n)
+        clean = trial_pmf(truth, n)
         pushed = flip_kernel(n, p) @ clean
         counts = np.random.default_rng(123).multinomial(shots, pushed)
-        mu, var = distribution_mean_var(truth.pmf(n))
+        mu, var = distribution_mean_var(trial_pmf(truth, n))
         fitted, _ = deconvolve_hamming(counts / shots, p, mu, var)
-        tv = 0.5 * np.sum(np.abs(fitted.pmf(n) - clean))
+        tv = 0.5 * np.sum(np.abs(trial_pmf(fitted, n) - clean))
         assert tv <= 0.05
 
 

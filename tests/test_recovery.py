@@ -9,7 +9,7 @@ from scipy.special import expit, gammaln, logsumexp
 from scipy.stats import binom
 
 from dtc2d import recovery
-from dtc2d.noise import corrupt_bits, uniform_noise
+from dtc2d.noise import NoiseSpec, corrupt_bits
 from dtc2d.observables import distribution_mean_var, hamming_distribution
 from dtc2d.recovery import (
     TRIAL_CURVATURE_FLOOR,
@@ -29,6 +29,15 @@ from dtc2d.recovery import (
 )
 
 ZERO_OFFSETS = OffsetVector(0.0, 0.0, 0.0, 0.0)
+
+
+def trial_pmf(trial: TrialDistribution, n_bits: int) -> np.ndarray:
+    """The trial's normalized distribution over d = 0..n_bits."""
+    log_w = trial.log_weights(n_bits)
+    if not np.all(np.isfinite(log_w)):
+        raise ValueError("trial distribution has no support on [0, N]")
+    weights = np.exp(log_w - log_w.max())
+    return weights / weights.sum()
 
 
 class TestCliffordReference:
@@ -441,7 +450,7 @@ class TestLearnFlipProbability:
         # between s0 (even t, d_cliff = 0) and its flip (odd t, d_cliff = N)
         n, shots, p_true = 35, 10_000, 0.05
         bits0 = np.zeros(n, dtype=np.uint8)  # s0 = all +1
-        model = uniform_noise(n, decay=1.0, flip_slope=p_true, flip_cap=0.5)
+        model = NoiseSpec(decay=1.0, flip_slope=p_true, flip_cap=0.5).build(n)
         rng = np.random.default_rng(17)
         for d_cliff in (0, n):
             clean = np.tile(bits0 if d_cliff == 0 else 1 - bits0, (shots, 1))
@@ -463,9 +472,9 @@ class TestLearnFlipProbability:
         n, shots = 12, 500
         s0 = np.tile([1, -1], n // 2)
         bits0 = ((1 - s0) // 2).astype(np.uint8)
-        model = uniform_noise(
-            n, decay=1.0, flip_slope=0.02, flip_cap=0.3, readout_flip=0.01
-        )
+        model = NoiseSpec(
+            decay=1.0, flip_slope=0.02, flip_cap=0.3, readout_flip=0.01
+        ).build(n)
         rng = np.random.default_rng(3)
         cycles = np.arange(8)
         dists, fractions = [], []
@@ -481,19 +490,19 @@ class TestLearnFlipProbability:
 class TestTrialDistribution:
     def test_normalized_and_nonnegative(self):
         trial = TrialDistribution(d0=10.0, sigma=3.0, k=0.5, q=-8.0)
-        pmf = trial.pmf(35)
+        pmf = trial_pmf(trial, 35)
         assert pmf.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(pmf >= 0)
 
     def test_moments(self):
         trial = TrialDistribution(d0=6.0, sigma=2.0, k=0.0, q=-30.0)
-        mean, var = distribution_mean_var(trial.pmf(30))
+        mean, var = distribution_mean_var(trial_pmf(trial, 30))
         assert abs(mean - 6.0) < 0.05
         assert abs(var - 4.0) < 0.2
 
     def test_invalid_sigma(self):
         with pytest.raises(ValueError):
-            TrialDistribution(5.0, 0.0, 0.0, 0.0).pmf(10)
+            trial_pmf(TrialDistribution(5.0, 0.0, 0.0, 0.0), 10)
 
     @pytest.mark.parametrize(
         "trial, mode",
@@ -506,7 +515,7 @@ class TestTrialDistribution:
     def test_far_parameters_give_a_point_mass(self, trial, mode):
         expected = np.zeros(13)
         expected[mode] = 1.0
-        np.testing.assert_array_equal(trial.pmf(12), expected)
+        np.testing.assert_array_equal(trial_pmf(trial, 12), expected)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -523,7 +532,7 @@ class TestTrialDistribution:
         assume(weights.max() > 1e-250)
         trial = TrialDistribution(d0, sigma, k, q)
         np.testing.assert_allclose(
-            trial.pmf(n), weights / weights.sum(), rtol=0, atol=1e-12
+            trial_pmf(trial, n), weights / weights.sum(), rtol=0, atol=1e-12
         )
 
 
@@ -541,7 +550,7 @@ def sampled_deconvolution_inputs() -> list:
             q=rng.uniform(-12, 4),
         )
         p = rng.uniform(0.005, 0.1)
-        clean = truth.pmf(n)
+        clean = trial_pmf(truth, n)
         noisy = rng.multinomial(2000, flip_kernel(n, p) @ clean) / 2000
         inputs.append(((noisy, p, *distribution_mean_var(clean)), n))
     return inputs
@@ -551,20 +560,20 @@ class TestDeconvolveHamming:
     def test_pushforward_inverted_exactly(self):
         n, p = 35, 0.1
         truth = TrialDistribution(d0=12.0, sigma=3.0, k=0.8, q=-12.0)
-        clean = truth.pmf(n)
+        clean = trial_pmf(truth, n)
         noisy = flip_kernel(n, p) @ clean
-        mu, var = distribution_mean_var(truth.pmf(n))
+        mu, var = distribution_mean_var(trial_pmf(truth, n))
         fitted, info = deconvolve_hamming(noisy, p, mu, var)
-        tv = 0.5 * np.sum(np.abs(fitted.pmf(n) - clean))
+        tv = 0.5 * np.sum(np.abs(trial_pmf(fitted, n) - clean))
         assert tv < 0.02
 
     def test_p_zero_reduces_to_direct_fit(self):
         n = 20
         truth = TrialDistribution(d0=8.0, sigma=2.5, k=0.0, q=-15.0)
-        clean = truth.pmf(n)
-        mu, var = distribution_mean_var(truth.pmf(n))
+        clean = trial_pmf(truth, n)
+        mu, var = distribution_mean_var(trial_pmf(truth, n))
         fitted, _ = deconvolve_hamming(clean, 0.0, mu, var)
-        tv = 0.5 * np.sum(np.abs(fitted.pmf(n) - clean))
+        tv = 0.5 * np.sum(np.abs(trial_pmf(fitted, n) - clean))
         assert tv < 0.01
 
     @pytest.mark.parametrize(
@@ -577,12 +586,12 @@ class TestDeconvolveHamming:
         ],
     )
     def test_last_bit_of_mu_does_not_move_the_fit(self, truth, n, p, shots):
-        noisy = flip_kernel(n, p) @ truth.pmf(n)
+        noisy = flip_kernel(n, p) @ trial_pmf(truth, n)
         if shots:
             noisy = np.random.default_rng(123).multinomial(shots, noisy) / shots
-        mu, var = distribution_mean_var(truth.pmf(n))
+        mu, var = distribution_mean_var(trial_pmf(truth, n))
         fitted = [
-            deconvolve_hamming(noisy, p, mu * scale, var)[0].pmf(n)
+            trial_pmf(deconvolve_hamming(noisy, p, mu * scale, var)[0], n)
             for scale in (1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-52)
         ]
         for other in fitted[1:]:
@@ -594,11 +603,11 @@ class TestDeconvolveHamming:
         # and sampled with 2000 shots; scaling the histogram and both moment
         # targets by 1 + k 2^-52 leaves every choice of the fit as it was
         (noisy, p, mu, var), n = sampled_deconvolution_inputs()[case]
-        fitted = deconvolve_hamming(noisy, p, mu, var)[0].pmf(n)
+        fitted = trial_pmf(deconvolve_hamming(noisy, p, mu, var)[0], n)
         for k in (1, 2, 3, 4, -1, -2, -3, -4):
             scale = 1 + k * 2.0**-52
             moved = deconvolve_hamming(noisy * scale, p, mu * scale, var * scale)
-            assert 0.5 * np.sum(np.abs(moved[0].pmf(n) - fitted)) <= 1e-10, k
+            assert 0.5 * np.sum(np.abs(trial_pmf(moved[0], n) - fitted)) <= 1e-10, k
 
     @pytest.mark.parametrize("n", [12, 35])
     @pytest.mark.parametrize("slope", [-2.5, -1.0, 1.0, 2.5, 4.0])
@@ -614,16 +623,16 @@ class TestDeconvolveHamming:
         var = clean @ d**2 - mu**2
         trial, _ = deconvolve_hamming(flip_kernel(n, p) @ clean, p, mu, var)
         assert trial.log_weights(n).max() >= TRIAL_LOG_WEIGHT_FLOOR
-        assert 0.5 * np.sum(np.abs(trial.pmf(n) - clean)) < 0.01
+        assert 0.5 * np.sum(np.abs(trial_pmf(trial, n) - clean)) < 0.01
 
     def test_at_bound_flags_the_curvature_bound(self):
         n, p = 12, 0.05
         interior = TrialDistribution(d0=5.0, sigma=1.5, k=0.0, q=-20.0)
         tilt = TrialDistribution(d0=300.0, sigma=60.0, k=0.0, q=-20.0)
         for truth, on_bound in ((interior, False), (tilt, True)):
-            mu, var = distribution_mean_var(truth.pmf(n))
+            mu, var = distribution_mean_var(trial_pmf(truth, n))
             fitted, info = deconvolve_hamming(
-                flip_kernel(n, p) @ truth.pmf(n), p, mu, var
+                flip_kernel(n, p) @ trial_pmf(truth, n), p, mu, var
             )
             assert info["at_bound"] is on_bound
             # beta = -N^2 / (2 sigma^2) sits on -TRIAL_CURVATURE_FLOOR or below it

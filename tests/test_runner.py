@@ -83,6 +83,13 @@ INVALID_CONFIGS = {
     "nan-mismatched-decay": {"noise": {"kind": "mismatched", "decay": float("nan")}},
     "empty-epsilons": {"epsilons": []},
     "empty-phis": {"phis": []},
+    # the 2x2 target draws biases inside [-1, 1]; the 12-qubit learn lattice
+    # draws one past 1, which used to fail only after the target had run
+    "mismatched-bias-scale-above-1": {
+        "rows": 2, "cols": 2, "backend": "mps", "mps": {"chi_max": 8}, "shots": 10,
+        "noise": {"kind": "mismatched", "seed": 3, "bias_scale": 1.02},
+        "recovery": {"learn_rows": 1, "learn_cols": 1},
+    },
 }
 
 
