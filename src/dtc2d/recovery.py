@@ -8,31 +8,33 @@ Clifford point and removes the parity offsets, which are learned by
 regularized least squares against a classically simulated small system.
 
 The same machinery recovers squared-correlator order parameters via two
-learned coefficients per run. Each estimate is one guarded ratio with two
-parameters above and two below the line, fitted by a ridge solve and
-Gauss-Newton steps. The per-cycle flip probability is the binomial
-maximum-likelihood estimate from the Clifford reference's Hamming
-distribution. Hamming-distance distributions are recovered via the
-binomial flip kernel. Each kernel column is a reversed binomial pmf
-convolved with another; the kernel is diagonal in the Krawtchouk basis,
-with eigenvalues (1 - 2p)^j (MacWilliams & Sloane, 1977). Deconvolution
+learned coefficients per run. Each estimate is one guarded ratio,
+``Ratio``, with two parameters above and two below the line, made by
+``delta_ratio`` or ``chi_ratio``: ``Ratio.fit`` learns its parameters
+against the simulated series by a ridge solve and Gauss-Newton steps, and
+``Ratio.apply`` recovers the series with them. The per-cycle flip
+probability is the binomial maximum-likelihood estimate from the Clifford
+reference's Hamming distribution. Hamming-distance distributions are
+recovered via the binomial flip kernel. Each kernel column is a reversed
+binomial pmf convolved with another; the kernel is diagonal in the
+Krawtchouk basis, with eigenvalues (1 - 2p)^j (MacWilliams & Sloane,
+1977). Deconvolution
 fits a Gaussian-times-logistic trial distribution whose mean and variance
 are anchored to the recovered order parameter and the quantum Fisher
 information. That fit is one bounded least-squares problem over the
 trial's natural parameters: it starts from the best cell of a fixed grid
 and takes Levenberg-Marquardt steps with the analytic Jacobian (Levenberg,
 Q. Appl. Math. 2, 164, 1944; Marquardt, J. SIAM 11, 431, 1963), in the
-step loop that the nested fits use. Everything here runs in numpy.
+step loop that ``Ratio.fit`` uses. Everything here runs in numpy.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_GUARD = 1e-3
 DEFAULT_GRID_HALF_WIDTH = 0.2
 DEFAULT_GRID_POINTS = 41
 # The fits take a proposed step unless it raises the objective by more than
@@ -61,24 +63,6 @@ def clifford_delta(phi0: float, n_cycles: int) -> np.ndarray:
     return (-1.0) ** t
 
 
-@dataclass(frozen=True)
-class OffsetVector:
-    """Parity offsets at the target point and at the Clifford reference."""
-
-    target_even: float
-    target_odd: float
-    reference_even: float
-    reference_odd: float
-
-    def __post_init__(self) -> None:
-        values = astuple(self)
-        if not all(np.isfinite(v) and abs(v) <= 1.0 for v in values):
-            raise ValueError(f"offsets must be finite and within [-1, 1], got {values}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array(astuple(self))
-
-
 def _series(*arrays) -> list[np.ndarray]:
     """The arrays as float series over one cycle range, else ValueError."""
     arrays = [np.asarray(a, dtype=float) for a in arrays]
@@ -93,9 +77,10 @@ def _affine(base: np.ndarray, columns: np.ndarray, pair: np.ndarray) -> np.ndarr
 
 
 @dataclass(frozen=True)
-class _Ratio:
+class Ratio:
     """The estimate (shift + numerator @ c) / (denominator + slope @ u) per
-    cycle: shift and denominator are (T,) series, numerator and slope (T, 2)."""
+    cycle: shift and denominator are (T,) series, numerator and slope (T, 2).
+    Its parameters are the 4-vector (c0, c1, u0, u1)."""
 
     shift: np.ndarray
     numerator: np.ndarray
@@ -108,78 +93,101 @@ class _Ratio:
     def bottom(self, u) -> np.ndarray:
         return _affine(self.denominator, self.slope, u)
 
-    def apply(self, params: np.ndarray, guard: float) -> tuple[np.ndarray, np.ndarray]:
-        """(estimate at (c0, c1, u0, u1) clamped to [-1, 1], guard flags)."""
+    def apply(self, params, guard: float) -> tuple[np.ndarray, np.ndarray]:
+        """(estimate at (c0, c1, u0, u1) clamped to [-1, 1], guard flags).
+
+        A cycle is flagged, and should be left out of any metric, when the
+        magnitude of its denominator falls below ``guard``.
+        """
+        params = np.asarray(params, dtype=float)
         bottom = self.bottom(params[2:])
         flagged = np.abs(bottom) < guard
         estimate = self.top(params[:2]) / np.where(flagged, 1.0, bottom)
         return np.clip(estimate, -1.0, 1.0), flagged
 
+    def fit(self, simulated, ridge: float, guard: float) -> tuple:
+        """Fit to the simulated series: ((c0, c1, u0, u1), objective).
 
-def _delta_model(noisy_target, noisy_reference, exact_reference) -> _Ratio:
-    """Delta_hat = E (N - target offset) / (R - reference offset), per parity."""
+        Minimizes sum_t r(t)^2 + ridge (|c|^2 + |u|^2), r = estimate - simulated,
+        with the estimate unclamped, over usable cycles: t >= 1 with
+        |denominator| >= ``guard``. u enters the denominator, so the problem
+        is not jointly convex. For each u, c is one ridge solve (variable
+        projection; Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973).
+        The 41x41 grid of u is scored in one call, a cell with no usable
+        cycle scoring inf. From the best cell (the first in u0-major order),
+        ``_descend`` takes Gauss-Newton steps on u, halving one that raises
+        the objective, with c solved again at each u (Kaufman, BIT 15, 49,
+        1975): with w = 1/denominator on usable cycles, dr/dc = w numerator
+        and dr/du = -w^2 (shift + numerator @ c) slope.
+        """
+        if ridge <= 0:
+            raise ValueError("ridge must be positive")
+        _, simulated = _series(self.shift, simulated)
+        late = np.arange(len(simulated)) >= 1
+
+        def profile(u: np.ndarray) -> tuple[np.ndarray, ...]:
+            bottom = self.bottom(u)
+            usable = late & (np.abs(bottom) >= guard)
+            w = np.where(usable, 1.0 / np.where(usable, bottom, 1.0), 0.0)
+            design = w[..., None] * self.numerator
+            rhs = np.where(usable, simulated - w * self.shift, 0.0)
+            design_t = np.swapaxes(design, -1, -2)
+            normal = design_t @ design + ridge * np.eye(2)
+            c = np.linalg.solve(normal, design_t @ rhs[..., None])[..., 0]
+            residual = np.where(usable, w * self.top(c) - simulated, 0.0)
+            penalty = ridge * np.sum(c**2 + u**2, axis=-1)
+            objective = np.sum(residual**2, axis=-1) + penalty
+            return np.where(usable.any(axis=-1), objective, np.inf), c, w, residual
+
+        def halvings(u: np.ndarray, state: tuple) -> Iterator[np.ndarray]:
+            _, c, w, residual = state
+            slope = -(w**2 * self.top(c))[:, None] * self.slope
+            jacobian = np.concatenate([w[:, None] * self.numerator, slope], axis=1)
+            gradient = jacobian.T @ residual + ridge * np.concatenate([c, u])
+            normal = jacobian.T @ jacobian + ridge * np.eye(4)
+            step = -np.linalg.solve(normal, gradient)[2:]
+            while True:
+                yield step
+                step = step / 2
+
+        axis = np.linspace(
+            -DEFAULT_GRID_HALF_WIDTH, DEFAULT_GRID_HALF_WIDTH, DEFAULT_GRID_POINTS
+        )
+        grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        u, (objective, c, _, _) = _descend(
+            profile, halvings, grid[np.argmin(profile(grid)[0])]
+        )
+        return (*map(float, c), *map(float, u)), float(objective)
+
+
+def delta_ratio(noisy_target, noisy_reference, exact_reference) -> Ratio:
+    """The order parameter by Clifford-point renormalization,
+    Delta_hat(t) = E(t) (N(t) - d(t)) / (R(t) - u(t)).
+
+    N is the noisy target series, R the noisy Clifford reference and E its
+    noiseless value, 1 or (-1)^t (``clifford_delta``); the attenuation f(t)
+    that N and R share cancels. The parameters are the parity offsets
+    (d_even, d_odd, u_even, u_odd): the target's, which ``fit`` solves in
+    closed form, then the reference's.
+    """
     noisy, reference, exact = _series(noisy_target, noisy_reference, exact_reference)
     one_hot = (np.arange(len(noisy))[:, None] % 2 == np.arange(2)).astype(float)
-    return _Ratio(exact * noisy, -exact[:, None] * one_hot, reference, -one_hot)
+    return Ratio(exact * noisy, -exact[:, None] * one_hot, reference, -one_hot)
 
 
-def _chi_model(chi_noisy, corr_noisy, chi_ref, corr_ref, n_qubits: int) -> _Ratio:
-    """chi_hat = (chi + 2 c1 C + (N-1) c2) / (chi' + 2 c1' C' + (N-1) c2')."""
+def chi_ratio(chi_noisy, corr_noisy, chi_ref, corr_ref, n_qubits: int) -> Ratio:
+    """The squared-correlator order parameter,
+    chi_hat = (chi + 2 c1 C + (N-1) c2) / (chi' + 2 c1' C' + (N-1) c2').
+
+    chi and C are the target's noisy squared-correlator and correlator
+    averages, chi' and C' the Clifford reference's, whose noiseless value is
+    1; N is the number of qubits. The parameters are the bias coefficients
+    (c1, c2, c1', c2'): the target's, then the reference's.
+    """
     chi, corr, chi_ref, corr_ref = _series(chi_noisy, corr_noisy, chi_ref, corr_ref)
     constant = np.full(len(chi), n_qubits - 1.0)
     columns = [np.stack([2 * c, constant], axis=-1) for c in (corr, corr_ref)]
-    return _Ratio(chi, columns[0], chi_ref, columns[1])
-
-
-def _nested_fit(model: _Ratio, simulated, ridge: float, guard: float) -> tuple:
-    """Fit the model to the simulated series: ((c0, c1, u0, u1), objective).
-
-    Minimizes sum_t r(t)^2 + ridge (|c|^2 + |u|^2), r = estimate - simulated,
-    over usable cycles: t >= 1 with |denominator| >= ``guard``. For each u, c
-    is one ridge solve (variable projection; Golub & Pereyra, SIAM J. Numer.
-    Anal. 10, 413, 1973). The 41x41 grid of u is scored in one call, a cell
-    with no usable cycle scoring inf. From the best cell (the first in
-    u0-major order), ``_descend`` takes Gauss-Newton steps on u, halving one
-    that raises the objective, with c solved again at each u (Kaufman,
-    BIT 15, 49, 1975): with w = 1/denominator on usable cycles,
-    dr/dc = w numerator and dr/du = -w^2 (shift + numerator @ c) slope.
-    """
-    if ridge <= 0:
-        raise ValueError("ridge must be positive")
-    _, simulated = _series(model.shift, simulated)
-    late = np.arange(len(simulated)) >= 1
-
-    def profile(u: np.ndarray) -> tuple[np.ndarray, ...]:
-        bottom = model.bottom(u)
-        usable = late & (np.abs(bottom) >= guard)
-        w = np.where(usable, 1.0 / np.where(usable, bottom, 1.0), 0.0)
-        design = w[..., None] * model.numerator
-        rhs = np.where(usable, simulated - w * model.shift, 0.0)
-        design_t = np.swapaxes(design, -1, -2)
-        normal = design_t @ design + ridge * np.eye(2)
-        c = np.linalg.solve(normal, design_t @ rhs[..., None])[..., 0]
-        residual = np.where(usable, w * model.top(c) - simulated, 0.0)
-        objective = np.sum(residual**2, axis=-1) + ridge * np.sum(c**2 + u**2, axis=-1)
-        return np.where(usable.any(axis=-1), objective, np.inf), c, w, residual
-
-    def halvings(u: np.ndarray, state: tuple) -> Iterator[np.ndarray]:
-        _, c, w, residual = state
-        slope = -(w**2 * model.top(c))[:, None] * model.slope
-        jacobian = np.concatenate([w[:, None] * model.numerator, slope], axis=1)
-        gradient = jacobian.T @ residual + ridge * np.concatenate([c, u])
-        step = -np.linalg.solve(jacobian.T @ jacobian + ridge * np.eye(4), gradient)[2:]
-        while True:
-            yield step
-            step = step / 2
-
-    axis = np.linspace(
-        -DEFAULT_GRID_HALF_WIDTH, DEFAULT_GRID_HALF_WIDTH, DEFAULT_GRID_POINTS
-    )
-    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    u, (objective, c, _, _) = _descend(
-        profile, halvings, grid[np.argmin(profile(grid)[0])]
-    )
-    return (*map(float, c), *map(float, u)), float(objective)
+    return Ratio(chi, columns[0], chi_ref, columns[1])
 
 
 def _descend(profile, proposals, x, lower=-np.inf, upper=np.inf) -> tuple:
@@ -204,101 +212,6 @@ def _descend(profile, proposals, x, lower=-np.inf, upper=np.inf) -> tuple:
                 break
         x, state = moved, trial
     return x, state
-
-
-def renormalize_delta(
-    noisy_target: np.ndarray,
-    noisy_reference: np.ndarray,
-    exact_reference: np.ndarray,
-    offsets: OffsetVector,
-    guard: float = DEFAULT_GUARD,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Recover the order parameter by Clifford-point renormalization,
-    Delta_hat = E (N - target offset) / (R - reference offset) per parity.
-
-    Returns (recovered, flagged): recovered values are clamped to [-1, 1];
-    a point is flagged (and should be excluded from metrics) when the
-    denominator magnitude falls below ``guard``.
-    """
-    model = _delta_model(noisy_target, noisy_reference, exact_reference)
-    return model.apply(offsets.as_array(), guard)
-
-
-def learn_offsets(
-    noisy_target: np.ndarray,
-    noisy_reference: np.ndarray,
-    exact_reference: np.ndarray,
-    delta_sim: np.ndarray,
-    ridge: float = 1e-4,
-    guard: float = DEFAULT_GUARD,
-) -> tuple[OffsetVector, dict]:
-    """Learn the four parity offsets by regularized least squares.
-
-    Minimizes sum_t (Delta_sim(t) - Delta_hat(t))^2 + ridge * |offsets|^2
-    over t = 1..T, with Delta_hat of ``renormalize_delta`` unclamped. The
-    reference offsets enter the denominator, so the problem is not jointly
-    convex; ``_nested_fit`` solves for the target offsets in closed form
-    and takes Gauss-Newton steps on the reference offsets.
-    """
-    model = _delta_model(noisy_target, noisy_reference, exact_reference)
-    solution, objective = _nested_fit(model, delta_sim, ridge, guard)
-    return OffsetVector(*solution), {"objective": objective}
-
-
-@dataclass(frozen=True)
-class ChiCoefficients:
-    """Bias coefficients of the correlator recovery, target and reference."""
-
-    c1_target: float
-    c2_target: float
-    c1_reference: float
-    c2_reference: float
-
-
-def recover_chi(
-    chi_noisy: np.ndarray,
-    corr_noisy: np.ndarray,
-    chi_noisy_reference: np.ndarray,
-    corr_noisy_reference: np.ndarray,
-    coeffs: ChiCoefficients,
-    n_qubits: int,
-    guard: float = DEFAULT_GUARD,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Recover the squared-correlator order parameter.
-
-    chi_hat = [chi_noisy + 2 c1 C_noisy + (N-1) c2]
-            / [chi_noisy_ref + 2 c1' C_noisy_ref + (N-1) c2'],
-    using that the noiseless reference value is 1 at Clifford points.
-    Returns (recovered, flagged), as ``renormalize_delta`` does.
-    """
-    model = _chi_model(
-        chi_noisy, corr_noisy, chi_noisy_reference, corr_noisy_reference, n_qubits
-    )
-    return model.apply(np.array(astuple(coeffs)), guard)
-
-
-def learn_chi_coefficients(
-    chi_noisy: np.ndarray,
-    corr_noisy: np.ndarray,
-    chi_noisy_reference: np.ndarray,
-    corr_noisy_reference: np.ndarray,
-    chi_sim: np.ndarray,
-    n_qubits: int,
-    ridge: float = 1e-4,
-    guard: float = DEFAULT_GUARD,
-) -> tuple[ChiCoefficients, dict]:
-    """Learn c1/c2 pairs by the same nested least-squares fit as the offsets.
-
-    Minimizes sum_t (chi_sim(t) - chi_hat(t))^2 + ridge * |coefficients|^2
-    over t = 1..T, with chi_hat of ``recover_chi`` unclamped; ``_nested_fit``
-    solves for the target pair in closed form and takes Gauss-Newton steps
-    on the reference pair.
-    """
-    model = _chi_model(
-        chi_noisy, corr_noisy, chi_noisy_reference, corr_noisy_reference, n_qubits
-    )
-    solution, objective = _nested_fit(model, chi_sim, ridge, guard)
-    return ChiCoefficients(*solution), {"objective": objective}
 
 
 # --- Hamming-distance recovery ---

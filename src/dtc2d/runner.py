@@ -60,17 +60,13 @@ from .observables import (
     qfi,
 )
 from .recovery import (
-    ChiCoefficients,
-    OffsetVector,
     TrialDistribution,
+    chi_ratio,
     clifford_delta,
     clifford_reference,
     deconvolve_hamming,
-    learn_chi_coefficients,
+    delta_ratio,
     learn_flip_schedule,
-    learn_offsets,
-    recover_chi,
-    renormalize_delta,
 )
 
 CSV_COLUMNS = ["t", "delta", "chi_nn", "chi_sg", "qfi", "hamming_mean", "hamming_var"]
@@ -92,12 +88,35 @@ def _check_integer(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}")
 
 
-def _section(cls, payload: dict, prefix: str = ""):
-    """``cls(**payload)``; a key that names no field of ``cls`` raises ValueError."""
-    unknown = sorted(prefix + k for k in set(payload) - {f.name for f in fields(cls)})
+# the JSON kind of a config key's value, by the type of its field's default;
+# the classes check integers, fields that default to None and sections
+_KINDS = {bool: "boolean", str: "string", float: "number", tuple: "list of numbers"}
+
+
+def _kind(value) -> str | None:
+    """The `_KINDS` kind of a value loaded from JSON, None for any other."""
+    if type(value) is list:
+        return "list of numbers" if all(_kind(v) == "number" for v in value) else None
+    return _KINDS.get(float if type(value) is int else type(value))
+
+
+def _section(cls, payload, prefix: str = ""):
+    """``cls(**payload)`` for a JSON object, lists made tuples; else ValueError.
+
+    Each key must name a field of ``cls`` and hold a value of the kind that
+    ``_KINDS`` gives the type of the field's default.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"config {prefix[:-1] or 'file'} must be a JSON object")
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = sorted(prefix + k for k in set(payload) - set(defaults))
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-    return cls(**payload)
+    for key, value in payload.items():
+        kind = _KINDS.get(type(defaults[key]))
+        if kind and _kind(value) != kind:
+            raise ValueError(f"{prefix}{key} must be a JSON {kind}, got {value!r}")
+    return cls(**{k: tuple(v) if type(v) is list else v for k, v in payload.items()})
 
 
 @dataclass(frozen=True)
@@ -216,9 +235,11 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError("config file must be a JSON object")
         # older configs carry the zip-up factor of the layer-MPO
         # contraction that the span-local gate engine replaced
-        if "zip_factor" in (payload.get("mps") or {}):
+        if isinstance(payload.get("mps"), dict) and "zip_factor" in payload["mps"]:
             del payload["mps"]["zip_factor"]
             warnings.warn(
                 "config key mps.zip_factor no longer has any effect; ignoring it",
@@ -228,9 +249,6 @@ class RunConfig:
         for key, section in sections.items():
             if payload.get(key) is not None:
                 payload[key] = _section(section, payload[key], key + ".")
-        for key in ("epsilons", "phis"):
-            if key in payload:
-                payload[key] = tuple(payload[key])
         return _section(cls, payload)
 
     @classmethod
@@ -241,9 +259,11 @@ class RunConfig:
 
 @dataclass
 class RecoveryReport:
-    offsets: OffsetVector
+    # (target even, target odd, reference even, reference odd) parity offsets
+    offsets: tuple[float, float, float, float]
     offsets_objective: float
-    chi_coefficients: ChiCoefficients
+    # (c1, c2) of the target, then (c1', c2') of the reference; see chi_ratio
+    chi_coefficients: tuple[float, float, float, float]
     chi_objective: float
     delta_recovered: np.ndarray
     delta_flags: np.ndarray
@@ -255,14 +275,9 @@ class RecoveryReport:
 
     def to_dict(self) -> dict:
         payload = {
-            "offsets": list(self.offsets.as_array()),
+            "offsets": list(self.offsets),
             "offsets_objective": self.offsets_objective,
-            "chi_coefficients": [
-                self.chi_coefficients.c1_target,
-                self.chi_coefficients.c2_target,
-                self.chi_coefficients.c1_reference,
-                self.chi_coefficients.c2_reference,
-            ],
+            "chi_coefficients": list(self.chi_coefficients),
             "chi_objective": self.chi_objective,
             "delta_recovered": self.delta_recovered.tolist(),
             "delta_flags": self.delta_flags.astype(int).tolist(),
@@ -272,15 +287,9 @@ class RecoveryReport:
         if self.flip_schedule is not None:
             payload["flip_schedule"] = self.flip_schedule.tolist()
         if self.deconvolved is not None:
-            payload["deconvolved"] = [
-                {
-                    "d0": t.d0,
-                    "sigma": t.sigma,
-                    "k": t.k,
-                    "q": t.q,
-                    "at_bound": info["at_bound"],
-                }
-                for t, info in self.deconvolved
+            payload["deconvolved"] = [  # d0, sigma, k, q, at_bound
+                {**asdict(trial), "at_bound": info["at_bound"]}
+                for trial, info in self.deconvolved
             ]
         return payload
 
@@ -464,48 +473,31 @@ def _recover(
     n = build_lattice(config.rows, config.cols).n_qubits
     n_learn = build_lattice(*config.learn_lattice).n_qubits
     learn = "learn_" if "learn_delta_noisy" in bundle else ""
-    phi0 = clifford_reference(phi)
     cycles = len(bundle["delta_noisy"]) - 1
-    exact_reference = clifford_delta(phi0, cycles)
-    offsets, offset_info = learn_offsets(
-        bundle[learn + "delta_noisy"],
-        bundle[learn + "delta_noisy_ref"],
-        exact_reference,
-        bundle[learn + "delta_sim"],
-        ridge=settings.ridge,
-        guard=settings.guard,
+    exact = clifford_delta(clifford_reference(phi), cycles)
+
+    def ratios(prefix: str, n_qubits: int) -> tuple:
+        """The delta and chi ratios of the pair whose columns start with ``prefix``."""
+        delta = [bundle[prefix + k] for k in ("delta_noisy", "delta_noisy_ref")]
+        names = ("chi_noisy", "corr_noisy", "chi_noisy_ref", "corr_noisy_ref")
+        chi = [bundle[prefix + k] for k in names]
+        return delta_ratio(*delta, exact), chi_ratio(*chi, n_qubits)
+
+    (offsets, offsets_objective), (coefficients, chi_objective) = (
+        ratio.fit(bundle[learn + simulated], settings.ridge, settings.guard)
+        for ratio, simulated in zip(ratios(learn, n_learn), ("delta_sim", "chi_sim"))
     )
-    delta_recovered, delta_flags = renormalize_delta(
-        bundle["delta_noisy"],
-        bundle["delta_noisy_ref"],
-        exact_reference,
-        offsets,
-        guard=settings.guard,
-    )
-    coefficients, chi_info = learn_chi_coefficients(
-        bundle[learn + "chi_noisy"],
-        bundle[learn + "corr_noisy"],
-        bundle[learn + "chi_noisy_ref"],
-        bundle[learn + "corr_noisy_ref"],
-        bundle[learn + "chi_sim"],
-        n_learn,
-        ridge=settings.ridge,
-        guard=settings.guard,
-    )
-    chi_recovered, chi_flags = recover_chi(
-        bundle["chi_noisy"],
-        bundle["corr_noisy"],
-        bundle["chi_noisy_ref"],
-        bundle["corr_noisy_ref"],
-        coefficients,
-        n,
-        guard=settings.guard,
+    if not all(np.isfinite(v) and abs(v) <= 1.0 for v in offsets):
+        raise ValueError(f"offsets must be finite and within [-1, 1], got {offsets}")
+    (delta_recovered, delta_flags), (chi_recovered, chi_flags) = (
+        ratio.apply(params, settings.guard)
+        for ratio, params in zip(ratios("", n), (offsets, coefficients))
     )
     report = RecoveryReport(
         offsets=offsets,
-        offsets_objective=offset_info["objective"],
+        offsets_objective=offsets_objective,
         chi_coefficients=coefficients,
-        chi_objective=chi_info["objective"],
+        chi_objective=chi_objective,
         delta_recovered=delta_recovered,
         delta_flags=delta_flags,
         chi_recovered=chi_recovered,
@@ -518,7 +510,7 @@ def _recover(
         np.column_stack([bundle[f"{name}_{d}"] for d in range(n + 1)])
         for name in ("hamming_noisy", "hamming_noisy_ref")
     )
-    d_cliff = hamming_mean_from_delta(n, exact_reference).astype(int)
+    d_cliff = hamming_mean_from_delta(n, exact).astype(int)
     report.flip_schedule = learn_flip_schedule(hamming_ref, d_cliff)
     if settings.deconvolve and "qfi_sim" in bundle:
         report.deconvolved = [

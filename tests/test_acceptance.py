@@ -33,14 +33,13 @@ from dtc2d.observables import (
     qfi,
 )
 from dtc2d.recovery import (
-    OffsetVector,
     TrialDistribution,
     clifford_delta,
     clifford_reference,
     deconvolve_hamming,
+    delta_ratio,
     flip_kernel,
     learn_flip_schedule,
-    renormalize_delta,
 )
 from dtc2d.runner import (
     MPSOptions,
@@ -217,12 +216,11 @@ def test_criterion_06_offset_transfer():
         error_learned = np.mean(np.abs(recovered[keep] - clean[keep]))
 
         reference = _simulate_system(config, 2, 2, 0.0, clifford_reference(DTC_PHI))
-        zero_recovered, zero_flags = renormalize_delta(
+        zero_recovered, zero_flags = delta_ratio(
             np.array(result.noisy.delta),
             np.array(reference.noisy.delta),
             clifford_delta(np.pi / 2, config.cycles),
-            OffsetVector(0.0, 0.0, 0.0, 0.0),
-        )
+        ).apply((0.0, 0.0, 0.0, 0.0), config.recovery.guard)
         error_zero = np.mean(
             np.abs(zero_recovered[~zero_flags] - clean[~zero_flags])
         )

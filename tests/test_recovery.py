@@ -1,5 +1,4 @@
 import functools
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -14,21 +13,19 @@ from dtc2d.observables import distribution_mean_var, hamming_distribution
 from dtc2d.recovery import (
     TRIAL_CURVATURE_FLOOR,
     TRIAL_LOG_WEIGHT_FLOOR,
-    ChiCoefficients,
-    OffsetVector,
     TrialDistribution,
+    chi_ratio,
     clifford_delta,
     clifford_reference,
     deconvolve_hamming,
+    delta_ratio,
     flip_kernel,
-    learn_chi_coefficients,
     learn_flip_schedule,
-    learn_offsets,
-    recover_chi,
-    renormalize_delta,
 )
+from dtc2d.runner import RecoverySettings
 
-ZERO_OFFSETS = OffsetVector(0.0, 0.0, 0.0, 0.0)
+RIDGE, GUARD = RecoverySettings().ridge, RecoverySettings().guard
+ZERO_OFFSETS = (0.0, 0.0, 0.0, 0.0)
 
 
 def trial_pmf(trial: TrialDistribution, n_bits: int) -> np.ndarray:
@@ -66,14 +63,13 @@ def synthetic_delta_series(n_cycles, seed=0):
     return np.clip((-1.0) ** t * envelope, -1, 1)
 
 
-KNOWN_OFFSETS = OffsetVector(0.05, -0.03, 0.02, -0.02)
+KNOWN_OFFSETS = np.array([0.05, -0.03, 0.02, -0.02])
 
 
 def parity_offsets(offsets, t):
     """(target, reference) offset series of ``offsets`` over cycles t."""
     even = t % 2 == 0
-    values = offsets.as_array()
-    return np.where(even, *values[:2]), np.where(even, *values[2:])
+    return np.where(even, *offsets[:2]), np.where(even, *offsets[2:])
 
 
 def known_offsets_inputs(n_cycles=30):
@@ -87,7 +83,7 @@ def known_offsets_inputs(n_cycles=30):
 
 
 def uniform_bias_chi_inputs():
-    """learn_chi_coefficients inputs for 20 pairs with a uniform bias 0.04."""
+    """``fit_chi`` inputs for 20 pairs with a uniform bias 0.04."""
     rng = np.random.default_rng(5)
     n_qubits, n_cycles = 12, 30
     t = np.arange(n_cycles + 1)
@@ -108,8 +104,20 @@ def uniform_bias_chi_inputs():
     )
 
 
+def fit_offsets(noisy_target, noisy_reference, exact_reference, delta_sim, ridge=RIDGE):
+    """((d_even, d_odd, u_even, u_odd), objective) of the offset fit."""
+    ratio = delta_ratio(noisy_target, noisy_reference, exact_reference)
+    return ratio.fit(delta_sim, ridge, GUARD)
+
+
+def fit_chi(chi_noisy, corr_noisy, chi_ref, corr_ref, chi_sim, n_qubits, ridge=RIDGE):
+    """((c1, c2, c1', c2'), objective) of the chi fit."""
+    ratio = chi_ratio(chi_noisy, corr_noisy, chi_ref, corr_ref, n_qubits)
+    return ratio.fit(chi_sim, ridge, GUARD)
+
+
 def reference_offsets_objective(
-    vec, noisy_target, noisy_reference, exact_reference, delta_sim, ridge, guard=1e-3
+    vec, noisy_target, noisy_reference, exact_reference, delta_sim, ridge, guard=GUARD
 ):
     """The offset fit's objective over all four offsets, none solved for."""
     t = np.arange(len(noisy_target))
@@ -123,13 +131,12 @@ def reference_offsets_objective(
 
 
 def reference_chi_objective(
-    vec, chi_noisy, corr_noisy, chi_ref, corr_ref, chi_sim, n_qubits, ridge, guard=1e-3
+    vec, chi_noisy, corr_noisy, chi_ref, corr_ref, chi_sim, n_qubits, ridge, guard=GUARD
 ):
     """The chi fit's objective over all four coefficients, on clipped chi_hat."""
     t = np.arange(len(chi_noisy))
-    recovered, flagged = recover_chi(
-        chi_noisy, corr_noisy, chi_ref, corr_ref, ChiCoefficients(*vec), n_qubits, guard
-    )
+    ratio = chi_ratio(chi_noisy, corr_noisy, chi_ref, corr_ref, n_qubits)
+    recovered, flagged = ratio.apply(vec, guard)
     residual = np.where(~flagged & (t >= 1), chi_sim - recovered, 0.0)
     return float(np.sum(residual**2) + ridge * np.sum(vec**2))
 
@@ -150,8 +157,8 @@ class TestRenormalizeDelta:
     def test_zero_noise_zero_offsets_is_identity(self):
         clean = synthetic_delta_series(20)
         reference = clifford_delta(np.pi / 2, 20)
-        recovered, flagged = renormalize_delta(
-            clean, reference, reference, ZERO_OFFSETS
+        recovered, flagged = delta_ratio(clean, reference, reference).apply(
+            ZERO_OFFSETS, GUARD
         )
         assert not flagged.any()
         np.testing.assert_allclose(recovered, clean, atol=1e-14)
@@ -162,11 +169,12 @@ class TestRenormalizeDelta:
         clean = synthetic_delta_series(n_cycles, seed=1)
         reference = clifford_delta(np.pi / 2, n_cycles)
         f = 0.95**t
-        offsets = OffsetVector(0.05, -0.03, 0.02, -0.02)
+        offsets = (0.05, -0.03, 0.02, -0.02)
         target_offset, reference_offset = parity_offsets(offsets, t)
         noisy = f * clean + target_offset
         noisy_ref = f * reference + reference_offset
-        recovered, flagged = renormalize_delta(noisy, noisy_ref, reference, offsets)
+        ratio = delta_ratio(noisy, noisy_ref, reference)
+        recovered, flagged = ratio.apply(offsets, GUARD)
         np.testing.assert_allclose(recovered[~flagged], clean[~flagged], atol=1e-10)
         assert flagged.sum() == 0
 
@@ -174,15 +182,15 @@ class TestRenormalizeDelta:
         clean = np.array([1.0, -1.0, 1.0])
         reference = clifford_delta(np.pi / 2, 2)
         noisy_ref = np.array([1.0, 1e-5, 1.0])  # near-zero after offset removal
-        recovered, flagged = renormalize_delta(
-            clean, noisy_ref, reference, ZERO_OFFSETS, guard=1e-3
+        recovered, flagged = delta_ratio(clean, noisy_ref, reference).apply(
+            ZERO_OFFSETS, 1e-3
         )
         assert flagged[1] and not flagged[0] and not flagged[2]
         assert np.all(np.abs(recovered) <= 1.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            renormalize_delta(np.ones(3), np.ones(4), np.ones(4), ZERO_OFFSETS)
+            delta_ratio(np.ones(3), np.ones(4), np.ones(4))
 
 
 class TestLearnOffsets:
@@ -190,31 +198,30 @@ class TestLearnOffsets:
         n_cycles = 24
         clean = synthetic_delta_series(n_cycles, seed=2)
         reference = clifford_delta(np.pi / 2, n_cycles)
-        offsets, info = learn_offsets(clean, reference, reference, clean, ridge=1e-4)
-        assert np.max(np.abs(offsets.as_array())) < 1e-3
-        assert info["objective"] < 1e-5
+        offsets, objective = fit_offsets(clean, reference, reference, clean, ridge=1e-4)
+        assert np.max(np.abs(offsets)) < 1e-3
+        assert objective < 1e-5
 
     def test_known_offsets_recovered(self):
         noisy, noisy_ref, reference, clean = known_offsets_inputs()
-        learned, _ = learn_offsets(noisy, noisy_ref, reference, clean, ridge=1e-4)
-        np.testing.assert_allclose(
-            learned.as_array(), KNOWN_OFFSETS.as_array(), atol=1e-2
-        )
+        ratio = delta_ratio(noisy, noisy_ref, reference)
+        learned, _ = ratio.fit(clean, 1e-4, GUARD)
+        np.testing.assert_allclose(learned, KNOWN_OFFSETS, atol=1e-2)
         # recovery with the learned offsets reproduces the clean series
-        recovered, flagged = renormalize_delta(noisy, noisy_ref, reference, learned)
+        recovered, flagged = ratio.apply(learned, GUARD)
         assert np.max(np.abs(recovered[~flagged] - clean[~flagged])) < 5e-3
 
     def test_rejects_bad_ridge(self):
         with pytest.raises(ValueError):
-            learn_offsets(np.ones(4), np.ones(4), np.ones(4), np.ones(4), ridge=0.0)
+            fit_offsets(np.ones(4), np.ones(4), np.ones(4), np.ones(4), ridge=0.0)
 
     def test_objective_is_the_four_parameter_objective_at_its_minimum(self):
         inputs = known_offsets_inputs()
-        learned, info = learn_offsets(*inputs, ridge=1e-4)
+        learned, objective = fit_offsets(*inputs, ridge=1e-4)
         assert_profiled_minimum(
             lambda vec: reference_offsets_objective(vec, *inputs, ridge=1e-4),
-            learned.as_array(),
-            info["objective"],
+            np.array(learned),
+            objective,
         )
 
 
@@ -224,8 +231,8 @@ class TestRecoverChi:
         chi_clean = 0.5 + 0.4 * np.cos(np.arange(n_cycles + 1) * 0.3)
         ones = np.ones(n_cycles + 1)
         corr = 0.1 * ones
-        recovered, flagged = recover_chi(
-            chi_clean, corr, ones, corr, ChiCoefficients(0, 0, 0, 0), n_qubits=12
+        recovered, flagged = chi_ratio(chi_clean, corr, ones, corr, n_qubits=12).apply(
+            (0, 0, 0, 0), GUARD
         )
         assert not flagged.any()
         np.testing.assert_allclose(recovered, chi_clean, atol=1e-12)
@@ -238,8 +245,8 @@ class TestRecoverChi:
         chi_noisy = attenuation**2 * chi_clean
         chi_ref_noisy = attenuation**2 * 1.0
         corr = np.zeros(n_cycles + 1)
-        recovered, flagged = recover_chi(
-            chi_noisy, corr, chi_ref_noisy, corr, ChiCoefficients(0, 0, 0, 0), 12
+        recovered, flagged = chi_ratio(chi_noisy, corr, chi_ref_noisy, corr, 12).apply(
+            (0, 0, 0, 0), GUARD
         )
         np.testing.assert_allclose(recovered[~flagged], chi_clean[~flagged], atol=1e-10)
 
@@ -249,13 +256,11 @@ class TestRecoverChi:
         chi_noisy, corr_noisy, chi_ref_noisy, corr_ref_noisy, chi_sim, n_qubits = (
             uniform_bias_chi_inputs()
         )
-        coeffs, info = learn_chi_coefficients(
-            chi_noisy, corr_noisy, chi_ref_noisy, corr_ref_noisy,
-            chi_sim, n_qubits, ridge=1e-6,
+        ratio = chi_ratio(
+            chi_noisy, corr_noisy, chi_ref_noisy, corr_ref_noisy, n_qubits
         )
-        recovered, flagged = recover_chi(
-            chi_noisy, corr_noisy, chi_ref_noisy, corr_ref_noisy, coeffs, n_qubits
-        )
+        coeffs, _ = ratio.fit(chi_sim, 1e-6, GUARD)
+        recovered, flagged = ratio.apply(coeffs, GUARD)
         assert np.max(np.abs(recovered[~flagged][1:] - chi_sim[~flagged][1:])) < 0.01
 
 
@@ -263,13 +268,12 @@ class TestLearnChi:
     @pytest.mark.parametrize("ridge", [0.0, -1e-4])
     def test_rejects_bad_ridge(self, ridge):
         with pytest.raises(ValueError, match="ridge must be positive"):
-            learn_chi_coefficients(*uniform_bias_chi_inputs(), ridge=ridge)
+            fit_chi(*uniform_bias_chi_inputs(), ridge=ridge)
 
     def test_objective_is_the_four_parameter_objective_at_its_minimum(self):
         inputs = uniform_bias_chi_inputs()
-        coeffs, info = learn_chi_coefficients(*inputs, ridge=1e-6)
-        vec = np.array([coeffs.c1_target, coeffs.c2_target,
-                        coeffs.c1_reference, coeffs.c2_reference])
+        coeffs, objective = fit_chi(*inputs, ridge=1e-6)
+        vec = np.array(coeffs)
         # the reference clips chi_hat to [-1, 1]; the profiled objective
         # does not, so they agree only where nothing is clipped
         chi_noisy, corr_noisy, chi_ref, corr_ref, _, n_qubits = inputs
@@ -279,13 +283,13 @@ class TestLearnChi:
         assert_profiled_minimum(
             lambda v: reference_chi_objective(v, *inputs, ridge=1e-6),
             vec,
-            info["objective"],
+            objective,
         )
 
 
 LEARNER_CASES = {
-    "offsets": (learn_offsets, known_offsets_inputs),
-    "chi": (learn_chi_coefficients, uniform_bias_chi_inputs),
+    "offsets": (fit_offsets, known_offsets_inputs),
+    "chi": (fit_chi, uniform_bias_chi_inputs),
 }
 
 
@@ -295,30 +299,23 @@ def test_learned_parameters_do_not_follow_the_last_bit_of_the_inputs(case):
     # to about sqrt(eps); Gauss-Newton resolves it to rounding
     learner, make_inputs = LEARNER_CASES[case]
     inputs = make_inputs()
-    base = np.array(astuple(learner(*inputs)[0]))
+    base = np.array(learner(*inputs)[0])
     for k in (1, 2, 3, 4, -1, -2, -3, -4):
         scale = 1 + k * 2.0**-52
         scaled = [a * scale if isinstance(a, np.ndarray) else a for a in inputs]
-        moved = np.array(astuple(learner(*scaled)[0]))
+        moved = np.array(learner(*scaled)[0])
         assert np.max(np.abs(moved - base)) < 1e-12, k
 
 
 def short_series_calls():
-    """Each recovery function, called with one of its series cut to one cycle."""
+    """Each ratio and its fit, called with one of its series cut to one cycle."""
     offsets = known_offsets_inputs()
     chi = uniform_bias_chi_inputs()
-    coeffs = ChiCoefficients(0.0, 0.0, 0.0, 0.0)
     return {
-        "renormalize_delta": lambda: renormalize_delta(
-            *offsets[:2], offsets[2][:1], ZERO_OFFSETS
-        ),
-        "learn_offsets": lambda: learn_offsets(*offsets[:3], offsets[3][:1]),
-        "recover_chi": lambda: recover_chi(
-            *chi[:2], chi[2][:1], chi[3][:1], coeffs, chi[5]
-        ),
-        "learn_chi_coefficients": lambda: learn_chi_coefficients(
-            *chi[:4], chi[4][:1], chi[5]
-        ),
+        "delta_ratio": lambda: delta_ratio(*offsets[:2], offsets[2][:1]),
+        "delta_ratio-fit": lambda: fit_offsets(*offsets[:3], offsets[3][:1]),
+        "chi_ratio": lambda: chi_ratio(*chi[:2], chi[2][:1], chi[3][:1], chi[5]),
+        "chi_ratio-fit": lambda: fit_chi(*chi[:4], chi[4][:1], chi[5]),
     }
 
 

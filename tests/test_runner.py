@@ -14,7 +14,7 @@ from dtc2d.lattice import UnrollOrder
 from dtc2d.mps import MPSState
 from dtc2d.noise import NoiseSpec
 from dtc2d.observables import TimeSeries
-from dtc2d.recovery import TRIAL_CURVATURE_FLOOR
+from dtc2d.recovery import TRIAL_CURVATURE_FLOOR, clifford_delta
 from dtc2d.runner import (
     MPSOptions,
     RecoverySettings,
@@ -90,6 +90,23 @@ INVALID_CONFIGS = {
         "noise": {"kind": "mismatched", "seed": 3, "bias_scale": 1.02},
         "recovery": {"learn_rows": 1, "learn_cols": 1},
     },
+    # boolean keys take JSON booleans only: "false" and "no" are truthy
+    "string-checkpoint": {"backend": "mps", "checkpoint": "false"},
+    "string-full-correlations": {"full_correlations": "no"},
+    "int-full-correlations": {"full_correlations": 0},
+    "string-deconvolve": {"shots": 10, "recovery": {"deconvolve": "yes"}},
+    "string-align-bias": {"noise": {"align_bias_with_initial": "no"}},
+    # each section is a JSON object, and numbers, strings and the grid lists
+    # have their JSON types
+    "number-mps-section": {"mps": 5},
+    "list-noise-section": {"noise": []},
+    "number-epsilons": {"epsilons": 0.05},
+    "null-epsilon": {"epsilons": [None]},
+    "string-phis": {"phis": "1"},
+    "number-initial-state": {"initial_state": 5},
+    "string-ridge": {"recovery": {"ridge": "1"}},
+    "string-cutoff": {"mps": {"cutoff": "1"}},
+    "string-flip-cap": {"noise": {"flip_cap": "0.1"}},
 }
 
 
@@ -142,6 +159,22 @@ class TestConfig:
             pytest.param({"recovery": {"learn_cols": 0}}, "learn_cols", id="cols-0"),
             pytest.param({"mps": {"chi": 3}}, "mps.chi", id="key-mps.chi"),
             pytest.param({"cycle": 3}, "key.*: cycle", id="key-cycle"),
+            pytest.param({"checkpoint": "false"}, "checkpoint", id="bool-checkpoint"),
+            pytest.param(
+                {"full_correlations": 0}, "full_correlations", id="bool-full-corr"
+            ),
+            pytest.param(
+                {"recovery": {"deconvolve": "yes"}},
+                "recovery.deconvolve",
+                id="bool-deconvolve",
+            ),
+            pytest.param(
+                {"noise": {"align_bias_with_initial": "no"}},
+                "noise.align_bias_with_initial",
+                id="bool-align-bias",
+            ),
+            pytest.param({"phis": "1"}, "phis", id="phis-string"),
+            pytest.param({"noise": []}, "noise", id="noise-list"),
             pytest.param(
                 {"recovery": {"deconvolve": True}, "shots": 0},
                 "deconvolve",
@@ -209,6 +242,17 @@ class TestConfig:
         out = tmp_path / "out"
         for command in ("simulate", "phase-diagram"):
             with pytest.raises(ValueError):
+                cli_main([command, "--config", str(path), "--out", str(out)])
+        assert not out.exists()
+
+    def test_config_must_be_a_json_object(self, tmp_path):
+        with pytest.raises(ValueError, match="JSON object"):
+            RunConfig.from_json("[]")
+        path = tmp_path / "run.json"
+        path.write_text("[]")
+        out = tmp_path / "out"
+        for command in ("simulate", "phase-diagram"):
+            with pytest.raises(ValueError, match="JSON object"):
                 cli_main([command, "--config", str(path), "--out", str(out)])
         assert not out.exists()
 
@@ -477,6 +521,30 @@ class TestOutputs:
         np.testing.assert_allclose(
             report.delta_recovered, result.recovery.delta_recovered, atol=1e-9
         )
+
+    def test_learned_offsets_outside_the_unit_interval_are_rejected(self):
+        # the reference columns are Clifford-exact, so the best target
+        # offsets are the 1.5 by which the noisy series sits above the clean
+        cycles = 6
+        exact = clifford_delta(np.pi / 2, cycles)
+        clean = exact * (0.9 - 0.05 * np.arange(cycles + 1))
+        ones = np.ones(cycles + 1)
+        bundle = {
+            "delta_noisy": clean,
+            "delta_noisy_ref": exact,
+            "delta_sim": clean,
+            "chi_noisy": 0.5 * ones,
+            "corr_noisy": 0.5 * ones,
+            "chi_noisy_ref": ones,
+            "corr_noisy_ref": ones,
+            "chi_sim": 0.5 * ones,
+        }
+        config = small_config(cycles=cycles, recovery=RecoverySettings())
+        report = runner._recover(bundle, config, DTC_PHI)
+        assert np.max(np.abs(report.offsets)) < 1e-3
+        bundle["delta_noisy"] = clean + 1.5
+        with pytest.raises(ValueError, match=r"offsets .* within \[-1, 1\]"):
+            runner._recover(bundle, config, DTC_PHI)
 
     def test_run_point_reference_writes_same_raw_bundle(self, tmp_path):
         config = small_config(
