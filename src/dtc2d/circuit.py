@@ -61,13 +61,19 @@ class ProductState:
 class GateSequence:
     """One Floquet cycle: the kick on every qubit, then layers 1, 2, 3.
 
-    Gates within one layer act on disjoint qubit pairs, so their order
-    inside the layer is irrelevant.
+    Gates within one layer act on disjoint pairs of distinct qubits (checked
+    here), so their order inside the layer is irrelevant.
     """
 
     n_qubits: int
     kick: np.ndarray  # 2x2, applied to every qubit
     layers: tuple[tuple[tuple[int, int, np.ndarray], ...], ...]
+
+    def __post_init__(self) -> None:
+        for layer in self.layers:
+            qubits = [q for i, j, _ in layer for q in (i, j)]
+            if len(set(qubits)) != len(qubits):
+                raise ValueError(f"the gates of a layer overlap: {[g[:2] for g in layer]}")
 
 
 def sample_disorder(lattice: HeavyHexLattice, seed: int) -> DisorderRealization:

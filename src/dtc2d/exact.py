@@ -3,15 +3,15 @@
 Bit convention: qubit i with spin +1 is |0>; bit i of the basis index is
 the state of qubit i (qubit 0 = least significant bit).
 
-Gates act on reshaped views of the one amplitude array:
+Gates act on reshaped views of the amplitude array, with one spare array of
+the same size for their results and temporaries:
 - a block gate on the k adjacent qubits q0..q0+k-1 is one matmul over the
-  (-1, 2^k, 2^q0) view. The global kick goes in ceil(n/5) passes of
-  kick^(x)5 blocks, and a one-qubit gate is the k = 1 case;
-- a two-qubit gate updates the four quarter views (one per basis state of
-  its pair) in place, one group of states it mixes at a time. A state the
-  gate only rephases is scaled where it lies, so the XXZ gate (a ZZ phase
-  on |00>, |11> times an exchange rotation of |01>, |10>) costs two scalings
-  and one 2x2 mix.
+  (-1, 2^k, 2^q0) view into the spare, which then swaps with the amplitudes.
+  The kick goes in ceil(n/5) passes of kick^(x)5 blocks;
+- a two-qubit gate mixes the four quarter views in place (an adjacent pair
+  below qubit 3: the block kron(gate, I)). A cycle divides each gate by its
+  nonzero |00> entry and applies their product once, so XXZ leaves |00> and
+  |11> where they lie and costs one 2x2 mix of |01>, |10>.
 
 The backend answers three calls: ``apply_cycle``, ``zz_matrix`` and
 ``sample_bits``. ``zz_matrix`` reads one probability table |psi|^2, split
@@ -60,16 +60,13 @@ def _mixed_groups(gate: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(s for s in range(4) if label[s] == x) for x in sorted(set(label))]
 
 
-def _combine(row: np.ndarray, views: list[np.ndarray], states: tuple[int, ...]):
-    """sum_t row[t] * views[t] over the states t with a nonzero coefficient."""
-    total = None
-    for t in states:
+def _combine(row, views, states, out, scratch) -> None:
+    """out = sum_t row[t] views[t] over states; out may be the first state's view."""
+    first, *others = states
+    np.multiply(views[first], row[first], out=out)
+    for t in others:
         if row[t] != 0:
-            if total is None:
-                total = row[t] * views[t]
-            else:
-                total += row[t] * views[t]
-    return 0.0 if total is None else total
+            out += np.multiply(views[t], row[t], out=scratch)
 
 
 class StateVector:
@@ -79,6 +76,8 @@ class StateVector:
             raise ValueError("amplitude array has wrong length")
         # an owned contiguous copy: two-qubit gates update it in place
         self.amplitudes = np.array(amplitudes, dtype=complex)
+        # block gates write into the spare and swap; mixes keep temporaries in it
+        self._spare = np.empty_like(self.amplitudes)
         self.n_qubits = n_qubits
 
     @classmethod
@@ -99,8 +98,13 @@ class StateVector:
 
     def _apply_block(self, q0: int, block: np.ndarray) -> None:
         """Apply a 2^k x 2^k gate to qubits q0..q0+k-1 (bit j of its index = qubit q0+j)."""
-        view = self.amplitudes.reshape(-1, len(block), 2**q0)
-        self.amplitudes = np.matmul(block, view).reshape(-1)
+        shape = (-1, len(block), 2**q0)
+        psi, out = self.amplitudes.reshape(shape), self._spare.reshape(shape)
+        if q0 == 0:  # one gemm over rows of 2^k amplitudes
+            np.matmul(psi[..., 0], block.T, out=out[..., 0])
+        else:
+            np.matmul(block, psi, out=out)
+        self.amplitudes, self._spare = self._spare, self.amplitudes
 
     def apply_2q(self, qubit_a: int, qubit_b: int, gate: np.ndarray) -> None:
         if qubit_a == qubit_b:
@@ -112,32 +116,40 @@ class StateVector:
             g = g.transpose(1, 0, 3, 2)
         g = g.reshape(4, 4)
         lo, hi = sorted((qubit_a, qubit_b))
+        if hi == lo + 1 and lo < 3:
+            # quarter views would loop over 2^lo amplitudes; this is one gemm
+            self._apply_block(0, np.kron(g, np.eye(2**lo)))
+            return
         psi = self.amplitudes.reshape(-1, 2, 2 ** (hi - lo - 1), 2, 2**lo)
         views = [psi[:, h, :, l, :] for h in (0, 1) for l in (0, 1)]
+        spare = self._spare.reshape((4,) + views[0].shape)
         for group in _mixed_groups(g):
             *rest, last = group
-            # the new values of all but the last state go to temporaries,
-            # so every product still reads the old amplitudes
-            fresh = [_combine(g[s], views, group) for s in rest]
-            views[last] *= g[last, last]
-            for t in rest:
-                if g[last, t] != 0:
-                    views[last] += g[last, t] * views[t]
-            for s, values in zip(rest, fresh):
-                views[s][...] = values
+            if not rest and g[last, last] == 1:
+                continue
+            # the new values of all but the last state go to quarters of the
+            # spare, so every product still reads the old amplitudes
+            for s, fresh in zip(rest, spare):
+                _combine(g[s], views, group, fresh, spare[3])
+            _combine(g[last], views, (last, *rest), views[last], spare[3])
+            for s, fresh in zip(rest, spare):
+                views[s][...] = fresh
 
     def apply_cycle(self, cycle: GateSequence) -> None:
         if cycle.n_qubits != self.n_qubits:
             raise ValueError("cycle and state have different qubit counts")
-        blocks: dict[int, np.ndarray] = {}
+        # each gate goes in divided by its nonzero |00> entry, and entries equal
+        # to it become exactly 1 (x / x need not round to 1), a phase apply_2q
+        # skips; the product of the divisors rides on the first kick pass
+        gates = [(i, j, gate) for layer in cycle.layers for i, j, gate in layer]
+        divisors = [gate[0, 0] or 1.0 for _, _, gate in gates]
+        phase = np.prod(divisors)
         for q0 in range(0, self.n_qubits, _KICK_GROUP):
             k = min(_KICK_GROUP, self.n_qubits - q0)
-            if k not in blocks:
-                blocks[k] = reduce(np.kron, [cycle.kick] * k)
-            self._apply_block(q0, blocks[k])
-        for layer in cycle.layers:
-            for i, j, gate in layer:
-                self.apply_2q(i, j, gate)
+            self._apply_block(q0, reduce(np.kron, [cycle.kick] * k, phase))
+            phase = 1.0
+        for (i, j, gate), divisor in zip(gates, divisors):
+            self.apply_2q(i, j, np.where(gate == divisor, 1, gate / divisor))
         drift = abs(self.norm() - 1.0)
         if drift > _NORM_TOL:
             warnings.warn(f"norm drifted by {drift:.2e}; renormalizing")

@@ -138,15 +138,8 @@ class MPSState:
         for site, t in enumerate(self.tensors):
             self.tensors[site] = np.einsum("qp,apb->aqb", cycle.kick, t)
         for layer in cycle.layers:
-            seen: set[int] = set()
-            spans = []
-            for i, j, gate in layer:
-                if i in seen or j in seen or i == j:
-                    raise ValueError(f"layer gates overlap at qubits ({i}, {j})")
-                seen.update((i, j))
-                spans.append((self.position[i], self.position[j], gate))
-            spans.sort(key=lambda span: min(span[0], span[1]))
-            for pos_i, pos_j, gate in spans:
+            spans = [(self.position[i], self.position[j], gate) for i, j, gate in layer]
+            for pos_i, pos_j, gate in sorted(spans, key=lambda s: min(s[0], s[1])):
                 self._apply_2q(pos_i, pos_j, gate)
         self._move_center(0)
 

@@ -175,6 +175,10 @@ class RunConfig:
             _check_integer(name, getattr(self, name), low)
         if self.backend not in ("exact", "mps"):
             raise ValueError(f"unknown backend {self.backend!r}")
+        if not isinstance(self.mps, MPSOptions):
+            raise ValueError(f"mps must be a JSON object, got {self.mps!r}")
+        if not isinstance(self.output_dir, (str, type(None))):
+            raise ValueError(f"output_dir must be a JSON string, got {self.output_dir!r}")
         n_qubits = build_lattice(self.rows, self.cols).n_qubits
         if self.noise is not None:
             _check_integer("noise.seed", self.noise.seed, 0)

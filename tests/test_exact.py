@@ -38,6 +38,16 @@ def einsum_2q(psi, n, qubit_a, qubit_b, gate):
     return np.einsum(spec, gate.reshape(2, 2, 2, 2), tensor).reshape(-1)
 
 
+def partly_mixed_gate(mixed, seed):
+    """A random unitary on the pair states in ``mixed``, unequal phases on the others."""
+    rng = np.random.default_rng(seed)
+    m = len(mixed)
+    block, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    gate = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
+    gate[np.ix_(mixed, mixed)] = block
+    return gate
+
+
 def direct_marginals(probs, n):
     """<Z_i> and <Z_i Z_j> by summing the probability array over the other qubits."""
     z = np.empty(n)
@@ -127,16 +137,16 @@ class TestGateApplication:
         assert np.max(np.abs(sv.amplitudes - expected)) < 1e-12
 
     @pytest.mark.parametrize("mixed", [(0, 1, 2, 3), (0, 2, 3)])
-    @pytest.mark.parametrize("qubit_a, qubit_b", [(3, 4), (4, 3), (1, 6), (6, 1), (0, 6)])
+    @pytest.mark.parametrize(
+        "qubit_a, qubit_b",
+        # adjacent pairs below qubit 3 go as one gemm, the others by quarters
+        [(3, 4), (4, 3), (1, 6), (6, 1), (0, 6), (0, 1), (1, 0), (1, 2), (2, 1), (2, 3)],
+    )
     def test_gate_against_einsum(self, qubit_a, qubit_b, mixed):
         # a unitary on the pair states in `mixed`, a phase on the others;
         # a dense one takes the general path, where every pair state mixes
         n = 7
-        rng = np.random.default_rng(10 * qubit_a + qubit_b)
-        m = len(mixed)
-        block, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
-        gate = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
-        gate[np.ix_(mixed, mixed)] = block
+        gate = partly_mixed_gate(mixed, seed=10 * qubit_a + qubit_b)
         psi = random_state(n, seed=qubit_a)
         sv = StateVector(psi, n)
         sv.apply_2q(qubit_a, qubit_b, gate)
@@ -154,6 +164,30 @@ class TestGateApplication:
         for q in range(n):
             single._apply_block(q, kick)
         assert np.max(np.abs(grouped.amplitudes - single.amplitudes)) < 1e-12
+
+    def test_cycle_against_gate_by_gate_einsum(self):
+        # apply_cycle divides each gate by its |00> entry and puts the product
+        # back once; these gates have unequal |00> and |11> entries, a mixed
+        # |00> or, for X(x)X, a zero one
+        n = 7
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        g = [partly_mixed_gate((1, 2), seed=s) for s in range(3)]
+        layers = (
+            ((0, 1, g[0]), (2, 5, g[1]), (4, 3, partly_mixed_gate((0, 1, 2, 3), seed=3))),
+            ((2, 1, np.kron(x, x)), (6, 0, xxz_gate(1.1, 0.2))),
+            ((5, 4, partly_mixed_gate((0, 2, 3), seed=4)), (3, 6, g[2])),
+        )
+        kick = x_kick_gate(0.37)
+        psi = random_state(n, seed=8)
+        sv = StateVector(psi, n)
+        sv.apply_cycle(GateSequence(n_qubits=n, kick=kick, layers=layers))
+        expected = psi
+        for q in range(n):
+            expected = dense_1q(n, q, kick) @ expected
+        for layer in layers:
+            for a, b, gate in layer:
+                expected = einsum_2q(expected, n, a, b, gate)
+        assert np.max(np.abs(sv.amplitudes - expected)) < 1e-12
 
     def test_index_bounds(self):
         sv = StateVector.from_product(ProductState(spins=np.array([1, 1])))

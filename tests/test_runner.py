@@ -107,6 +107,10 @@ INVALID_CONFIGS = {
     "string-ridge": {"recovery": {"ridge": "1"}},
     "string-cutoff": {"mps": {"cutoff": "1"}},
     "string-flip-cap": {"noise": {"flip_cap": "0.1"}},
+    # the type rule keys on a field's default, which a section's null and a
+    # None default escape
+    "null-mps-section": {"backend": "mps", "mps": None, "cycles": 1},
+    "number-output-dir": {"output_dir": 5},
 }
 
 
