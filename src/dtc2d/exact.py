@@ -3,26 +3,30 @@
 Bit convention: qubit i with spin +1 is |0>; bit i of the basis index is
 the state of qubit i (qubit 0 = least significant bit).
 
-Gates act on reshaped views of the amplitude array, with one spare array of
-the same size for their results and temporaries:
-- a block gate on the k adjacent qubits q0..q0+k-1 is one matmul over the
-  (-1, 2^k, 2^q0) view into the spare, which then swaps with the amplitudes.
-  The kick goes in ceil(n/5) passes of kick^(x)5 blocks;
-- a two-qubit gate mixes the four quarter views in place (an adjacent pair
-  below qubit 3: the block kron(gate, I)). A cycle divides each gate by its
-  nonzero |00> entry and applies their product once, so XXZ leaves |00> and
-  |11> where they lie and costs one 2x2 mix of |01>, |10>.
+``apply_cycle`` compiles each Floquet cycle once into a plan of passes over
+the amplitude array, which it keeps for later calls with the same cycle:
+- the ops are walked in cycle order, the kick on each qubit and then each
+  layer's gates. An op joins the earliest block whose window of
+  consecutive qubits it keeps within 5 and that no later pass acting on
+  one of its qubits follows, so it commutes past every pass it skips. A
+  block's matrix is its ops applied to an identity. One block is one
+  matmul over the (-1, 2^k, 2^q0) view into a spare array of the same
+  size, which then swaps with the amplitudes;
+- a gate whose own span is wider than 5 qubits mixes the four quarter
+  views of the state in place, with its temporaries in the spare. It goes
+  in divided by its nonzero |00> entry, and the product of the divisors
+  rides on the first block, so an XXZ gate leaves |00> and |11> where they
+  lie and costs one 2x2 mix of |01>, |10>.
 
 The backend answers three calls: ``apply_cycle``, ``zz_matrix`` and
-``sample_bits``. ``zz_matrix`` reads one probability table |psi|^2, split
-into rows of the high qubits n//2..n-1 and columns of the low qubits
-0..n//2-1. Its two marginals give <Z> and the within-half <ZZ> blocks; the
-cross block is z_high^T P z_low.
+``sample_bits``. ``zz_matrix`` reads one probability table |psi|^2, built
+in the spare and split into rows of the high qubits n//2..n-1 and columns
+of the low qubits 0..n//2-1. Its two marginals give <Z> and the
+within-half <ZZ> blocks; the cross block is z_high^T P z_low.
 """
 from __future__ import annotations
 
 import warnings
-from functools import reduce
 
 import numpy as np
 
@@ -30,7 +34,7 @@ from .circuit import GateSequence, ProductState
 
 MAX_QUBITS = 24
 _NORM_TOL = 1e-10
-_KICK_GROUP = 5  # qubits per kick pass: one 32x32 block
+_BLOCK_BITS = 5  # widest window of one fused pass: a 32x32 block
 
 
 class CapacityError(ValueError):
@@ -69,6 +73,54 @@ def _combine(row, views, states, out, scratch) -> None:
             out += np.multiply(views[t], row[t], out=scratch)
 
 
+def _compile(cycle: GateSequence) -> list[tuple]:
+    """One cycle as its passes in order: (q0, block) or (qubit_a, qubit_b, gate)."""
+    ops = [(q, cycle.kick) for q in range(cycle.n_qubits)]
+    ops += [gate for layer in cycle.layers for gate in layer]
+    passes: list[tuple[set, list]] = []  # (qubits acted on, ops) of each pass
+    for *qubits, gate in ops:
+        # the earliest block it may join, which leaves later blocks room
+        # (the newest one would make the 1x2 cycle 11 blocks, not 9)
+        home = None
+        for touched, members in reversed(passes):
+            window = touched.union(qubits)
+            if max(window) - min(window) < _BLOCK_BITS:
+                home = touched, members
+            if not touched.isdisjoint(qubits):
+                break
+        if home is None:
+            home = set(), []
+            passes.append(home)
+        home[0].update(qubits)
+        home[1].append((qubits, gate))
+    plan, phase = [], 1.0
+    for touched, members in passes:
+        lo, hi = min(touched), max(touched)
+        k = hi - lo + 1
+        if k > _BLOCK_BITS:  # one gate wider than a window
+            (i, j), gate = members[0]
+            # it goes in divided by its nonzero |00> entry, and entries equal
+            # to that become exactly 1 (x / x need not round to 1), a phase
+            # apply_2q skips; the product of the divisors rides on the first
+            # block
+            divisor = gate[0, 0] or 1.0
+            phase *= divisor
+            plan.append((i, j, np.where(gate == divisor, 1, gate / divisor)))
+            continue
+        # the block's matrix is an identity whose row index, qubits k..2k-1
+        # of a 2k-qubit state, has had its ops applied
+        block = StateVector(np.eye(2**k, dtype=complex).reshape(-1), 2 * k)
+        for qubits, gate in members:
+            if len(qubits) == 1:
+                block._apply_block(k + qubits[0] - lo, gate)
+            else:
+                block.apply_2q(*(k + q - lo for q in qubits), gate)
+        plan.append((lo, block.amplitudes.reshape(2**k, 2**k)))
+    q0, first = plan[0]  # the kick on qubit 0 opens the first pass, a block
+    plan[0] = q0, first * phase
+    return plan
+
+
 class StateVector:
     def __init__(self, amplitudes: np.ndarray, n_qubits: int):
         check_capacity(n_qubits)
@@ -79,6 +131,7 @@ class StateVector:
         # block gates write into the spare and swap; mixes keep temporaries in it
         self._spare = np.empty_like(self.amplitudes)
         self.n_qubits = n_qubits
+        self._plan = None, []  # the last cycle run and its compiled passes
 
     @classmethod
     def from_product(cls, state: ProductState) -> "StateVector":
@@ -116,10 +169,6 @@ class StateVector:
             g = g.transpose(1, 0, 3, 2)
         g = g.reshape(4, 4)
         lo, hi = sorted((qubit_a, qubit_b))
-        if hi == lo + 1 and lo < 3:
-            # quarter views would loop over 2^lo amplitudes; this is one gemm
-            self._apply_block(0, np.kron(g, np.eye(2**lo)))
-            return
         psi = self.amplitudes.reshape(-1, 2, 2 ** (hi - lo - 1), 2, 2**lo)
         views = [psi[:, h, :, l, :] for h in (0, 1) for l in (0, 1)]
         spare = self._spare.reshape((4,) + views[0].shape)
@@ -138,18 +187,13 @@ class StateVector:
     def apply_cycle(self, cycle: GateSequence) -> None:
         if cycle.n_qubits != self.n_qubits:
             raise ValueError("cycle and state have different qubit counts")
-        # each gate goes in divided by its nonzero |00> entry, and entries equal
-        # to it become exactly 1 (x / x need not round to 1), a phase apply_2q
-        # skips; the product of the divisors rides on the first kick pass
-        gates = [(i, j, gate) for layer in cycle.layers for i, j, gate in layer]
-        divisors = [gate[0, 0] or 1.0 for _, _, gate in gates]
-        phase = np.prod(divisors)
-        for q0 in range(0, self.n_qubits, _KICK_GROUP):
-            k = min(_KICK_GROUP, self.n_qubits - q0)
-            self._apply_block(q0, reduce(np.kron, [cycle.kick] * k, phase))
-            phase = 1.0
-        for (i, j, gate), divisor in zip(gates, divisors):
-            self.apply_2q(i, j, np.where(gate == divisor, 1, gate / divisor))
+        if self._plan[0] is not cycle:
+            self._plan = cycle, _compile(cycle)
+        for step in self._plan[1]:
+            if len(step) == 2:  # (q0, block)
+                self._apply_block(*step)
+            else:  # (qubit_a, qubit_b, gate), wider than a block
+                self.apply_2q(*step)
         drift = abs(self.norm() - 1.0)
         if drift > _NORM_TOL:
             warnings.warn(f"norm drifted by {drift:.2e}; renormalizing")
@@ -164,7 +208,9 @@ class StateVector:
         ``pairs`` is ignored: the one table gives every entry at the same cost.
         """
         k = self.n_qubits // 2
-        table = self.probabilities().reshape(-1, 2**k)
+        table = self._spare.view(np.float64)[: 2**self.n_qubits]
+        np.square(np.abs(self.amplitudes, out=table), out=table)
+        table = table.reshape(-1, 2**k)
         z_hi, z_lo = _z_table(self.n_qubits - k), _z_table(k)
         p_lo, p_hi = table.sum(axis=0), table.sum(axis=1)
         matrix = np.empty((self.n_qubits, self.n_qubits))

@@ -538,9 +538,11 @@ def run_phase_diagram(config: RunConfig) -> list[PhasePoint]:
     fast = replace(
         config, full_correlations=False, shots=0, noise=None, recovery=None
     )
-    if config.workers > 1:
+    # a forked pool starts all its workers up front, so none may lack a cell
+    workers = min(config.workers, len(cells))
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=config.workers, initializer=limit_blas_threads
+            max_workers=workers, initializer=limit_blas_threads
         ) as pool:
             results = list(pool.map(_phase_cell, [(fast, e, p) for e, p in cells]))
     else:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dtc2d import FloquetParams, build_cycle, neel_state, sample_disorder
+from dtc2d import FloquetParams, build_cycle, build_lattice, neel_state, sample_disorder
+from dtc2d import exact
 from dtc2d.circuit import GateSequence, ProductState, x_kick_gate, xxz_gate
 from dtc2d.exact import MAX_QUBITS, CapacityError, StateVector
 from dtc2d.observables import delta
@@ -139,7 +140,8 @@ class TestGateApplication:
     @pytest.mark.parametrize("mixed", [(0, 1, 2, 3), (0, 2, 3)])
     @pytest.mark.parametrize(
         "qubit_a, qubit_b",
-        # adjacent pairs below qubit 3 go as one gemm, the others by quarters
+        # far and adjacent pairs, high and low; on the low ones the quarter
+        # views loop over the shortest rows
         [(3, 4), (4, 3), (1, 6), (6, 1), (0, 6), (0, 1), (1, 0), (1, 2), (2, 1), (2, 3)],
     )
     def test_gate_against_einsum(self, qubit_a, qubit_b, mixed):
@@ -188,6 +190,81 @@ class TestGateApplication:
             for a, b, gate in layer:
                 expected = einsum_2q(expected, n, a, b, gate)
         assert np.max(np.abs(sv.amplitudes - expected)) < 1e-12
+
+    def test_random_cycle_against_gate_by_gate_einsum(self):
+        # 13 qubits: gates of every span 1..12 at random places and in both
+        # qubit orders, so that the plan fuses some into blocks and leaves
+        # those wider than a block to themselves
+        n = 13
+        rng = np.random.default_rng(21)
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        kinds = [
+            partly_mixed_gate((1, 2), seed=5),  # unequal |00> and |11> entries
+            partly_mixed_gate((0, 1, 2, 3), seed=6),  # a mixed |00>
+            np.kron(x, x),  # a zero |00> entry
+            xxz_gate(0.8, 0.3),
+        ]
+        layers = []
+        for k, span in enumerate(np.repeat(np.arange(1, n), 2)):
+            lo = int(rng.integers(n - span))
+            pair = (lo, lo + span) if k % 2 else (lo + span, lo)
+            gate = (*pair, kinds[k % len(kinds)])
+            for layer in layers:
+                if not {q for a, b, _ in layer for q in (a, b)} & set(pair):
+                    layer.append(gate)
+                    break
+            else:
+                layers.append([gate])
+        kick = x_kick_gate(0.37)
+        psi = random_state(n, seed=9)
+        sv = StateVector(psi, n)
+        sv.apply_cycle(GateSequence(n_qubits=n, kick=kick, layers=tuple(map(tuple, layers))))
+        reference = StateVector(psi, n)
+        for q in range(n):
+            reference._apply_block(q, kick)
+        expected = reference.amplitudes
+        for layer in layers:
+            for a, b, gate in layer:
+                expected = einsum_2q(expected, n, a, b, gate)
+        assert np.max(np.abs(sv.amplitudes - expected)) < 1e-12
+
+    def test_1x2_cycle_runs_in_13_passes(self, monkeypatch):
+        lattice = build_lattice(1, 2)
+        params = FloquetParams(0.05, 0.45 * np.pi)
+        cycle = build_cycle(lattice, sample_disorder(lattice, seed=7), params)
+        sv = StateVector.from_product(neel_state(lattice))
+        passes = []
+
+        def counted(method):
+            def wrapper(self, *args):
+                if self is sv:  # not the small states that build the blocks
+                    passes.append(method.__name__)
+                return method(self, *args)
+
+            return wrapper
+
+        for name in ("_apply_block", "apply_2q"):
+            monkeypatch.setattr(StateVector, name, counted(getattr(StateVector, name)))
+        sv.apply_cycle(cycle)
+        # 27 when the kick went in 5 passes and each of the 22 gates in one
+        assert len(passes) <= 13
+
+    def test_plan_compiles_once_per_cycle(self, monkeypatch, hexagon, dtc_cycle, hexagon_neel):
+        compiled = []
+
+        def recording(cycle):
+            compiled.append(cycle)
+            return compile_cycle(cycle)
+
+        compile_cycle = exact._compile
+        monkeypatch.setattr(exact, "_compile", recording)
+        sv = StateVector.from_product(hexagon_neel)
+        sv.apply_cycle(dtc_cycle)
+        sv.apply_cycle(dtc_cycle)
+        assert compiled == [dtc_cycle]
+        other = build_cycle(hexagon, sample_disorder(hexagon, seed=1), FloquetParams(0.1, 0.3))
+        sv.apply_cycle(other)
+        assert compiled == [dtc_cycle, other]
 
     def test_index_bounds(self):
         sv = StateVector.from_product(ProductState(spins=np.array([1, 1])))

@@ -362,6 +362,29 @@ class TestPhaseDiagram:
         for a, b in zip(serial, parallel):
             assert a == b
 
+    @pytest.mark.parametrize("workers, cells, pool", [(4, 2, [2]), (2, 3, [2]), (4, 1, [])])
+    def test_pool_has_at_most_one_worker_per_cell(self, monkeypatch, workers, cells, pool):
+        sizes = []
+
+        class RecordingPool:  # records its size and runs the cells here
+            def __init__(self, max_workers, initializer):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+        phis = (0.3, DTC_PHI, 1.0)[:cells]
+        config = small_config(cycles=1, phis=phis, full_correlations=False, workers=workers)
+        assert len(run_phase_diagram(config)) == cells
+        assert sizes == pool
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             run_phase_diagram(small_config(epsilons=()))
