@@ -14,6 +14,10 @@ import numpy as np
 
 from .lattice import Edge, HeavyHexLattice
 
+# largest entry a Clifford kick may have where I or X has a zero; cos(pi/2)
+# rounds to 6e-17
+_KICK_ROUNDING = 1e-15
+
 
 @dataclass(frozen=True)
 class FloquetParams:
@@ -55,6 +59,45 @@ class ProductState:
     def bits(self) -> np.ndarray:
         """Bit encoding: spin +1 -> 0, spin -1 -> 1."""
         return ((1 - self.spins) // 2).astype(np.uint8)
+
+
+class CliffordState:
+    """A basis state under Clifford-point cycles, tracked without a backend.
+
+    At epsilon = 0 every two-qubit gate is diagonal, and at phi = 0 or pi/2
+    the kick is I or -iX, so each cycle maps a basis state to one basis
+    state up to a phase (Gottesman, arXiv:quant-ph/9807006). The state is
+    its spins, and it answers the backends' three calls exactly.
+    """
+
+    def __init__(self, state: ProductState):
+        self.spins = state.spins
+
+    def apply_cycle(self, cycle: GateSequence) -> None:
+        """Flip every spin if the kick is off-diagonal (proportional to X).
+
+        Raises unless the cycle permutes basis states: every gate diagonal,
+        the kick diagonal (I) or off-diagonal (X) up to _KICK_ROUNDING.
+        """
+        gates = [gate for layer in cycle.layers for _, _, gate in layer]
+        if any(np.count_nonzero(gate - np.diag(np.diag(gate))) for gate in gates):
+            raise ValueError("a Clifford state takes only diagonal two-qubit gates")
+        on, off = np.abs(np.diag(cycle.kick)), np.abs(np.diag(cycle.kick[::-1]))
+        if on.max() <= _KICK_ROUNDING:
+            self.spins = -self.spins
+        elif off.max() > _KICK_ROUNDING:
+            raise ValueError(f"a Clifford state takes only an I or X kick, got {cycle.kick}")
+
+    def zz_matrix(self, pairs=None) -> tuple[np.ndarray, np.ndarray]:
+        """<Z> = spins and <ZZ> = their outer product, every entry exact."""
+        z = self.spins.astype(float)
+        return z, np.outer(z, z)
+
+    def sample_bits(self, shots: int, seed: int) -> np.ndarray:
+        """The state's one bitstring ``shots`` times; no random number is drawn."""
+        if shots < 1:
+            raise ValueError("shots must be >= 1")
+        return np.tile(ProductState(self.spins).bits, (shots, 1))
 
 
 @dataclass(frozen=True)

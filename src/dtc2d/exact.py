@@ -127,9 +127,13 @@ class StateVector:
         if amplitudes.shape != (2**n_qubits,):
             raise ValueError("amplitude array has wrong length")
         # an owned contiguous copy: two-qubit gates update it in place
-        self.amplitudes = np.array(amplitudes, dtype=complex)
+        self._own(np.array(amplitudes, dtype=complex), n_qubits)
+
+    def _own(self, amplitudes: np.ndarray, n_qubits: int) -> None:
+        """Take ``amplitudes``, a contiguous complex array no caller holds."""
+        self.amplitudes = amplitudes
         # block gates write into the spare and swap; mixes keep temporaries in it
-        self._spare = np.empty_like(self.amplitudes)
+        self._spare = np.empty_like(amplitudes)
         self.n_qubits = n_qubits
         self._plan = None, []  # the last cycle run and its compiled passes
 
@@ -140,7 +144,9 @@ class StateVector:
         amplitudes = np.zeros(2**n, dtype=complex)
         index = int(np.sum(state.bits.astype(np.int64) << np.arange(n)))
         amplitudes[index] = 1.0
-        return cls(amplitudes, n)
+        fresh = cls.__new__(cls)
+        fresh._own(amplitudes, n)  # the new array needs no copy
+        return fresh
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))

@@ -54,6 +54,14 @@ def _svd(matrix: np.ndarray):
         return vh.conj().T, s, (q @ u).conj().T
 
 
+def _qr(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced QR. A matrix with no more rows than columns would get a square
+    unitary Q and keep its bond, so it is its own R, with Q = I (exact)."""
+    if matrix.shape[0] <= matrix.shape[1]:
+        return np.eye(matrix.shape[0], dtype=matrix.dtype), matrix
+    return np.linalg.qr(matrix)
+
+
 def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Contract the last axis of ``a`` with the first axis of ``b``."""
     k = a.shape[-1]
@@ -163,7 +171,7 @@ class MPSState:
         t = np.einsum("qpk,lpr->lqkr", left, self.tensors[site_a])
         for i in range(site_a, site_b):
             dl = t.shape[0]
-            q, r = np.linalg.qr(t.reshape(dl * 2, -1))
+            q, r = _qr(t.reshape(dl * 2, -1))
             self.tensors[i] = q.reshape(dl, 2, -1)
             r = r.reshape(r.shape[0], rank, -1)  # (m, k, bond)
             t = _contract(r, self.tensors[i + 1])  # (m, k, p, s)
@@ -180,14 +188,14 @@ class MPSState:
         while self.center < site:
             i = self.center
             t = self.tensors[i]
-            q, r = np.linalg.qr(t.reshape(-1, t.shape[2]))
+            q, r = _qr(t.reshape(-1, t.shape[2]))
             self.tensors[i] = q.reshape(t.shape[0], 2, -1)
             self.tensors[i + 1] = _contract(r, self.tensors[i + 1])
             self.center = i + 1
         while self.center > site:
             i = self.center
             t = self.tensors[i]
-            q, r = np.linalg.qr(t.reshape(t.shape[0], -1).T)
+            q, r = _qr(t.reshape(t.shape[0], -1).T)
             self.tensors[i] = q.T.reshape(-1, 2, t.shape[2])
             self.tensors[i - 1] = _contract(self.tensors[i - 1], r.T)
             self.center = i - 1

@@ -25,7 +25,10 @@ information. That fit is one bounded least-squares problem over the
 trial's natural parameters: it starts from the best cell of a fixed grid
 and takes Levenberg-Marquardt steps with the analytic Jacobian (Levenberg,
 Q. Appl. Math. 2, 164, 1944; Marquardt, J. SIAM 11, 431, 1963), in the
-step loop that ``Ratio.fit`` uses. Everything here runs in numpy.
+step loop that ``Ratio.fit`` uses. That loop ends a fit whose objective
+has stalled over FIT_STALL_STEPS steps (Madsen, Nielsen & Tingleff,
+Methods for Non-Linear Least Squares Problems, 2004, sec. 3.2).
+Everything here runs in numpy.
 """
 from __future__ import annotations
 
@@ -40,11 +43,14 @@ DEFAULT_GRID_POINTS = 41
 # The fits take a proposed step unless it raises the objective by more than
 # FIT_ROUNDING of it (the nested fits' rounding noise is about 1e-11), and
 # stop at a step within FIT_STEP_FLOOR of the parameters (a converged one is
-# about 1e-16), or after FIT_MAX_STEPS steps. The nested fits stop within 20
+# about 1e-16), once the objective has not fallen by FIT_ROUNDING of itself
+# over the last FIT_STALL_STEPS taken steps (a fit that cycles on rounding
+# noise), or after FIT_MAX_STEPS steps. The nested fits stop within 20
 # steps; a deconvolution fit that follows a valley of the trial to its bound
 # can take a few hundred.
 FIT_ROUNDING = 1e-9
 FIT_STEP_FLOOR = 1e-14
+FIT_STALL_STEPS = 20
 FIT_MAX_STEPS = 300
 
 
@@ -198,10 +204,13 @@ def _descend(profile, proposals, x, lower=-np.inf, upper=np.inf) -> tuple:
     damped try than the last. The first whose end point, clipped into the
     bounds, raises the objective by at most FIT_ROUNDING of it is taken.
     The loop stops at a proposed step within FIT_STEP_FLOOR of x (relative
-    to each entry of x above 1) or after FIT_MAX_STEPS steps, and returns
+    to each entry of x above 1), at a taken step that leaves the objective
+    above (1 - FIT_ROUNDING) times its value FIT_STALL_STEPS taken steps
+    before (it has stalled), or after FIT_MAX_STEPS steps, and returns
     (x, state).
     """
     state = profile(x)
+    objectives = [state[0]]  # after each taken step
     for _ in range(FIT_MAX_STEPS):
         for step in proposals(x, state):
             if np.max(np.abs(step) / np.maximum(np.abs(x), 1.0)) <= FIT_STEP_FLOOR:
@@ -211,6 +220,11 @@ def _descend(profile, proposals, x, lower=-np.inf, upper=np.inf) -> tuple:
             if trial[0] <= state[0] * (1 + FIT_ROUNDING):
                 break
         x, state = moved, trial
+        objectives.append(state[0])
+        if len(objectives) > FIT_STALL_STEPS and not (
+            state[0] < (1 - FIT_ROUNDING) * objectives[-1 - FIT_STALL_STEPS]
+        ):
+            break
     return x, state
 
 
@@ -377,8 +391,12 @@ def deconvolve_hamming(
     more than 3/4 halves it. A decrease too small to measure (its prediction
     below FIT_ROUNDING of the objective) counts as a full gain, so no choice
     follows the last bits of the inputs. The fit stops at a step predicted
-    to lower the objective by at most FIT_ROUNDING^2 of it: the residual
-    would move by at most FIT_ROUNDING of its length.
+    to lower the objective by at most FIT_ROUNDING^2 of it (the residual
+    would move by at most FIT_ROUNDING of its length), or once
+    ``_descend`` finds the objective stalled. Without that a fit can cycle
+    in its damping: once its steps gain too little to judge, the damping
+    falls to its floor, where a step grows until the gain ratio rejects
+    it, and the cycle repeats.
 
     The info dict holds the objective, the number of steps and ``at_bound``,
     true when beta ended on its bound.

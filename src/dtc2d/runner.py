@@ -7,7 +7,7 @@ bitstrings once, and one record (`_record`) appends every diagnostic of a
 channel: the noiseless channel records them as read, the noisy one after
 the per-qubit noise channel has corrupted them. Recovery adds a third,
 recovered channel. With noise, the point's reference run at the nearest
-Clifford point is simulated too, and the series recovery reads make up the
+Clifford point is recorded too, and the series recovery reads make up the
 point's raw bundle (`RAW_COLUMNS` maps each column to its run, channel and
 `TimeSeries` field). Recovery is one pipeline on that bundle, run by
 `simulate` and by `recover` on the written file, so `recover` repeats every
@@ -19,8 +19,10 @@ per-cycle flip probabilities and the optional deconvolution.
 
 All randomness is derived from the config seed plus the point coordinates
 and cycle index, so re-running any config reproduces its outputs byte for
-byte, serial or parallel. An MPS checkpoint stores one array per channel
-and `TimeSeries` field.
+byte, serial or parallel. A point at epsilon = 0 and phi = 0 or pi/2, such
+as every Clifford reference, needs no backend: a `CliffordState` gives its
+reads exactly. An MPS checkpoint stores one array per channel and
+`TimeSeries` field.
 """
 from __future__ import annotations
 
@@ -29,13 +31,13 @@ import io
 import json
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .blas import limit_blas_threads
 from .circuit import (
+    CliffordState,
     FloquetParams,
     ProductState,
     build_cycle,
@@ -342,7 +344,11 @@ def _simulate_system(
     phi: float,
     checkpoint_dir: str | None = None,
 ) -> PointResult:
-    """Evolve one system, recording the clean (and noisy) channels."""
+    """Evolve one system, recording the clean (and noisy) channels.
+
+    At epsilon = 0 and phi = 0 or pi/2 a `CliffordState` stands in for the
+    backend; it is never checkpointed.
+    """
     lattice = build_lattice(rows, cols)
     order = unroll(lattice)
     disorder = sample_disorder(lattice, config.seed)
@@ -353,7 +359,10 @@ def _simulate_system(
         config.noise.build(lattice.n_qubits, s0.spins) if config.noise else None
     )
 
-    if config.backend == "exact":
+    clifford = eps == 0 and phi in (0.0, np.pi / 2)
+    if clifford:  # every cycle maps s0 to one basis state: nothing to evolve
+        state = CliffordState(s0)
+    elif config.backend == "exact":
         state = StateVector.from_product(s0)
     else:
         from .mps import MPSState
@@ -366,7 +375,9 @@ def _simulate_system(
     edges = tuple(np.transpose(lattice.edges))  # (rows, cols) index arrays
 
     start_t = 0
-    checkpointed = checkpoint_dir is not None and config.backend == "mps"
+    checkpointed = (
+        checkpoint_dir is not None and config.backend == "mps" and not clifford
+    )
     if checkpointed:
         key = _checkpoint_key(config, rows, cols, eps, phi, order)
         start_t = _try_resume(state, checkpoint_dir, key, config.cycles, clean, noisy)
@@ -431,10 +442,11 @@ def _record(
 def run_point(config: RunConfig, eps: float, phi: float) -> PointResult:
     """Simulate one parameter point, with noise and recovery if configured.
 
-    With noise, the point's Clifford reference is simulated too, and so is
-    the learn pair when recovery learns on another lattice. Their series
-    make up the raw bundle, ``PointResult.raw``, which in-run recovery
-    reads and `write_raw_bundle` writes, with or without recovery.
+    With noise, the point's Clifford reference is recorded too (classically,
+    see `_simulate_system`), and so is the learn pair when recovery learns
+    on another lattice. Their series make up the raw bundle,
+    ``PointResult.raw``, which in-run recovery reads and `write_raw_bundle`
+    writes, with or without recovery.
     """
     checkpoint_dir = None
     if config.checkpoint and config.output_dir:
@@ -541,6 +553,9 @@ def run_phase_diagram(config: RunConfig) -> list[PhasePoint]:
     # a forked pool starts all its workers up front, so none may lack a cell
     workers = min(config.workers, len(cells))
     if workers > 1:
+        # imported here: multiprocessing costs every other run its import time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=limit_blas_threads
         ) as pool:

@@ -78,7 +78,7 @@ def test_phase_diagram_workers_run_one_thread(two_threads, monkeypatch):
             pools.append(kwargs)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     config = RunConfig(cycles=1, epsilons=(0.0,), phis=(0.2, 1.2), workers=2)
     assert len(run_phase_diagram(config)) == 2
     (kwargs,) = pools

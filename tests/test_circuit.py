@@ -12,7 +12,9 @@ from dtc2d import (
     x_kick_gate,
     xxz_gate,
 )
-from dtc2d.circuit import ProductState, custom_state
+from dtc2d.circuit import CliffordState, ProductState, custom_state
+from dtc2d.exact import StateVector
+from dtc2d.mps import MPSState
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -160,6 +162,35 @@ class TestInitialStates:
     def test_spin_validation(self):
         with pytest.raises(ValueError):
             ProductState(spins=np.array([1, 0, -1]))
+
+
+class TestCliffordState:
+    @pytest.mark.parametrize("phi", [0.0, np.pi / 2])
+    @pytest.mark.parametrize("initial", [neel_state, polarized_state])
+    def test_matches_both_backends(self, hexagon, hexagon_order, initial, phi):
+        cycle = build_cycle(hexagon, sample_disorder(hexagon, seed=7), FloquetParams(0.0, phi))
+        s0 = initial(hexagon)
+        clifford = CliffordState(s0)
+        backends = [StateVector.from_product(s0), MPSState(s0, hexagon_order)]
+        for t in range(5):
+            if t > 0:
+                for state in (clifford, *backends):
+                    state.apply_cycle(cycle)
+            z, zz = clifford.zz_matrix()
+            np.testing.assert_array_equal(z, s0.spins * (-1.0 if phi else 1.0) ** t)
+            np.testing.assert_array_equal(zz, np.outer(z, z))
+            samples = clifford.sample_bits(50, seed=t)
+            for state in backends:
+                z_b, zz_b = state.zz_matrix()
+                np.testing.assert_allclose(z_b, z, rtol=0, atol=1e-15)
+                np.testing.assert_allclose(zz_b, zz, rtol=0, atol=1e-15)
+                np.testing.assert_array_equal(state.sample_bits(50, seed=t), samples)
+
+    @pytest.mark.parametrize("eps, phi", [(0.05, 0.0), (1e-9, np.pi / 2), (0.0, 0.3)])
+    def test_rejects_a_cycle_that_mixes_basis_states(self, hexagon, eps, phi):
+        cycle = build_cycle(hexagon, sample_disorder(hexagon, seed=7), FloquetParams(eps, phi))
+        with pytest.raises(ValueError):
+            CliffordState(neel_state(hexagon)).apply_cycle(cycle)
 
 
 class TestParams:

@@ -553,7 +553,53 @@ def sampled_deconvolution_inputs() -> list:
     return inputs
 
 
+# the t = 2 input of the dense12 benchmark run (1x1, 12 cycles, 2000 shots,
+# config seed 7): noisy histogram, flip probability, mean and variance
+# targets. Its fit once cycled in its damping until FIT_MAX_STEPS.
+DENSE12_T2 = (
+    np.array([0.437, 0.2805, 0.172, 0.071, 0.0295, 0.0075, 0.0025] + [0.0] * 6),
+    0.020416666666666666,
+    0.8427996608321953,
+    1.3855069081663167,
+)
+
+
+class TestDescend:
+    """The shared step loop ends a fit whose objective has stalled."""
+
+    @staticmethod
+    def walk(objective) -> int:
+        """Steps taken from x = 0 by unit steps on a 1-parameter objective."""
+
+        def profile(x):
+            return (objective(float(x[0])),)
+
+        def unit_steps(x, state):
+            while True:
+                yield np.ones(1)
+
+        x, _ = recovery._descend(profile, unit_steps, np.zeros(1))
+        return int(x[0])
+
+    def test_a_plateau_ends_within_the_stall_window(self):
+        plateau = 10  # the objective falls by 1 per step to here, then stays
+        steps = self.walk(lambda x: 1.0 + max(plateau - x, 0.0))
+        assert steps == plateau + recovery.FIT_STALL_STEPS
+
+    def test_a_steady_descent_runs_to_the_cap(self):
+        assert self.walk(lambda x: np.exp(-1e-3 * x)) == recovery.FIT_MAX_STEPS
+
+
 class TestDeconvolveHamming:
+    def test_recorded_dense12_fit_stops_before_the_step_cap(self, monkeypatch):
+        trial, info = deconvolve_hamming(*DENSE12_T2)
+        assert info["n_steps"] < recovery.FIT_MAX_STEPS - 1
+        monkeypatch.setattr(recovery, "FIT_MAX_STEPS", 600)
+        longer, longer_info = deconvolve_hamming(*DENSE12_T2)
+        assert longer_info["n_steps"] == info["n_steps"]
+        tv = 0.5 * np.sum(np.abs(trial_pmf(longer, 12) - trial_pmf(trial, 12)))
+        assert tv <= 1e-10
+
     def test_pushforward_inverted_exactly(self):
         n, p = 35, 0.1
         truth = TrialDistribution(d0=12.0, sigma=3.0, k=0.8, q=-12.0)

@@ -332,6 +332,32 @@ class TestRunPoint:
             assert np.all(np.isfinite(series.corr_avg))
             assert len(series.qfi) == (config.cycles + 1 if full else 0)
 
+    @pytest.mark.parametrize("learn", [False, True], ids=["self", "learn-1x1"])
+    @pytest.mark.parametrize("backend", ["exact", "mps"])
+    def test_no_backend_evolves_a_clifford_reference(self, monkeypatch, backend, learn):
+        kicks = []  # the kick of each cycle that a backend applies
+        for cls in (StateVector, MPSState):
+
+            def counted(state, cycle, evolve=cls.apply_cycle):
+                kicks.append(cycle.kick[0, 0])
+                evolve(state, cycle)
+
+            monkeypatch.setattr(cls, "apply_cycle", counted)
+        config = small_config(
+            cols=2 if learn else 1,
+            cycles=2,
+            backend=backend,
+            mps=MPSOptions(chi_max=16),
+            shots=20,
+            noise=NoiseSpec(decay=0.97, bias_even=0.03, bias_odd=-0.03),
+            recovery=RecoverySettings(learn_rows=1, learn_cols=1),
+        )
+        result = run_point(config, 0.05, DTC_PHI)
+        # the target, and the learn target on 1x1; never a reference
+        assert kicks == [np.cos(DTC_PHI)] * config.cycles * (2 if learn else 1)
+        assert ("learn_delta_noisy_ref" in result.raw) is learn
+        assert len(result.raw["delta_noisy_ref"]) == config.cycles + 1
+
     def test_initial_state_options(self):
         polarized = run_point(small_config(initial_state="polarized"), 0.0, 0.0)
         assert np.all(polarized.s0 == 1)
@@ -379,7 +405,7 @@ class TestPhaseDiagram:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         phis = (0.3, DTC_PHI, 1.0)[:cells]
         config = small_config(cycles=1, phis=phis, full_correlations=False, workers=workers)
         assert len(run_phase_diagram(config)) == cells
