@@ -6,15 +6,17 @@ order that maps lattice qubits to chain positions. Site tensors have shape
 cycles the state is right-canonical with the orthogonality center at site
 0, so expectation values close with identity environments on the right.
 
-A two-qubit gate on chain positions a < b is applied over its span only.
-The center moves to a by QR; the 4x4 gate is split by SVD into two site
-tensors joined by a bond of at most 4, which passes through the sites
-between a and b. An exact QR sweep a -> b absorbs the gate, then a
-truncating SVD sweep b -> a restores right-canonical form on the span and
-leaves the center at a. Every cut of that sweep is a Schmidt cut of the
-whole state, so keeping the chi_max largest singular values is the optimal
-truncation there. When chi_max exceeds the entanglement requirement the
-result is exact up to the singular-value floor.
+A two-qubit gate on chain positions a < b acts on its span only. The
+center moves to a by QR, and the gate splits by SVD into factors on a and
+b joined by a bond k <= 4 that passes through the sites between. Call the
+span's tensors with the gate on them X_a ... X_b. A sweep a -> b keeps only
+the R factor of each M_i = R_{i-1} X_i (M_a = X_a). A truncating SVD sweep
+b -> a cuts C_i = R_{i-1} F_i (F_b = X_b): site i keeps the leading rows of
+V^H and F_{i-1} = X_{i-1} F_i V, since Q_{i-1} U S = M_{i-1} F_i V. So no
+Q is formed, and site a gets F_a, the new center. Each cut is a Schmidt cut
+of the whole state, so keeping the chi_max largest singular values is the
+optimal truncation there; when chi_max does not bind the result is exact
+up to the singular-value floor.
 
 Like the dense backend, ``MPSState`` answers ``apply_cycle``,
 ``zz_matrix`` and ``sample_bits`` in lattice qubit indices, translated to
@@ -30,6 +32,8 @@ the end; with ``pairs`` each one is dropped after its site's last partner.
 """
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .circuit import GateSequence, ProductState
@@ -37,6 +41,7 @@ from .lattice import UnrollOrder
 
 _Z_SIGNS = np.array([1.0, -1.0])[:, None]  # Z eigenvalue of each physical index
 _GATE_SPLIT_TOL = 1e-14
+_NORM_TOL = 1e-10  # squared norm of a gate's center against its kept weight
 
 
 def _svd(matrix: np.ndarray):
@@ -54,12 +59,13 @@ def _svd(matrix: np.ndarray):
         return vh.conj().T, s, (q @ u).conj().T
 
 
-def _qr(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced QR. A matrix with no more rows than columns would get a square
-    unitary Q and keep its bond, so it is its own R, with Q = I (exact)."""
+def _qr(matrix: np.ndarray, mode: str = "reduced"):
+    """QR as ``np.linalg.qr`` (mode "r": R only). A matrix with no more rows
+    than columns would get a square unitary Q and keep its bond, so it is its
+    own R, with Q = I (exact)."""
     if matrix.shape[0] <= matrix.shape[1]:
-        return np.eye(matrix.shape[0], dtype=matrix.dtype), matrix
-    return np.linalg.qr(matrix)
+        return matrix if mode == "r" else (np.eye(len(matrix), dtype=matrix.dtype), matrix)
+    return np.linalg.qr(matrix, mode=mode)
 
 
 def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -154,8 +160,9 @@ class MPSState:
     def _apply_2q(self, site_a: int, site_b: int, gate: np.ndarray) -> None:
         """Apply a gate indexed (out_a, out_b, in_a, in_b) to chain sites a, b.
 
-        Touches only the sites between the two ends and leaves the
-        orthogonality center at the left end of the span.
+        The sweeps of the module docstring leave the center at a. Its squared
+        norm must be the product of the cuts' kept weight fractions; a drift
+        beyond ``_NORM_TOL`` warns before the state is renormalized.
         """
         n = len(self.tensors)
         if site_a == site_b or not (0 <= site_a < n and 0 <= site_b < n):
@@ -166,22 +173,35 @@ class MPSState:
         left, right = _split_gate(gate)
         rank = left.shape[2]
         self._move_center(site_a)
-
-        # exact QR sweep a -> b; the gate bond k rides on each right bond
-        t = np.einsum("qpk,lpr->lqkr", left, self.tensors[site_a])
-        for i in range(site_a, site_b):
-            dl = t.shape[0]
-            q, r = _qr(t.reshape(dl * 2, -1))
-            self.tensors[i] = q.reshape(dl, 2, -1)
-            r = r.reshape(r.shape[0], rank, -1)  # (m, k, bond)
-            t = _contract(r, self.tensors[i + 1])  # (m, k, p, s)
-            if i + 1 < site_b:
-                t = t.transpose(0, 2, 1, 3)  # (m, p, k, s)
-            else:
-                t = np.einsum("kqp,mkps->mqs", right, t)
-        self.tensors[site_b] = t
-        self.center = site_b
-        self._truncate_to(site_a)
+        # sweep a -> b, keeping R_i of M_i reshaped ((m, p), (k, s))
+        x_a = np.einsum("qpk,lpr->lqkr", left, self.tensors[site_a])
+        rs = [_qr(x_a.reshape(-1, rank * x_a.shape[3]), "r")]
+        for t in self.tensors[site_a + 1 : site_b]:
+            m = _contract(rs[-1].reshape(len(rs[-1]), rank, -1), t)  # (m, k, p, s)
+            rs.append(_qr(m.transpose(0, 2, 1, 3).reshape(2 * len(m), -1), "r"))
+        # truncating sweep b -> a; S and V of C_i are those of its R factor
+        f = np.einsum("kqp,rps->krqs", right, self.tensors[site_b])  # X_b
+        kept = 1.0
+        for i in range(site_b, site_a, -1):
+            r = rs.pop()  # R_{i-1}
+            f = f.reshape(r.shape[1], -1)  # ((k, r), (p, s))
+            _, s, vh = _svd(_qr(r @ f, "r"))
+            bond = self._keep(s)
+            total = float(np.sum(s**2))
+            if total > 0:
+                discarded = float(np.sum(s[bond:] ** 2)) / total
+                self.truncation_error += discarded
+                kept *= 1.0 - discarded
+            self.tensors[i] = vh[:bond].reshape(bond, 2, -1)
+            e = f @ vh[:bond].conj().T  # E_i = F_i V, rows (k, r)
+            if i - 1 > site_a:  # F_{i-1} = X_{i-1} E_i, batched over k
+                t = self.tensors[i - 1]
+                f = t.reshape(-1, t.shape[2]) @ e.reshape(rank, t.shape[2], bond)
+        center = (x_a.reshape(-1, len(e)) @ e).reshape(-1, 2, e.shape[1])
+        nrm = np.linalg.norm(center)
+        if (drift := abs(nrm**2 - kept)) > _NORM_TOL:
+            warnings.warn(f"norm^2 drifted by {drift:.2e} from the kept weight; renormalizing")
+        self.tensors[site_a] = center / nrm if nrm > 0 else center
 
     def _move_center(self, site: int) -> None:
         """Move the orthogonality center to ``site`` by exact QR steps."""
@@ -199,27 +219,6 @@ class MPSState:
             self.tensors[i] = q.T.reshape(-1, 2, t.shape[2])
             self.tensors[i - 1] = _contract(self.tensors[i - 1], r.T)
             self.center = i - 1
-
-    def _truncate_to(self, site: int) -> None:
-        """Truncating SVD sweep from the center leftward to ``site``.
-
-        Each bond it crosses is cut at a Schmidt decomposition of the whole
-        state; the state is renormalized on the new center afterwards.
-        """
-        for i in range(self.center, site, -1):
-            t = self.tensors[i]
-            u, s, vh = _svd(t.reshape(t.shape[0], -1))
-            rank = self._keep(s)
-            total = float(np.sum(s**2))
-            if total > 0:
-                self.truncation_error += float(np.sum(s[rank:] ** 2)) / total
-            self.tensors[i] = vh[:rank].reshape(rank, 2, t.shape[2])
-            factor = u[:, :rank] * s[:rank]
-            self.tensors[i - 1] = _contract(self.tensors[i - 1], factor)
-        self.center = site
-        nrm = np.linalg.norm(self.tensors[site])
-        if nrm > 0:
-            self.tensors[site] = self.tensors[site] / nrm
 
     def _keep(self, s: np.ndarray) -> int:
         return max(1, min(self.chi_max, int(np.sum(s > self.cutoff))))

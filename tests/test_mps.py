@@ -1,4 +1,5 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -89,12 +90,15 @@ def norm(mps):
 
 
 def canonical_defect(mps):
-    """Max deviation of the right-isometry identities over sites 1..n-1."""
+    """Max deviation of the isometry identities over every site but the
+    center: left isometries left of it, right isometries right of it."""
     worst = 0.0
-    for t in mps.tensors[1:]:
-        m = t.reshape(t.shape[0], -1)
-        gram = m @ m.conj().T
-        worst = max(worst, float(np.max(np.abs(gram - np.eye(t.shape[0])))))
+    for site, t in enumerate(mps.tensors):
+        if site == mps.center:
+            continue
+        m = t.reshape(-1, t.shape[2]) if site < mps.center else t.reshape(t.shape[0], -1).T
+        gram = m.conj().T @ m
+        worst = max(worst, float(np.max(np.abs(gram - np.eye(len(gram))))))
     return worst
 
 
@@ -108,6 +112,22 @@ def to_statevector(mps):
     psi = psi[..., 0]  # axes ordered site0..siteN-1
     # match the dense backend: qubit/site 0 is the least significant bit
     return np.transpose(psi, tuple(reversed(range(n)))).reshape(-1)
+
+
+def evolved_2x2(lattice, cycles, chi_max=32):
+    """MPS of the 2x2 lattice after ``cycles`` cycles at seed 7, (0.05, 0.45 pi).
+
+    Any warning fails: the renormalization after each gate must find the
+    center's squared norm equal to the weight its truncations kept.
+    """
+    disorder = sample_disorder(lattice, seed=7)
+    cycle = build_cycle(lattice, disorder, FloquetParams(0.05, 0.45 * np.pi))
+    state = MPSState(neel_state(lattice), unroll(lattice), chi_max=chi_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(cycles):
+            state.apply_cycle(cycle)
+    return state, cycle
 
 
 def chain_state(state, chi_max=64):
@@ -218,15 +238,77 @@ class TestMPOConstruction:
 
 
 class TestApplyMPO:
-    @pytest.mark.parametrize("site_a, site_b", [(0, 11), (9, 2), (5, 6)])
+    @pytest.mark.parametrize("site_a, site_b", [(0, 11), (9, 2), (5, 6), (3, 5), (6, 5)])
     def test_gate_matches_dense(self, site_a, site_b):
-        # (0, 11) spans the whole chain; (9, 2) runs against the chain order
+        # (0, 11) spans the whole chain; (9, 2) and (6, 5) run against the
+        # chain order
         mps, sv = random_chain_state(12, seed=site_a + 7 * site_b)
         gate = random_gate(site_a * 12 + site_b)
         mps._apply_2q(site_a, site_b, gate)
         sv.apply_2q(site_a, site_b, gate)
         np.testing.assert_allclose(to_statevector(mps), sv.amplitudes, atol=1e-12)
         assert mps.center == min(site_a, site_b)
+
+    @pytest.mark.parametrize(
+        "site_a, site_b", [(5, 6), (6, 5), (3, 5), (5, 3), (2, 7), (7, 2), (0, 11), (11, 0)]
+    )
+    def test_gate_matches_dense_truncation_when_chi_binds(self, site_a, site_b):
+        # the reference cuts the exact post-gate vector at bonds b-1 ... a,
+        # right to left, keeping chi Schmidt vectors at each cut
+        chi_max, n = 4, 12
+        mps, sv = random_chain_state(n, seed=site_a + 7 * site_b)
+        mps.chi_max = chi_max
+        gate = random_gate(site_a * 12 + site_b)
+        before = mps.truncation_error
+        mps._apply_2q(site_a, site_b, gate)
+        sv.apply_2q(site_a, site_b, gate)
+        psi = sv.amplitudes.reshape([2] * n).transpose(range(n - 1, -1, -1))  # axis = site
+        discarded = 0.0
+        for bond in range(max(site_a, site_b) - 1, min(site_a, site_b) - 1, -1):
+            u, s, vh = np.linalg.svd(psi.reshape(2 ** (bond + 1), -1), full_matrices=False)
+            keep = min(chi_max, int(np.sum(s > mps.cutoff)))
+            discarded += float(np.sum(s[keep:] ** 2) / np.sum(s**2))
+            psi = ((u[:, :keep] * s[:keep]) @ vh[:keep]).reshape(psi.shape)
+        expected = psi.transpose(range(n - 1, -1, -1)).reshape(-1)
+        expected /= np.linalg.norm(expected)
+        assert discarded > 1e-6  # chi binds
+        np.testing.assert_allclose(to_statevector(mps), expected, rtol=0, atol=1e-10)
+        assert abs(mps.truncation_error - before - discarded) < 1e-12
+        assert mps.center == min(site_a, site_b)
+
+    def test_norm_drift_warns_before_renormalizing(self):
+        mps, _ = random_chain_state(6, seed=4)
+        assert mps.center == 2
+        mps.tensors[4] = 1.5 * mps.tensors[4]
+        with pytest.warns(UserWarning, match="norm.*drifted"):
+            mps._apply_2q(3, 5, random_gate(6))
+        assert abs(norm(mps) - 1.0) < 1e-12
+
+    def test_only_center_moves_form_q(self, monkeypatch, lattice_2x2):
+        # the gate sweeps keep R factors only; a QR that returns Q is a
+        # center move, of at most (2 chi, chi)
+        chi_max = 32
+        state, cycle = evolved_2x2(lattice_2x2, cycles=1, chi_max=chi_max)
+        qr, apply_2q = np.linalg.qr, MPSState._apply_2q
+        q_shapes, defects = [], []
+
+        def counted(matrix, mode="reduced"):
+            if mode != "r":
+                q_shapes.append(matrix.shape)
+            return qr(matrix, mode=mode)
+
+        def checked(self, site_a, site_b, gate):
+            apply_2q(self, site_a, site_b, gate)
+            assert self.center == min(site_a, site_b)
+            defects.append(canonical_defect(self))
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        monkeypatch.setattr(MPSState, "_apply_2q", checked)
+        state.apply_cycle(cycle)
+        assert max(state.bond_dims) == chi_max
+        assert q_shapes and max(rows for rows, _ in q_shapes) <= 2 * chi_max
+        assert len(defects) == sum(len(layer) for layer in cycle.layers)
+        assert max(defects) <= 1e-12
 
     def test_identity_leaves_state_unchanged(self, hexagon, hexagon_order, dtc_cycle):
         state = MPSState(neel_state(hexagon), hexagon_order, chi_max=64)
@@ -396,16 +478,11 @@ class TestExpectations:
 
     def test_stacked_sweep_matches_row_restart(self, lattice_2x2):
         # 35 sites at chi 32: both cycles truncate
-        order = unroll(lattice_2x2)
-        disorder = sample_disorder(lattice_2x2, seed=7)
-        cycle = build_cycle(lattice_2x2, disorder, FloquetParams(0.05, 0.45 * np.pi))
-        state = MPSState(neel_state(lattice_2x2), order, chi_max=32)
-        for _ in range(2):
-            state.apply_cycle(cycle)
+        state, _ = evolved_2x2(lattice_2x2, cycles=2)
         assert state.truncation_error > 0
         assert max(state.bond_dims) == 32
         # the references sweep chain sites; read them back in lattice order
-        position = np.asarray(order.position)
+        position = state.position
         z_lattice, zz_lattice = state.zz_matrix()
         np.testing.assert_allclose(
             zz_lattice,
