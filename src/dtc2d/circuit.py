@@ -27,8 +27,8 @@ class FloquetParams:
     phi: float
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if not 0 <= self.phi <= math.pi / 2 + 1e-12:
             raise ValueError(f"phi must lie in [0, pi/2], got {self.phi}")
 

@@ -18,10 +18,9 @@ import sys
 from dataclasses import replace
 
 from .blas import limit_blas_threads
+from .config import RunConfig, point_tag
 from .lattice import build_lattice
 from .runner import (
-    RunConfig,
-    point_tag,
     recover_from_raw,
     run_phase_diagram,
     run_point,
@@ -52,18 +51,13 @@ def _parse_chi_sweep(text: str) -> list[int]:
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
+    """The config file with the given overrides, checked as a loaded config is."""
     config = RunConfig.load(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.backend is not None:
-        config = replace(config, backend=args.backend)
+    overrides = {"seed": args.seed, "backend": args.backend, "output_dir": args.out}
     if args.chi_max is not None:
-        config = replace(config, mps=replace(config.mps, chi_max=args.chi_max))
-    if args.out is not None:
-        config = replace(config, output_dir=args.out)
-    if config.output_dir is None:
-        config = replace(config, output_dir="runs")
-    return config
+        overrides["mps"] = replace(config.mps, chi_max=args.chi_max)
+    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
+    return config if config.output_dir else replace(config, output_dir="runs")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

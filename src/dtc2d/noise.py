@@ -16,7 +16,7 @@ assumptions to probe robustness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -129,7 +129,7 @@ class NoiseSpec:
     flip_slope: float = 0.0
     flip_cap: float = 0.5
     readout_flip: float = 0.0
-    seed: int = 0
+    seed: int = field(default=0, metadata={"least": 0})
     decay_spread: float = 0.02
     bias_scale: float = 0.05
 

@@ -30,8 +30,7 @@ import hashlib
 import io
 import json
 import os
-import warnings
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -46,9 +45,10 @@ from .circuit import (
     polarized_state,
     sample_disorder,
 )
-from .exact import StateVector, check_capacity
+from .config import RecoverySettings, RunConfig, point_tag
+from .exact import StateVector
 from .lattice import UnrollOrder, build_lattice, unroll
-from .noise import NoiseSpec, corrupt_bits, corrupt_zz
+from .noise import corrupt_bits, corrupt_zz
 from .observables import (
     PhasePoint,
     TimeSeries,
@@ -80,187 +80,6 @@ RECOVERED_COLUMNS = [
     "chi_recovered_flag",
     "p_flip",
 ]
-
-
-def _check_integer(name: str, value, least: int) -> None:
-    """Raise unless ``value`` is an integer, not a bool, and at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}")
-
-
-# the JSON kind of a config key's value, by the type of its field's default;
-# the classes check integers, fields that default to None and sections
-_KINDS = {bool: "boolean", str: "string", float: "number", tuple: "list of numbers"}
-
-
-def _kind(value) -> str | None:
-    """The `_KINDS` kind of a value loaded from JSON, None for any other."""
-    if type(value) is list:
-        return "list of numbers" if all(_kind(v) == "number" for v in value) else None
-    return _KINDS.get(float if type(value) is int else type(value))
-
-
-def _section(cls, payload, prefix: str = ""):
-    """``cls(**payload)`` for a JSON object, lists made tuples; else ValueError.
-
-    Each key must name a field of ``cls`` and hold a value of the kind that
-    ``_KINDS`` gives the type of the field's default.
-    """
-    if not isinstance(payload, dict):
-        raise ValueError(f"config {prefix[:-1] or 'file'} must be a JSON object")
-    defaults = {f.name: f.default for f in fields(cls)}
-    unknown = sorted(prefix + k for k in set(payload) - set(defaults))
-    if unknown:
-        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-    for key, value in payload.items():
-        kind = _KINDS.get(type(defaults[key]))
-        if kind and _kind(value) != kind:
-            raise ValueError(f"{prefix}{key} must be a JSON {kind}, got {value!r}")
-    return cls(**{k: tuple(v) if type(v) is list else v for k, v in payload.items()})
-
-
-@dataclass(frozen=True)
-class MPSOptions:
-    chi_max: int = 64
-    cutoff: float = 1e-12
-
-    def __post_init__(self) -> None:
-        _check_integer("mps.chi_max", self.chi_max, 1)
-        if not self.cutoff >= 0:
-            raise ValueError("mps.cutoff must be >= 0")
-
-
-@dataclass(frozen=True)
-class RecoverySettings:
-    ridge: float = 1e-4
-    lambda_mean: float = 10.0
-    lambda_var: float = 10.0
-    guard: float = 1e-3
-    learn_rows: int | None = None  # lattice used to learn offsets (None: self)
-    learn_cols: int | None = None
-    deconvolve: bool = False
-
-    def __post_init__(self) -> None:
-        for name in ("ridge", "lambda_mean", "lambda_var", "guard"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"recovery.{name} must be positive")
-        for name in ("learn_rows", "learn_cols"):
-            value = getattr(self, name)
-            if value is not None:  # null: the run's own lattice
-                _check_integer(f"recovery.{name}", value, 1)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    rows: int = 1
-    cols: int = 1
-    epsilons: tuple[float, ...] = (0.05,)
-    phis: tuple[float, ...] = (0.45 * np.pi,)
-    cycles: int = 10
-    initial_state: str = "neel"  # "neel" | "polarized" | 0/1 bitstring
-    backend: str = "exact"  # "exact" | "mps"
-    mps: MPSOptions = field(default_factory=MPSOptions)
-    shots: int = 0
-    seed: int = 0
-    workers: int = 1
-    full_correlations: bool = True
-    noise: NoiseSpec | None = None
-    recovery: RecoverySettings | None = None
-    output_dir: str | None = None
-    checkpoint: bool = False
-
-    def __post_init__(self) -> None:
-        least = {"rows": 1, "cols": 1, "cycles": 1, "shots": 0, "workers": 1, "seed": 0}
-        for name, low in least.items():
-            _check_integer(name, getattr(self, name), low)
-        if self.backend not in ("exact", "mps"):
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if not isinstance(self.mps, MPSOptions):
-            raise ValueError(f"mps must be a JSON object, got {self.mps!r}")
-        if not isinstance(self.output_dir, (str, type(None))):
-            raise ValueError(f"output_dir must be a JSON string, got {self.output_dir!r}")
-        n_qubits = build_lattice(self.rows, self.cols).n_qubits
-        if self.noise is not None:
-            _check_integer("noise.seed", self.noise.seed, 0)
-            self.noise.build(n_qubits)  # raises what the noise model rejects
-        if self.backend == "exact":
-            for rows, cols in {(self.rows, self.cols), self.learn_lattice}:
-                check_capacity(build_lattice(rows, cols).n_qubits)
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
-        object.__setattr__(self, "phis", tuple(float(p) for p in self.phis))
-        if not (self.epsilons and self.phis):
-            raise ValueError("epsilons and phis must each list at least one value")
-        for eps in self.epsilons:
-            if not (np.isfinite(eps) and eps >= 0):
-                raise ValueError(f"epsilon must be finite and >= 0, got {eps}")
-        for phi in self.phis:
-            clifford_reference(phi)  # raises outside [0, pi/2]
-        if self.initial_state not in ("neel", "polarized"):
-            bits = self.initial_state
-            if set(bits) - {"0", "1"} or len(bits) != n_qubits:
-                raise ValueError(
-                    f"initial_state must be 'neel', 'polarized' or a 0/1 string "
-                    f"of {n_qubits} bits for the {self.rows}x{self.cols} "
-                    f"lattice, got {bits!r}"
-                )
-            if self.learn_lattice != (self.rows, self.cols):
-                raise ValueError(
-                    "a bitstring initial_state fits only the run's own lattice, "
-                    "but recovery.learn_rows/learn_cols select %dx%d"
-                    % self.learn_lattice
-                )
-        if self.recovery is not None and self.recovery.deconvolve:
-            if self.shots == 0 or not self.full_correlations:
-                raise ValueError(
-                    "recovery.deconvolve needs shots > 0 and full_correlations"
-                )
-        # every output file of a point is named by its tag
-        points: dict[str, tuple[float, float]] = {}
-        for eps in self.epsilons:
-            for phi in self.phis:
-                tag = point_tag(eps, phi)
-                if tag in points:
-                    raise ValueError(
-                        f"grid points {points[tag]} and {(eps, phi)} share the "
-                        f"file tag {tag!r}; eps and phi values must differ in "
-                        "their first 6 significant digits"
-                    )
-                points[tag] = (eps, phi)
-
-    @property
-    def learn_lattice(self) -> tuple[int, int]:
-        """(rows, cols) of the lattice that recovery learns on."""
-        settings = self.recovery or RecoverySettings()
-        return (settings.learn_rows or self.rows, settings.learn_cols or self.cols)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        payload = json.loads(text)
-        if not isinstance(payload, dict):
-            raise ValueError("config file must be a JSON object")
-        # older configs carry the zip-up factor of the layer-MPO
-        # contraction that the span-local gate engine replaced
-        if isinstance(payload.get("mps"), dict) and "zip_factor" in payload["mps"]:
-            del payload["mps"]["zip_factor"]
-            warnings.warn(
-                "config key mps.zip_factor no longer has any effect; ignoring it",
-                stacklevel=2,
-            )
-        sections = {"mps": MPSOptions, "noise": NoiseSpec, "recovery": RecoverySettings}
-        for key, section in sections.items():
-            if payload.get(key) is not None:
-                payload[key] = _section(section, payload[key], key + ".")
-        return _section(cls, payload)
-
-    @classmethod
-    def load(cls, path: str) -> "RunConfig":
-        with open(path) as fh:
-            return cls.from_json(fh.read())
 
 
 @dataclass
@@ -613,10 +432,6 @@ def point_csv_rows(result: PointResult) -> list[str]:
             ]
         lines.append(",".join(cells))
     return lines
-
-
-def point_tag(eps: float, phi: float) -> str:
-    return f"eps{eps:.6g}_phi{phi:.6g}"
 
 
 def _write_atomic(path: str, data: str | bytes) -> None:

@@ -18,6 +18,7 @@ from dtc2d import (
     sample_disorder,
     unroll,
 )
+from dtc2d.config import MPSOptions, RecoverySettings, RunConfig
 from dtc2d.exact import StateVector
 from dtc2d.mps import MPSState
 from dtc2d.noise import NoiseSpec, corrupt_bits
@@ -42,9 +43,6 @@ from dtc2d.recovery import (
     learn_flip_schedule,
 )
 from dtc2d.runner import (
-    MPSOptions,
-    RecoverySettings,
-    RunConfig,
     run_phase_diagram,
     run_point,
     _simulate_system,

@@ -200,3 +200,8 @@ class TestParams:
         with pytest.raises(ValueError):
             FloquetParams(0.1, 2.0)
         FloquetParams(0.0, np.pi / 2)  # boundary is allowed
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_epsilon_must_be_finite(self, eps):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            FloquetParams(eps, 0.3)

@@ -8,6 +8,7 @@ from scipy.special import expit, gammaln, logsumexp
 from scipy.stats import binom
 
 from dtc2d import recovery
+from dtc2d.config import RecoverySettings
 from dtc2d.noise import NoiseSpec, corrupt_bits
 from dtc2d.observables import distribution_mean_var, hamming_distribution
 from dtc2d.recovery import (
@@ -22,7 +23,6 @@ from dtc2d.recovery import (
     flip_kernel,
     learn_flip_schedule,
 )
-from dtc2d.runner import RecoverySettings
 
 RIDGE, GUARD = RecoverySettings().ridge, RecoverySettings().guard
 ZERO_OFFSETS = (0.0, 0.0, 0.0, 0.0)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import warnings
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import pytest
 
 from dtc2d import runner
 from dtc2d.cli import main as cli_main
+from dtc2d.config import MPSOptions, RecoverySettings, RunConfig, point_tag
 from dtc2d.exact import CapacityError, StateVector
 from dtc2d.lattice import UnrollOrder
 from dtc2d.mps import MPSState
@@ -16,11 +18,7 @@ from dtc2d.noise import NoiseSpec
 from dtc2d.observables import TimeSeries
 from dtc2d.recovery import TRIAL_CURVATURE_FLOOR, clifford_delta
 from dtc2d.runner import (
-    MPSOptions,
-    RecoverySettings,
-    RunConfig,
     point_csv_rows,
-    point_tag,
     recover_from_raw,
     run_phase_diagram,
     run_point,
@@ -107,10 +105,18 @@ INVALID_CONFIGS = {
     "string-ridge": {"recovery": {"ridge": "1"}},
     "string-cutoff": {"mps": {"cutoff": "1"}},
     "string-flip-cap": {"noise": {"flip_cap": "0.1"}},
-    # the type rule keys on a field's default, which a section's null and a
-    # None default escape
+    # a section that may not be null, and a field that defaults to None, have
+    # kinds too
     "null-mps-section": {"backend": "mps", "mps": None, "cycles": 1},
     "number-output-dir": {"output_dir": 5},
+    # json.loads reads the literals NaN and Infinity: every number is finite
+    "inf-ridge": {"recovery": {"ridge": math.inf}},
+    "inf-guard": {"recovery": {"guard": math.inf}},
+    "inf-lambda-mean": {"shots": 10, "recovery": {"lambda_mean": math.inf}},
+    "inf-cutoff": {"mps": {"cutoff": math.inf}},
+    "inf-flip-slope": {"noise": {"flip_slope": math.inf}},
+    # "" would write into the working directory and skip checkpoints
+    "empty-output-dir": {"output_dir": ""},
 }
 
 
@@ -189,6 +195,24 @@ class TestConfig:
                 "deconvolve",
                 id="deconvolve-without-full-correlations",
             ),
+            pytest.param(
+                {"recovery": {"ridge": math.inf}}, "recovery.ridge", id="ridge-inf"
+            ),
+            pytest.param(
+                {"recovery": {"guard": math.inf}}, "recovery.guard", id="guard-inf"
+            ),
+            pytest.param(
+                {"recovery": {"lambda_mean": math.inf, "deconvolve": True}},
+                "recovery.lambda_mean",
+                id="mean-inf",
+            ),
+            pytest.param({"mps": {"cutoff": math.inf}}, "mps.cutoff", id="cutoff-inf"),
+            pytest.param(
+                {"noise": {"flip_slope": math.inf}},
+                "noise.flip_slope",
+                id="flip-slope-inf",
+            ),
+            pytest.param({"output_dir": ""}, "output_dir", id="empty-output-dir"),
             pytest.param(
                 {"initial_state": "0101010101x1"}, "initial_state", id="bits-not-0/1"
             ),
@@ -865,6 +889,19 @@ class TestCLI:
             assert resolved["mps"]["chi_max"] == chi
             assert resolved["backend"] == "mps"
             assert any(n.startswith("point_") for n in os.listdir(sub))
+
+    @pytest.mark.parametrize(
+        "override, key",
+        [(["--chi-max", "0"], "mps.chi_max"), (["--seed", "-1"], "seed")],
+        ids=["chi-max-0", "seed-negative"],
+    )
+    def test_overrides_are_validated_before_any_file(self, tmp_path, override, key):
+        # a replaced field passes the same rules as a loaded one
+        path = self.write_config(tmp_path, cycles=1, full_correlations=False)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"^{re.escape(key)} must"):
+            cli_main(["simulate", "--config", path, "--out", str(out), *override])
+        assert not out.exists()
 
     def test_chi_sweep_is_validated_before_any_run(self, tmp_path):
         # chi 0 is rejected before chi 8 evolves or writes anything
