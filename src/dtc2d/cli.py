@@ -26,7 +26,6 @@ from .runner import (
     run_point,
     write_phase_grid,
     write_point_outputs,
-    write_raw_bundle,
     write_recovery_report,
     write_resolved_config,
 )
@@ -88,10 +87,7 @@ def _simulate_config(config: RunConfig) -> None:
     for eps in config.epsilons:
         for phi in config.phis:
             result = run_point(config, eps, phi)
-            files = write_point_outputs(result, out)
-            if result.raw is not None:
-                files.append(write_raw_bundle(result, out))
-            for path in files:
+            for path in write_point_outputs(result, out):
                 print(path)
 
 

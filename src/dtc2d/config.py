@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import typing
 import warnings
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -37,7 +38,11 @@ def _fits(kind: type, value) -> bool:
     if kind is tuple:
         return isinstance(value, (list, tuple)) and all(_fits(float, v) for v in value)
     if kind is float:
-        return isinstance(value, (int, float, np.integer, np.floating)) and np.isfinite(value)
+        number = isinstance(value, (int, float, np.integer, np.floating))
+        try:
+            return number and math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range is not finite
+            return False
     return isinstance(value, (int, np.integer) if kind is int else kind)
 
 

@@ -146,23 +146,19 @@ def fourier_spectrum(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class TimeSeries:
-    """Per-cycle record of every diagnostic for one evolution channel."""
+    """Per-cycle record of every diagnostic for one evolution channel.
+
+    The first six fields are the channel's columns of the point CSV, in file
+    order. A field the run does not record (chi_sg and qfi without full
+    correlations, the Hamming fields without shots) stays empty.
+    """
 
     delta: list[float] = field(default_factory=list)
     chi_nn: list[float] = field(default_factory=list)
     chi_sg: list[float] = field(default_factory=list)
     qfi: list[float] = field(default_factory=list)
+    hamming_mean: list[float] = field(default_factory=list)
+    hamming_var: list[float] = field(default_factory=list)
+    corr_avg: list[float] = field(default_factory=list)
     per_site_z: list[np.ndarray] = field(default_factory=list)
     hamming: list[np.ndarray] = field(default_factory=list)
-    corr_avg: list[float] = field(default_factory=list)
-
-    def z_array(self) -> np.ndarray:
-        return np.array(self.per_site_z)
-
-    def hamming_moments(self) -> tuple[np.ndarray, np.ndarray]:
-        means, variances = [], []
-        for dist in self.hamming:
-            m, v = distribution_mean_var(dist)
-            means.append(m)
-            variances.append(v)
-        return np.array(means), np.array(variances)

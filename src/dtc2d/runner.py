@@ -21,7 +21,9 @@ All randomness is derived from the config seed plus the point coordinates
 and cycle index, so re-running any config reproduces its outputs byte for
 byte, serial or parallel. A point at epsilon = 0 and phi = 0 or pi/2, such
 as every Clifford reference, needs no backend: a `CliffordState` gives its
-reads exactly. An MPS checkpoint stores one array per channel and
+reads exactly. The point CSV holds, per channel, the first six `TimeSeries`
+fields (`CSV_COLUMNS`), then the recovered columns. An MPS point keeps one
+checkpoint file, overwritten each cycle, with one array per channel and
 `TimeSeries` field.
 """
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, replace
 
@@ -56,6 +59,7 @@ from .observables import (
     chi_from_matrix,
     correlator_average,
     delta,
+    distribution_mean_var,
     hamming_distribution,
     hamming_mean_from_delta,
     phase_order_params,
@@ -71,15 +75,8 @@ from .recovery import (
     learn_flip_schedule,
 )
 
-CSV_COLUMNS = ["t", "delta", "chi_nn", "chi_sg", "qfi", "hamming_mean", "hamming_var"]
-NOISY_COLUMNS = [c + "_noisy" for c in CSV_COLUMNS[1:]]
-RECOVERED_COLUMNS = [
-    "delta_recovered",
-    "delta_recovered_flag",
-    "chi_recovered",
-    "chi_recovered_flag",
-    "p_flip",
-]
+# each channel's columns of the point CSV: the first six TimeSeries fields
+CSV_COLUMNS = ["delta", "chi_nn", "chi_sg", "qfi", "hamming_mean", "hamming_var"]
 
 
 @dataclass
@@ -132,7 +129,7 @@ class PointResult:
 
     def phase_point(self) -> PhasePoint:
         return phase_order_params(
-            self.clean.z_array(), self.s0, epsilon=self.epsilon, phi=self.phi
+            self.clean.per_site_z, self.s0, epsilon=self.epsilon, phi=self.phi
         )
 
 
@@ -161,7 +158,7 @@ def _simulate_system(
     cols: int,
     eps: float,
     phi: float,
-    checkpoint_dir: str | None = None,
+    checkpoint: bool = False,
 ) -> PointResult:
     """Evolve one system, recording the clean (and noisy) channels.
 
@@ -194,12 +191,11 @@ def _simulate_system(
     edges = tuple(np.transpose(lattice.edges))  # (rows, cols) index arrays
 
     start_t = 0
-    checkpointed = (
-        checkpoint_dir is not None and config.backend == "mps" and not clifford
-    )
+    checkpointed = checkpoint and config.backend == "mps" and not clifford
     if checkpointed:
         key = _checkpoint_key(config, rows, cols, eps, phi, order)
-        start_t = _try_resume(state, checkpoint_dir, key, config.cycles, clean, noisy)
+        path = os.path.join(config.output_dir, "checkpoints", f"{key}.npz")
+        start_t = _try_resume(state, path, config.cycles, clean, noisy)
 
     for t in range(start_t, config.cycles + 1):
         if t > 0:
@@ -219,7 +215,7 @@ def _simulate_system(
             noisy_z, noisy_zz = corrupt_zz(z, zz, noise_model, t)
             _record(noisy, noisy_z, noisy_zz, edges, full, samples_noisy, s0.spins)
         if checkpointed:
-            _save_checkpoint(state, checkpoint_dir, key, t, clean, noisy)
+            _save_checkpoint(state, path, t, clean, noisy)
 
     return PointResult(
         epsilon=eps,
@@ -256,6 +252,9 @@ def _record(
         series.qfi.append(qfi(z, zz, s0))
     if samples is not None:
         series.hamming.append(hamming_distribution(samples, s0))
+        mean, var = distribution_mean_var(series.hamming[-1])
+        series.hamming_mean.append(mean)
+        series.hamming_var.append(var)
 
 
 def run_point(config: RunConfig, eps: float, phi: float) -> PointResult:
@@ -264,15 +263,13 @@ def run_point(config: RunConfig, eps: float, phi: float) -> PointResult:
     With noise, the point's Clifford reference is recorded too (classically,
     see `_simulate_system`), and so is the learn pair when recovery learns
     on another lattice. Their series make up the raw bundle,
-    ``PointResult.raw``, which in-run recovery reads and `write_raw_bundle`
+    ``PointResult.raw``, which in-run recovery reads and `write_point_outputs`
     writes, with or without recovery.
     """
-    checkpoint_dir = None
-    if config.checkpoint and config.output_dir:
-        checkpoint_dir = os.path.join(config.output_dir, "checkpoints")
-        os.makedirs(checkpoint_dir, exist_ok=True)
+    if config.checkpoint and config.output_dir is None:
+        raise ValueError("checkpoint needs an output_dir to write checkpoints to")
     result = _simulate_system(
-        config, config.rows, config.cols, eps, phi, checkpoint_dir
+        config, config.rows, config.cols, eps, phi, config.checkpoint
     )
     if config.noise is None:
         return result
@@ -396,42 +393,33 @@ def _format(value: float) -> str:
     return f"{value:.17g}"
 
 
-def point_csv_rows(result: PointResult) -> list[str]:
-    columns = list(CSV_COLUMNS)
-    if result.noisy is not None:
-        columns += NOISY_COLUMNS
-    if result.recovery is not None:
-        columns += RECOVERED_COLUMNS
-    lines = [",".join(columns)]
-    h_mean, h_var = result.clean.hamming_moments()
-    if result.noisy is not None:
-        hn_mean, hn_var = result.noisy.hamming_moments()
-    for t in range(len(result.clean.delta)):
-        def channel(series: TimeSeries, means, variances) -> list[str]:
-            row = [
-                _format(series.delta[t]),
-                _format(series.chi_nn[t]),
-                _format(series.chi_sg[t]) if series.chi_sg else "nan",
-                _format(series.qfi[t]) if series.qfi else "nan",
-                _format(means[t]) if len(means) else "nan",
-                _format(variances[t]) if len(variances) else "nan",
-            ]
-            return row
+def _table(columns: dict) -> list[str]:
+    """CSV lines: the header, then ``t`` and each column's value at t."""
+    rows = zip(*columns.values())
+    return [",".join(["t", *columns])] + [
+        ",".join([str(t), *map(_format, row)]) for t, row in enumerate(rows)
+    ]
 
-        cells = [str(t)] + channel(result.clean, h_mean, h_var)
-        if result.noisy is not None:
-            cells += channel(result.noisy, hn_mean, hn_var)
-        if result.recovery is not None:
-            rec = result.recovery
-            cells += [
-                _format(rec.delta_recovered[t]),
-                str(int(rec.delta_flags[t])),
-                _format(rec.chi_recovered[t]),
-                str(int(rec.chi_flags[t])),
-                _format(rec.flip_schedule[t]) if rec.flip_schedule is not None else "nan",
-            ]
-        lines.append(",".join(cells))
-    return lines
+
+def point_csv_rows(result: PointResult) -> list[str]:
+    """Each channel's `CSV_COLUMNS` (NaN where unrecorded), then recovery's."""
+    nan = [math.nan] * len(result.clean.delta)
+    columns = {}
+    for suffix, series in (("", result.clean), ("_noisy", result.noisy)):
+        if series is not None:
+            columns.update(
+                {name + suffix: getattr(series, name) or nan for name in CSV_COLUMNS}
+            )
+    rec = result.recovery
+    if rec is not None:
+        columns.update(
+            delta_recovered=rec.delta_recovered,
+            delta_recovered_flag=rec.delta_flags.astype(int),
+            chi_recovered=rec.chi_recovered,
+            chi_recovered_flag=rec.chi_flags.astype(int),
+            p_flip=nan if rec.flip_schedule is None else rec.flip_schedule,
+        )
+    return _table(columns)
 
 
 def _write_atomic(path: str, data: str | bytes) -> None:
@@ -470,7 +458,8 @@ def write_point_outputs(result: PointResult, out_dir: str) -> list[str]:
 
     if result.recovery is not None:
         written.append(write_recovery_report(result.recovery, tag, out_dir))
-
+    if result.raw is not None:
+        written.append(write_raw_bundle(result, out_dir))
     return written
 
 
@@ -548,11 +537,7 @@ def write_raw_bundle(result: PointResult, out_dir: str) -> str:
     """Write the point's raw bundle (``result.raw``), which `recover` reads."""
     tag = point_tag(result.epsilon, result.phi)
     path = os.path.join(out_dir, f"raw_{tag}.csv")
-    columns = result.raw.values()
-    lines = [",".join(["t", *result.raw])]
-    for t in range(len(result.clean.delta)):
-        lines.append(",".join([str(t)] + [_format(column[t]) for column in columns]))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(_table(result.raw)) + "\n")
     return path
 
 
@@ -588,7 +573,7 @@ def _checkpoint_key(
     phi: float,
     order: UnrollOrder,
 ) -> str:
-    """Name prefix of a point's checkpoints.
+    """Name of a point's checkpoint file, without its ``.npz``.
 
     It hashes every setting that determines the evolved state and the
     recorded series, so a checkpoint resumes only the run it was written by.
@@ -615,28 +600,15 @@ def _checkpoint_key(
     return f"{point_tag(eps, phi)}_{digest[:16]}"
 
 
-def _series_arrays(series: TimeSeries | None, channel: str) -> dict:
-    if series is None:
-        return {}
-    return {
+def _save_checkpoint(state, path, t, clean, noisy) -> None:
+    arrays = {
         f"{channel}_{name}": np.array(values)
+        for channel, series in (("clean", clean), ("noisy", noisy))
+        if series is not None
         for name, values in vars(series).items()
         if values
     }
-
-
-def _restore_series(series: TimeSeries, data, channel: str) -> None:
-    for name in vars(series):
-        key = f"{channel}_{name}"
-        if key in data:
-            setattr(series, name, list(data[key]))
-
-
-def _save_checkpoint(state, directory, key, t, clean, noisy) -> None:
-    path = os.path.join(directory, f"{key}_t{t}.npz")
     tensors = {f"site_{i}": a for i, a in enumerate(state.tensors)}
-    arrays = _series_arrays(clean, "clean")
-    arrays.update(_series_arrays(noisy, "noisy"))
     buffer = io.BytesIO()
     np.savez(
         buffer,
@@ -646,24 +618,22 @@ def _save_checkpoint(state, directory, key, t, clean, noisy) -> None:
         **arrays,
     )
     _write_atomic(path, buffer.getvalue())
-    previous = os.path.join(directory, f"{key}_t{t - 1}.npz")
-    if os.path.exists(previous):
-        os.remove(previous)
 
 
-def _try_resume(state, directory, key, cycles, clean, noisy) -> int:
-    best_t, best_path = -1, None
-    for name in os.listdir(directory):
-        if name.startswith(key + "_t") and name.endswith(".npz"):
-            t = int(name[len(key) + 2 : -4])
-            if t <= cycles and t > best_t:
-                best_t, best_path = t, os.path.join(directory, name)
-    if best_path is None:
+def _try_resume(state, path, cycles, clean, noisy) -> int:
+    """The first cycle to run: the one after the checkpoint's, or 0 (a fresh
+    start, which replaces the file) without a checkpoint of this run's cycles."""
+    if not os.path.exists(path):
         return 0
-    with np.load(best_path) as data:
+    with np.load(path) as data:
+        t = int(data["t"])
+        if t > cycles:
+            return 0
         state.tensors = [data[f"site_{i}"] for i in range(len(state.tensors))]
         state.truncation_error = float(data["truncation_error"])
-        _restore_series(clean, data, "clean")
-        if noisy is not None:
-            _restore_series(noisy, data, "noisy")
-    return best_t + 1
+        channels = {"clean": clean, "noisy": noisy}
+        for key in data.files:  # <channel>_<TimeSeries field>, the series saved
+            channel, _, name = key.partition("_")
+            if channel in channels:
+                setattr(channels[channel], name, list(data[key]))
+    return t + 1

@@ -115,6 +115,11 @@ INVALID_CONFIGS = {
     "inf-lambda-mean": {"shots": 10, "recovery": {"lambda_mean": math.inf}},
     "inf-cutoff": {"mps": {"cutoff": math.inf}},
     "inf-flip-slope": {"noise": {"flip_slope": math.inf}},
+    # nor may an integer be too large for a float
+    "huge-int-cutoff": {"mps": {"cutoff": 10**400}},
+    "huge-int-epsilon": {"epsilons": [10**400]},
+    "huge-int-noise-decay": {"noise": {"decay": 10**400}},
+    "huge-int-ridge": {"recovery": {"ridge": 10**400}},
     # "" would write into the working directory and skip checkpoints
     "empty-output-dir": {"output_dir": ""},
 }
@@ -211,6 +216,14 @@ class TestConfig:
                 {"noise": {"flip_slope": math.inf}},
                 "noise.flip_slope",
                 id="flip-slope-inf",
+            ),
+            pytest.param({"mps": {"cutoff": 10**400}}, "mps.cutoff", id="cutoff-huge-int"),
+            pytest.param({"epsilons": [10**400]}, "epsilons", id="epsilon-huge-int"),
+            pytest.param(
+                {"noise": {"decay": 10**400}}, "noise.decay", id="decay-huge-int"
+            ),
+            pytest.param(
+                {"recovery": {"ridge": 10**400}}, "recovery.ridge", id="ridge-huge-int"
             ),
             pytest.param({"output_dir": ""}, "output_dir", id="empty-output-dir"),
             pytest.param(
@@ -723,6 +736,40 @@ class TestCheckpointing:
         for name in vars(TimeSeries()):
             got, want = getattr(second.clean, name), getattr(fresh.clean, name)
             np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+    def test_one_file_per_point_and_a_shorter_run_starts_fresh(self, tmp_path):
+        base = dict(
+            rows=1, cols=1, epsilons=(0.05,), phis=(DTC_PHI,),
+            backend="mps", mps=MPSOptions(chi_max=32), seed=7,
+            full_correlations=True, shots=20,
+        )
+        checkpointed = dict(base, output_dir=str(tmp_path), checkpoint=True)
+        run_point(RunConfig(**checkpointed, cycles=3), 0.05, DTC_PHI)
+        (name,) = os.listdir(tmp_path / "checkpoints")
+        assert re.fullmatch(r"eps0\.05_phi1\.41372_[0-9a-f]{16}\.npz", name)
+        path = tmp_path / "checkpoints" / name
+        with np.load(path) as data:
+            assert int(data["t"]) == 3
+
+        shorter = run_point(RunConfig(**checkpointed, cycles=2), 0.05, DTC_PHI)
+        fresh = run_point(RunConfig(**base, cycles=2), 0.05, DTC_PHI)
+        assert os.listdir(tmp_path / "checkpoints") == [name]
+        with np.load(path) as data:
+            assert int(data["t"]) == 2
+        for key in vars(TimeSeries()):
+            got, want = getattr(shorter.clean, key), getattr(fresh.clean, key)
+            np.testing.assert_array_equal(got, want, err_msg=key)
+
+    def test_checkpoint_without_output_dir_fails_before_evolving(self, monkeypatch):
+        config = small_config(backend="mps", mps=MPSOptions(chi_max=32), checkpoint=True)
+
+        def evolve(*args):
+            raise AssertionError("the point was evolved")
+
+        monkeypatch.setattr(runner, "_simulate_system", evolve)
+        with pytest.raises(ValueError, match="output_dir"):
+            run_point(config, 0.05, DTC_PHI)
 
 
 class TestCLI:
