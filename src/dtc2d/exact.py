@@ -4,29 +4,34 @@ Bit convention: qubit i with spin +1 is |0>; bit i of the basis index is
 the state of qubit i (qubit 0 = least significant bit).
 
 ``apply_cycle`` compiles each Floquet cycle once into a plan of passes over
-the amplitude array, which it keeps for later calls with the same cycle:
+the amplitude array, which it keeps for later calls with the same cycle.
+Each pass runs in place, a chunk of 2^15 amplitudes at a time that splits
+no axis the pass mixes, through one 512 KB buffer per state:
 - the ops are walked in cycle order, the kick on each qubit and then each
   layer's gates. An op joins the earliest block whose window of
   consecutive qubits it keeps within 5 and that no later pass acting on
   one of its qubits follows, so it commutes past every pass it skips. A
   block's matrix is its ops applied to an identity. One block is one
-  matmul over the (-1, 2^k, 2^q0) view into a spare array of the same
-  size, which then swaps with the amplitudes;
+  matmul over the 2^k axis of the (-1, 2^k, 2^q0) view, slab by slab into
+  the buffer and back;
 - a gate whose own span is wider than 5 qubits mixes the four quarter
-  views of the state in place, with its temporaries in the spare. It goes
-  in divided by its nonzero |00> entry, and the product of the divisors
-  rides on the first block, so an XXZ gate leaves |00> and |11> where they
-  lie and costs one 2x2 mix of |01>, |10>.
+  views of each chunk, with its temporaries in quarters of the buffer. It
+  goes in divided by its nonzero |00> entry, and the product of the
+  divisors rides on the first block, so an XXZ gate leaves |00> and |11>
+  where they lie and costs one 2x2 mix of |01>, |10>.
 
 The backend answers three calls: ``apply_cycle``, ``zz_matrix`` and
 ``sample_bits``. ``zz_matrix`` reads one probability table |psi|^2, built
-in the spare and split into rows of the high qubits n//2..n-1 and columns
-of the low qubits 0..n//2-1. Its two marginals give <Z> and the
-within-half <ZZ> blocks; the cross block is z_high^T P z_low.
+in the buffer a block of rows at a time: rows of the high qubits
+n//2..n-1, columns of the low qubits 0..n//2-1. Its two marginals give <Z>
+and the within-half <ZZ> blocks; the cross block is z_high^T P z_low.
 """
 from __future__ import annotations
 
+import itertools
+import math
 import warnings
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -35,6 +40,7 @@ from .circuit import GateSequence, ProductState
 MAX_QUBITS = 24
 _NORM_TOL = 1e-10
 _BLOCK_BITS = 5  # widest window of one fused pass: a 32x32 block
+_CHUNK = 2**15  # entries of one chunk of an in-place pass: 512 KB of amplitudes
 
 
 class CapacityError(ValueError):
@@ -62,6 +68,17 @@ def _mixed_groups(gate: np.ndarray) -> list[tuple[int, ...]]:
                 merged = label[t]
                 label = [label[s] if x == merged else x for x in label]
     return [tuple(s for s in range(4) if label[s] == x) for x in sorted(set(label))]
+
+
+def _chunks(shape: tuple, keep: tuple) -> Iterator[tuple]:
+    """Slice tuples tiling an array of ``shape`` in chunks of _CHUNK entries: the
+    axes in ``keep`` stay whole, the others fill a chunk from the innermost out."""
+    steps = [n if axis in keep else 1 for axis, n in enumerate(shape)]
+    for axis in reversed(range(len(shape))):
+        if axis not in keep:
+            steps[axis] = min(shape[axis], max(1, _CHUNK // math.prod(steps)))
+    for start in itertools.product(*(range(0, n, s) for n, s in zip(shape, steps))):
+        yield tuple(slice(i, i + s) for i, s in zip(start, steps))
 
 
 def _combine(row, views, states, out, scratch) -> None:
@@ -132,8 +149,10 @@ class StateVector:
     def _own(self, amplitudes: np.ndarray, n_qubits: int) -> None:
         """Take ``amplitudes``, a contiguous complex array no caller holds."""
         self.amplitudes = amplitudes
-        # block gates write into the spare and swap; mixes keep temporaries in it
-        self._spare = np.empty_like(amplitudes)
+        # every pass runs through it a chunk at a time: _CHUNK amplitudes, or
+        # more where one chunk holds a whole 2^5 block axis or table row
+        size = max(_CHUNK, 2**_BLOCK_BITS, 2 ** (n_qubits // 2))
+        self._buffer = np.empty(min(size, 2**n_qubits), dtype=complex)
         self.n_qubits = n_qubits
         self._plan = None, []  # the last cycle run and its compiled passes
 
@@ -157,13 +176,15 @@ class StateVector:
 
     def _apply_block(self, q0: int, block: np.ndarray) -> None:
         """Apply a 2^k x 2^k gate to qubits q0..q0+k-1 (bit j of its index = qubit q0+j)."""
-        shape = (-1, len(block), 2**q0)
-        psi, out = self.amplitudes.reshape(shape), self._spare.reshape(shape)
-        if q0 == 0:  # one gemm over rows of 2^k amplitudes
-            np.matmul(psi[..., 0], block.T, out=out[..., 0])
-        else:
-            np.matmul(block, psi, out=out)
-        self.amplitudes, self._spare = self._spare, self.amplitudes
+        psi = self.amplitudes.reshape(-1, len(block), 2**q0)
+        for index in _chunks(psi.shape, keep=(1,)):
+            slab = psi[index]
+            out = self._buffer[: slab.size].reshape(slab.shape)
+            if q0 == 0:  # one gemm over rows of 2^k amplitudes
+                np.matmul(slab[..., 0], block.T, out=out[..., 0])
+            else:
+                np.matmul(block, slab, out=out)
+            slab[...] = out
 
     def apply_2q(self, qubit_a: int, qubit_b: int, gate: np.ndarray) -> None:
         if qubit_a == qubit_b:
@@ -176,19 +197,20 @@ class StateVector:
         g = g.reshape(4, 4)
         lo, hi = sorted((qubit_a, qubit_b))
         psi = self.amplitudes.reshape(-1, 2, 2 ** (hi - lo - 1), 2, 2**lo)
-        views = [psi[:, h, :, l, :] for h in (0, 1) for l in (0, 1)]
-        spare = self._spare.reshape((4,) + views[0].shape)
-        for group in _mixed_groups(g):
-            *rest, last = group
-            if not rest and g[last, last] == 1:
-                continue
-            # the new values of all but the last state go to quarters of the
-            # spare, so every product still reads the old amplitudes
-            for s, fresh in zip(rest, spare):
-                _combine(g[s], views, group, fresh, spare[3])
-            _combine(g[last], views, (last, *rest), views[last], spare[3])
-            for s, fresh in zip(rest, spare):
-                views[s][...] = fresh
+        groups = [s for s in _mixed_groups(g) if len(s) > 1 or g[s[0], s[0]] != 1]
+        for index in _chunks(psi.shape, keep=(1, 3)):
+            chunk = psi[index]
+            views = [chunk[:, h, :, l, :] for h in (0, 1) for l in (0, 1)]
+            temps = self._buffer[: chunk.size].reshape((4,) + views[0].shape)
+            for group in groups:
+                *rest, last = group
+                # the new values of all but the last state go to quarters of
+                # the buffer, so every product still reads the old amplitudes
+                for s, fresh in zip(rest, temps):
+                    _combine(g[s], views, group, fresh, temps[3])
+                _combine(g[last], views, (last, *rest), views[last], temps[3])
+                for s, fresh in zip(rest, temps):
+                    views[s][...] = fresh
 
     def apply_cycle(self, cycle: GateSequence) -> None:
         if cycle.n_qubits != self.n_qubits:
@@ -214,15 +236,20 @@ class StateVector:
         ``pairs`` is ignored: the one table gives every entry at the same cost.
         """
         k = self.n_qubits // 2
-        table = self._spare.view(np.float64)[: 2**self.n_qubits]
-        np.square(np.abs(self.amplitudes, out=table), out=table)
-        table = table.reshape(-1, 2**k)
+        psi = self.amplitudes.reshape(-1, 2**k)
         z_hi, z_lo = _z_table(self.n_qubits - k), _z_table(k)
-        p_lo, p_hi = table.sum(axis=0), table.sum(axis=1)
+        p_lo, p_hi = np.zeros(2**k), np.empty(len(psi))
+        cross = np.empty((len(psi), k))  # table @ z_lo
+        for rows, _ in _chunks(psi.shape, keep=(1,)):
+            table = self._buffer.view(np.float64)[: psi[rows].size].reshape(-1, 2**k)
+            np.square(np.abs(psi[rows], out=table), out=table)
+            p_lo += table.sum(axis=0)
+            p_hi[rows] = table.sum(axis=1)
+            np.matmul(table, z_lo, out=cross[rows])
         matrix = np.empty((self.n_qubits, self.n_qubits))
         matrix[:k, :k] = z_lo.T @ (p_lo[:, None] * z_lo)
         matrix[k:, k:] = z_hi.T @ (p_hi[:, None] * z_hi)
-        matrix[k:, :k] = z_hi.T @ (table @ z_lo)
+        matrix[k:, :k] = z_hi.T @ cross
         matrix[:k, k:] = matrix[k:, :k].T
         np.fill_diagonal(matrix, 1.0)
         return np.concatenate([p_lo @ z_lo, p_hi @ z_hi]), matrix
@@ -233,7 +260,7 @@ class StateVector:
             raise ValueError("shots must be >= 1")
         rng = np.random.default_rng(seed)
         probs = self.probabilities()
-        probs = probs / probs.sum()
+        probs /= probs.sum()
         outcomes = rng.choice(len(probs), size=shots, p=probs)
         bits = (outcomes[:, None] >> np.arange(self.n_qubits)) & 1
         return bits.astype(np.uint8)

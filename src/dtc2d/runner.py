@@ -372,6 +372,7 @@ def run_phase_diagram(config: RunConfig) -> list[PhasePoint]:
         # imported here: multiprocessing costs every other run its import time
         from concurrent.futures import ProcessPoolExecutor
 
+        np.random  # imported once here, not by each forked worker on its first cell
         with ProcessPoolExecutor(
             max_workers=workers, initializer=limit_blas_threads
         ) as pool:

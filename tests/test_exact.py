@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -272,6 +274,68 @@ class TestGateApplication:
             sv.apply_2q(0, 2, np.eye(4))
         with pytest.raises(ValueError):
             sv.apply_2q(0, 0, np.eye(4))
+
+
+class TestInPlacePasses:
+    def test_1x2_cycle_and_read_hold_no_full_size_spare(self):
+        # 21 qubits: the state is 32 MB and the one buffer 512 KB, so a second
+        # state-sized array anywhere in a pass or in the read would show
+        lattice = build_lattice(1, 2)
+        params = FloquetParams(0.05, 0.45 * np.pi)
+        cycle = build_cycle(lattice, sample_disorder(lattice, seed=7), params)
+        tracemalloc.start()
+        try:
+            sv = StateVector.from_product(neel_state(lattice))
+            sv.apply_cycle(cycle)
+            sv.zz_matrix()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.125 * sv.amplitudes.nbytes
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_small_chunks_match_one_chunk(self, monkeypatch, n):
+        # at 8 entries a chunk every pass splits: 32x32 blocks at the bottom,
+        # middle and top, one-qubit blocks, wide gates reaching qubit 0 and
+        # qubit n - 1, and the table's row blocks; at the default size each
+        # pass on n <= 15 qubits is one chunk
+        rng = np.random.default_rng(n)
+        blocks = [(q0, partly_mixed_gate((0, 1), seed=q0)[:2, :2]) for q0 in (0, n - 1)]
+        for q0 in (0, n // 2 - 2, n - 5):
+            m = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+            blocks.append((q0, np.linalg.qr(m)[0]))
+        gates = [
+            (0, 7, partly_mixed_gate((0, 1, 2, 3), seed=1)),
+            (n - 1, 3, partly_mixed_gate((1, 2), seed=2)),
+            (n - 1, 0, partly_mixed_gate((0, 2, 3), seed=3)),
+            (0, n - 1, xxz_gate(0.8, 0.3)),
+        ]
+
+        def run():
+            sv = StateVector(random_state(n, seed=n), n)
+            for q0, block in blocks:
+                sv._apply_block(q0, block)
+            for a, b, gate in gates:
+                sv.apply_2q(a, b, gate)
+            return (sv.amplitudes, *sv.zz_matrix())
+
+        one_chunk = run()
+        monkeypatch.setattr(exact, "_CHUNK", 8)
+        for whole, chunked in zip(one_chunk, run()):
+            assert np.max(np.abs(chunked - whole)) < 1e-13
+
+    def test_small_chunks_match_one_chunk_over_a_cycle(
+        self, monkeypatch, dtc_cycle, hexagon_neel
+    ):
+        def run():
+            sv = StateVector.from_product(hexagon_neel)
+            sv.apply_cycle(dtc_cycle)
+            return (sv.amplitudes, *sv.zz_matrix())
+
+        one_chunk = run()
+        monkeypatch.setattr(exact, "_CHUNK", 8)
+        for whole, chunked in zip(one_chunk, run()):
+            assert np.max(np.abs(chunked - whole)) < 1e-13
 
 
 class TestCycle:
