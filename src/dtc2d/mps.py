@@ -41,7 +41,7 @@ from .lattice import UnrollOrder
 
 _Z_SIGNS = np.array([1.0, -1.0])[:, None]  # Z eigenvalue of each physical index
 _GATE_SPLIT_TOL = 1e-14
-_NORM_TOL = 1e-10  # squared norm of a gate's center against its kept weight
+_NORM_TOL = 1e-10  # a gate center's norm^2 against its kept weight; <Z>, <ZZ> past +-1
 
 
 def _svd(matrix: np.ndarray):
@@ -231,7 +231,8 @@ class MPSState:
         only if it pairs with a later site, and the sweep drops it after the
         last one; entries it never reaches stay NaN. Needs right-canonical
         form (center at site 0): the sites right of j then close each
-        environment with the identity, which is a trace.
+        environment with the identity, which is a trace. Values are clipped
+        to [-1, 1]; one beyond by more than ``_NORM_TOL`` warns first.
         """
         n = len(self.tensors)
         if pairs is None:
@@ -252,7 +253,7 @@ class MPSState:
             signed = tensor * _Z_SIGNS
             half = _contract(stack, tensor)  # (entry, bra, p, ket)
             closed = _contract(half.reshape(len(stack), -1), signed.conj().reshape(-1))
-            closed = np.clip(closed.real / norm_sq, -1.0, 1.0)
+            closed = closed.real / norm_sq
             z[j] = closed[0]
             matrix[strings, j] = matrix[j, strings] = closed[1:]
             alive = reach[strings] > j
@@ -263,6 +264,9 @@ class MPSState:
             if reach[j] > j:
                 stack = np.concatenate([stack, _env_step(half[:1], signed)])
                 strings = np.append(strings, j)
+        if (excess := max(np.abs(z).max(), np.nanmax(np.abs(matrix))) - 1.0) > _NORM_TOL:
+            warnings.warn(f"<Z> or <ZZ> lay {excess:.2e} beyond +-1; clipping")
+        z, matrix = np.clip(z, -1.0, 1.0), np.clip(matrix, -1.0, 1.0)
         return z[self.position], matrix[np.ix_(self.position, self.position)]
 
     def sample_bits(self, shots: int, seed: int) -> np.ndarray:

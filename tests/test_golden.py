@@ -11,11 +11,12 @@ flags and ``config.resolved.json`` (apart from ``output_dir``) as text,
 other numbers within ``FLOAT_TOL`` relative to max(1, |value|), and each
 deconvolved trial through the pmf it gives, within ``PMF_TV_TOL`` in total
 variation: flat directions of the fit move its parameters far more than
-its pmf.
+its pmf. No numerical guard of the program may warn while they are made.
 """
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -108,7 +109,9 @@ def _without_output_dir(path: Path) -> list[str]:
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_outputs_match_golden_files(name, tmp_path):
     want_root = GOLDEN / name
-    produce(name, tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # no numerical guard fires
+        produce(name, tmp_path)
     assert _files(tmp_path) == _files(want_root)
     config = json.loads((GOLDEN / f"{name}.json").read_text())
     n_bits = build_lattice(config["rows"], config["cols"]).n_qubits

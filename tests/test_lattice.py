@@ -126,6 +126,46 @@ def test_unroll_2x2_has_long_range_edges(lattice_2x2):
     assert max(spans) > 3
 
 
+# span sum (chain sites one cycle's gates cross), longest span, and max cut
+# (lattice edges across one chain bond) of the column sweep
+CHAIN_COSTS = {
+    (1, 1): (22, 4, 2),
+    (2, 2): (94, 6, 4),
+    (3, 3): (265, 9, 5),
+    (2, 5): (232, 6, 4),
+    (3, 7): (593, 9, 5),
+}
+
+
+@pytest.mark.parametrize("shape,expected", sorted(CHAIN_COSTS.items()))
+def test_unroll_gate_spans_and_cuts(shape, expected):
+    lat = build_lattice(*shape)
+    pos = unroll(lat).position
+    spans = [abs(pos[i] - pos[j]) for i, j in lat.edges]
+    cuts = [
+        sum(min(pos[i], pos[j]) <= bond < max(pos[i], pos[j]) for i, j in lat.edges)
+        for bond in range(lat.n_qubits - 1)
+    ]
+    assert (sum(spans), max(spans), max(cuts)) == expected
+
+
+@pytest.mark.parametrize("shape", sorted(CHAIN_COSTS))
+def test_unroll_sweeps_columns_in_alternating_directions(shape):
+    lat = build_lattice(*shape)
+    chain = [lat.sites[q] for q in unroll(lat).qubit_at]
+    columns = [x for _, _, x in chain]
+    # each x column is one stretch of the chain, left to right
+    assert columns == sorted(columns)
+    # heights: line l at 2l, the connector below it at 2l + 1
+    heights = [2 * level + (kind == "conn") for kind, level, _ in chain]
+    for x in sorted(set(columns)):
+        column = [h for h, c in zip(heights, columns) if c == x]
+        ascending = sorted(column)
+        assert column == (ascending if x % 2 == 0 else ascending[::-1]), x
+    # the columns are x = 0, 1, 2, ..., so even x is every other column
+    assert sorted(set(columns)) == list(range(len(set(columns))))
+
+
 def test_edge_count_3x7():
     assert len(build_lattice(3, 7).edges) == 164
 

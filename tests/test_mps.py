@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -284,6 +285,25 @@ class TestApplyMPO:
             mps._apply_2q(3, 5, random_gate(6))
         assert abs(norm(mps) - 1.0) < 1e-12
 
+    def test_two_cycles_on_2x2_stay_within_their_memory(self, lattice_2x2):
+        # a gate sweep holds one R factor per span site, each of up to
+        # k chi = 128 rows at chi 32, so the traced peak follows the longest
+        # span: two chi-32 cycles peak at 3.7 MiB on the column sweep (no
+        # gate longer than 6 sites), and at 5.1 MiB on a row-by-row chain
+        # order whose gates span up to 11. The bound sits between the two.
+        disorder = sample_disorder(lattice_2x2, seed=7)
+        cycle = build_cycle(lattice_2x2, disorder, FloquetParams(0.05, 0.45 * np.pi))
+        state = MPSState(neel_state(lattice_2x2), unroll(lattice_2x2), chi_max=32)
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                state.apply_cycle(cycle)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert max(state.bond_dims) == 32
+        assert peak < 4.4 * 2**20
+
     def test_only_center_moves_form_q(self, monkeypatch, lattice_2x2):
         # the gate sweeps keep R factors only; a QR that returns Q is a
         # center move, of at most (2 chi, chi)
@@ -497,6 +517,19 @@ class TestExpectations:
         expected = on_pairs(zz_lattice, edges)
         pruned = on_pairs(state.zz_matrix(edges)[1], edges)
         np.testing.assert_allclose(pruned, expected, rtol=0, atol=1e-14)
+
+    def test_values_beyond_one_warn_before_clipping(self, hexagon, hexagon_order, dtc_cycle):
+        state = MPSState(neel_state(hexagon), hexagon_order, chi_max=64)
+        state.apply_cycle(dtc_cycle)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state.zz_matrix()
+        # a doubled site right of the center breaks right-canonical form:
+        # every read from it on carries 4 times the norm that site 0 reports
+        state.tensors[5] = 2.0 * state.tensors[5]
+        with pytest.warns(UserWarning, match="beyond"):
+            z, zz = state.zz_matrix()
+        assert np.abs(z).max() == 1.0 and np.abs(zz).max() == 1.0
 
     def test_zz_pairs_match_zz_matrix(self, hexagon, hexagon_order, dtc_cycle):
         s0 = neel_state(hexagon)

@@ -723,11 +723,11 @@ class TestCheckpointing:
         checkpointed = RunConfig(**base, output_dir=str(tmp_path), checkpoint=True)
         run_point(checkpointed, 0.05, DTC_PHI)
 
-        snake = runner.unroll
+        column_sweep = runner.unroll
 
         def reversed_order(lattice):
             n = lattice.n_qubits
-            return UnrollOrder(tuple(n - 1 - p for p in snake(lattice).position))
+            return UnrollOrder(tuple(n - 1 - p for p in column_sweep(lattice).position))
 
         monkeypatch.setattr(runner, "unroll", reversed_order)
         second = run_point(checkpointed, 0.05, DTC_PHI)
