@@ -6,7 +6,6 @@ matching signal-recovery stack.
 """
 
 from .circuit import (
-    DisorderRealization,
     FloquetParams,
     GateSequence,
     ProductState,
@@ -17,15 +16,13 @@ from .circuit import (
     x_kick_gate,
     xxz_gate,
 )
-from .lattice import HeavyHexLattice, UnrollOrder, build_lattice, unroll
+from .lattice import HeavyHexLattice, build_lattice, unroll
 
 __all__ = [
-    "DisorderRealization",
     "FloquetParams",
     "GateSequence",
     "HeavyHexLattice",
     "ProductState",
-    "UnrollOrder",
     "build_cycle",
     "build_lattice",
     "neel_state",

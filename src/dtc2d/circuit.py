@@ -34,12 +34,6 @@ class FloquetParams:
 
 
 @dataclass(frozen=True)
-class DisorderRealization:
-    seed: int
-    couplings: dict[Edge, float]
-
-
-@dataclass(frozen=True)
 class ProductState:
     """Computational-basis product state; spins[i] in {-1, +1}."""
 
@@ -119,8 +113,8 @@ class GateSequence:
                 raise ValueError(f"the gates of a layer overlap: {[g[:2] for g in layer]}")
 
 
-def sample_disorder(lattice: HeavyHexLattice, seed: int) -> DisorderRealization:
-    """Draw J_ij = 1 + delta_ij, delta_ij ~ U(-0.5, 0.5), one J per edge.
+def sample_disorder(lattice: HeavyHexLattice, seed: int) -> dict[Edge, float]:
+    """Couplings J_ij = 1 + delta_ij, delta_ij ~ U(-0.5, 0.5), one J per edge.
 
     Stream layout: edge k (in canonical sorted edge order) uses the
     dedicated substream seeded by (seed, k), so realizations are
@@ -130,7 +124,7 @@ def sample_disorder(lattice: HeavyHexLattice, seed: int) -> DisorderRealization:
     for k, edge in enumerate(lattice.edges):
         rng = np.random.default_rng([seed, k])
         couplings[edge] = 1.0 + rng.uniform(-0.5, 0.5)
-    return DisorderRealization(seed=seed, couplings=couplings)
+    return couplings
 
 
 def xxz_gate(J: float, epsilon: float) -> np.ndarray:
@@ -162,17 +156,17 @@ def x_kick_gate(phi: float) -> np.ndarray:
 
 def build_cycle(
     lattice: HeavyHexLattice,
-    disorder: DisorderRealization,
+    couplings: dict[Edge, float],
     params: FloquetParams,
 ) -> GateSequence:
     """Assemble the gate sequence of one Floquet cycle."""
-    if set(disorder.couplings) != set(lattice.edges):
-        raise ValueError("disorder realization does not match the lattice edge set")
+    if set(couplings) != set(lattice.edges):
+        raise ValueError("the couplings do not match the lattice edge set")
     kick = x_kick_gate(params.phi)
     layers = []
     for layer in (1, 2, 3):
         gates = tuple(
-            (i, j, xxz_gate(disorder.couplings[(i, j)], params.epsilon))
+            (i, j, xxz_gate(couplings[(i, j)], params.epsilon))
             for i, j in lattice.edges_in_layer(layer)
         )
         layers.append(gates)

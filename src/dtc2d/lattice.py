@@ -7,9 +7,9 @@ by half a brick. Qubits live on horizontal lines (hexagon corners, the
 mid-vertices where bricks meet, and the edge-decoration qubits between
 them) and on the vertical brick sides (one connector qubit per side).
 
-The resulting graph is subcubic and bipartite; its edges are partitioned
-into three non-overlapping layers so that gates within one layer act on
-disjoint qubit pairs.
+The resulting graph is subcubic and bipartite; each edge gets one of three
+layers as it is made, so that gates within one layer act on disjoint qubit
+pairs (``GateSequence`` checks this for every cycle built).
 """
 from __future__ import annotations
 
@@ -57,21 +57,6 @@ class HeavyHexLattice:
         return json.dumps(payload)
 
 
-@dataclass(frozen=True)
-class UnrollOrder:
-    """Bijection between lattice qubit indices and 1D chain positions."""
-
-    position: tuple[int, ...]  # qubit index -> chain position
-
-    @property
-    def qubit_at(self) -> tuple[int, ...]:
-        """Inverse permutation: chain position -> qubit index."""
-        inv = [0] * len(self.position)
-        for qubit, pos in enumerate(self.position):
-            inv[pos] = qubit
-        return tuple(inv)
-
-
 def _line_columns(rows: int, cols: int, line: int) -> list[int]:
     """Columns occupied by horizontal line ``line`` (0..rows)."""
     xs: set[int] = set()
@@ -107,108 +92,59 @@ def build_lattice(rows: int, cols: int) -> HeavyHexLattice:
             for k in range(cols + 1):
                 add(("conn", line, _row_offset(line) + _BRICK_WIDTH * k))
 
-    edges: list[Edge] = []
-    for line in range(rows + 1):
-        xs = _line_columns(rows, cols, line)
-        for a, b in zip(xs, xs[1:]):
-            edges.append((index[("line", line, a)], index[("line", line, b)]))
+    # Each edge (i, j) gets its layer, 1..3, where it is made; i < j, since
+    # sites are numbered line by line. The two halves of the vertical side k
+    # of brick row r get layers (r + k) mod 3 + 1 and (r + k + 2) mod 3 + 1.
+    # Both halves join chain neighbours in `unroll`'s column sweep; gate
+    # spans follow from that order alone, whatever the layers.
+    layers: dict[Edge, int] = {}
+    vertical: dict[int, int] = {}  # line qubit -> layer of its vertical edge
     for r in range(rows):
         for k in range(cols + 1):
             x = _row_offset(r) + _BRICK_WIDTH * k
+            top, bottom = index[("line", r, x)], index[("line", r + 1, x)]
             c = index[("conn", r, x)]
-            edges.append((index[("line", r, x)], c))
-            edges.append((c, index[("line", r + 1, x)]))
+            vertical[top], vertical[bottom] = (r + k) % 3 + 1, (r + k + 2) % 3 + 1
+            layers[(top, c)], layers[(c, bottom)] = vertical[top], vertical[bottom]
 
-    canonical = tuple(sorted(tuple(sorted(e)) for e in edges))
-    layers = color_layers_from_sites(tuple(sites), index, rows, cols)
+    # Horizontal edges are colored greedily left to right; attachment points
+    # of vertical edges are at least two columns apart, so a free layer
+    # always exists.
+    for line in range(rows + 1):
+        xs = _line_columns(rows, cols, line)
+        previous = 0
+        for a, b in zip(xs, xs[1:]):
+            i, j = index[("line", line, a)], index[("line", line, b)]
+            used = {previous, vertical.get(i), vertical.get(j)}
+            free = [layer for layer in (1, 2, 3) if layer not in used]
+            if not free:
+                raise RuntimeError(
+                    f"no free layer for edge at line {line}, columns {a}-{b}"
+                )
+            layers[(i, j)] = previous = free[0]
 
     # The graph is bipartite: line qubits by column parity, connectors opposite.
     bipartition = tuple(
         x % 2 if kind == "line" else (x + 1) % 2 for kind, _, x in sites
     )
-    for i, j in canonical:
+    for i, j in layers:
         if bipartition[i] == bipartition[j]:
             raise RuntimeError(f"bipartition inconsistent on edge {(i, j)}")
 
-    lattice = HeavyHexLattice(
+    return HeavyHexLattice(
         rows=rows,
         cols=cols,
         n_qubits=len(sites),
-        edges=canonical,
+        edges=tuple(sorted(layers)),
         layer_of_edge=layers,
         bipartition=bipartition,
         sites=tuple(sites),
     )
-    _validate_layers(lattice)
-    return lattice
 
 
-def color_layers_from_sites(
-    sites: tuple[tuple[str, int, int], ...],
-    index: dict[tuple[str, int, int], int],
-    rows: int,
-    cols: int,
-) -> dict[Edge, int]:
-    """Three-layer schedule: cyclic assignment for vertical edges, greedy for
-    horizontal ones.
-
-    The two halves of each vertical brick side get layers ``(r + k) mod 3``
-    and ``(r + k + 2) mod 3`` (row r, side k). Both halves join chain
-    neighbours in ``unroll``'s column sweep; gate spans follow from that
-    order alone, whatever the layers. Horizontal edges are colored greedily
-    left to right; attachment points of vertical edges are at least two
-    columns apart, so a free layer always exists.
-    """
-    layers: dict[Edge, int] = {}
-    forbidden: dict[tuple[str, int, int], int] = {}
-
-    def put(i: int, j: int, layer: int) -> None:
-        layers[(min(i, j), max(i, j))] = layer + 1  # layers reported as 1..3
-
-    for r in range(rows):
-        for k in range(cols + 1):
-            x = _row_offset(r) + _BRICK_WIDTH * k
-            top = (r + k) % 3
-            bottom = (r + k + 2) % 3
-            c = index[("conn", r, x)]
-            put(index[("line", r, x)], c, top)
-            put(c, index[("line", r + 1, x)], bottom)
-            forbidden[("line", r, x)] = top
-            forbidden[("line", r + 1, x)] = bottom
-
-    for line in range(rows + 1):
-        xs = _line_columns(rows, cols, line)
-        previous = -1
-        for a, b in zip(xs, xs[1:]):
-            used = {
-                previous,
-                forbidden.get(("line", line, a), -1),
-                forbidden.get(("line", line, b), -1),
-            }
-            free = [c for c in (0, 1, 2) if c not in used]
-            if not free:
-                raise RuntimeError(
-                    f"no free layer for edge at line {line}, columns {a}-{b}"
-                )
-            put(index[("line", line, a)], index[("line", line, b)], free[0])
-            previous = free[0]
-
-    return layers
-
-
-def _validate_layers(lattice: HeavyHexLattice) -> None:
-    if set(lattice.layer_of_edge) != set(lattice.edges):
-        raise RuntimeError("layer map does not cover the edge set exactly")
-    for layer in (1, 2, 3):
-        seen: set[int] = set()
-        for i, j in lattice.edges_in_layer(layer):
-            if i in seen or j in seen:
-                raise RuntimeError(f"layer {layer} is not a matching at qubit {i},{j}")
-            seen.update((i, j))
-
-
-def unroll(lattice: HeavyHexLattice) -> UnrollOrder:
-    """Sweep the 2D lattice onto a 1D chain, column by column, for the MPS backend.
+def unroll(lattice: HeavyHexLattice) -> tuple[int, ...]:
+    """Chain position of each lattice qubit: the 2D lattice swept onto a 1D
+    chain, column by column, for the MPS backend.
 
     Each x column (line qubits and connectors) is one stretch of the chain,
     by height (line l at 2l, the connector below it at 2l + 1): up in even
@@ -223,4 +159,4 @@ def unroll(lattice: HeavyHexLattice) -> UnrollOrder:
     position = [0] * lattice.n_qubits
     for pos, qubit in enumerate(sorted(range(lattice.n_qubits), key=key)):
         position[qubit] = pos
-    return UnrollOrder(position=tuple(position))
+    return tuple(position)

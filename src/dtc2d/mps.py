@@ -1,10 +1,11 @@
 """Matrix-product-state evolution of the unrolled lattice.
 
-One class, ``MPSState``, holds the chain of site tensors and the unroll
-order that maps lattice qubits to chain positions. Site tensors have shape
-(left_bond, 2, right_bond) and are indexed by chain position. Between
-cycles the state is right-canonical with the orthogonality center at site
-0, so expectation values close with identity environments on the right.
+One class, ``MPSState``, holds the chain of site tensors and the chain
+position of each lattice qubit (the position tuple ``lattice.unroll``
+returns). Site tensors have shape (left_bond, 2, right_bond) and are
+indexed by chain position. Between cycles the state is right-canonical
+with the orthogonality center at site 0, so expectation values close with
+identity environments on the right.
 
 A two-qubit gate on chain positions a < b acts on its span only. The
 center moves to a by QR, and the gate splits by SVD into factors on a and
@@ -19,16 +20,17 @@ optimal truncation there; when chi_max does not bind the result is exact
 up to the singular-value floor.
 
 Like the dense backend, ``MPSState`` answers ``apply_cycle``,
-``zz_matrix`` and ``sample_bits`` in lattice qubit indices, translated to
-chain positions through the unroll order. ``zz_matrix`` reads <Z> and <ZZ>
-in one left-to-right sweep of left environments, each stored (bra bond,
-ket bond). The sweep carries a stack: the plain environment, then one open
-Z-string for each earlier site. At each site one contraction with the
-Z-signed tensor closes every entry of the stack against the
-right-canonical rest (the plain entry gives <Z_j>, the string of site i
-gives <Z_i Z_j>) and opens the string of site j; one contraction with the
-plain tensor carries the stack on. Without ``pairs`` every string lives to
-the end; with ``pairs`` each one is dropped after its site's last partner.
+``zz_matrix`` and ``sample_bits`` in lattice qubit indices, translated
+to chain positions through the position tuple. ``zz_matrix`` reads <Z>
+and <ZZ> in one left-to-right sweep of left environments, each stored
+(bra bond, ket bond). The sweep carries a stack: the plain environment,
+then one open Z-string for each earlier site. At each site one
+contraction with the Z-signed tensor closes every entry of the stack
+against the right-canonical rest (the plain entry gives <Z_j>, the
+string of site i gives <Z_i Z_j>) and opens the string of site j; one
+contraction with the plain tensor carries the stack on. Without
+``pairs`` every string lives to the end; with ``pairs`` each one is
+dropped after its site's last partner.
 """
 from __future__ import annotations
 
@@ -37,7 +39,6 @@ import warnings
 import numpy as np
 
 from .circuit import GateSequence, ProductState
-from .lattice import UnrollOrder
 
 _Z_SIGNS = np.array([1.0, -1.0])[:, None]  # Z eigenvalue of each physical index
 _GATE_SPLIT_TOL = 1e-14
@@ -121,17 +122,17 @@ class MPSState:
     def __init__(
         self,
         state: ProductState,
-        order: UnrollOrder,
+        position: tuple[int, ...],
         chi_max: int = 64,
         cutoff: float = 1e-12,
     ):
-        self.position = np.asarray(order.position)
+        self.position = np.asarray(position)
         self.chi_max = int(chi_max)
         self.cutoff = float(cutoff)
         self.truncation_error = 0.0
         self.center = 0
         self.tensors = []
-        for b in state.bits[list(order.qubit_at)]:
+        for b in state.bits[np.argsort(self.position)]:  # in chain order
             t = np.zeros((1, 2, 1), dtype=complex)
             t[0, int(b), 0] = 1.0
             self.tensors.append(t)

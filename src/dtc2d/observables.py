@@ -49,40 +49,16 @@ def correlator_average(zz_values: np.ndarray) -> float:
     return float(np.mean(zz_values))
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    epsilon: float
-    phi: float
-    delta_mbl: float
-    delta_dtc: float
-    cycles: int
+def phase_order_params(deltas: list[float]) -> tuple[float, float]:
+    """(Delta_MBL, Delta_DTC): localization and time-crystal order parameters.
 
-
-def phase_order_params(
-    z_series: np.ndarray,
-    s0: np.ndarray,
-    epsilon: float = float("nan"),
-    phi: float = float("nan"),
-) -> PhasePoint:
-    """Localization and time-crystal order parameters from a z-value series.
-
-    ``z_series`` has shape (T+1, N): <Z_i(t)> for t = 0..T. Both sums are
-    normalized by the actual number of cycles included, so the ideal flip
-    point evaluates exactly to Delta_MBL = Delta_DTC = 1.
+    ``deltas`` holds Delta(t) for t = 0..T. Both sums are normalized by the
+    actual number of cycles included, so the ideal flip point evaluates
+    exactly to Delta_MBL = Delta_DTC = 1.
     """
-    z_series = np.atleast_2d(np.asarray(z_series, dtype=float))
-    s0 = np.asarray(s0, dtype=float)
-    deltas = z_series @ s0 / len(s0)
+    deltas = np.asarray(deltas, dtype=float)
     signs = (-1.0) ** np.arange(len(deltas))
-    mbl = float(np.mean(np.abs(deltas)))
-    dtc = float(np.mean(signs * deltas))
-    return PhasePoint(
-        epsilon=epsilon,
-        phi=phi,
-        delta_mbl=mbl,
-        delta_dtc=dtc,
-        cycles=len(deltas) - 1,
-    )
+    return float(np.mean(np.abs(deltas))), float(np.mean(signs * deltas))
 
 
 def hamming_distances(samples: np.ndarray, s0: np.ndarray) -> np.ndarray:
@@ -160,5 +136,4 @@ class TimeSeries:
     hamming_mean: list[float] = field(default_factory=list)
     hamming_var: list[float] = field(default_factory=list)
     corr_avg: list[float] = field(default_factory=list)
-    per_site_z: list[np.ndarray] = field(default_factory=list)
     hamming: list[np.ndarray] = field(default_factory=list)

@@ -22,9 +22,11 @@ and cycle index, so re-running any config reproduces its outputs byte for
 byte, serial or parallel. A point at epsilon = 0 and phi = 0 or pi/2, such
 as every Clifford reference, needs no backend: a `CliffordState` gives its
 reads exactly. The point CSV holds, per channel, the first six `TimeSeries`
-fields (`CSV_COLUMNS`), then the recovered columns. An MPS point keeps one
-checkpoint file, overwritten each cycle, with one array per channel and
-`TimeSeries` field.
+fields (`CSV_COLUMNS`), then the recovered columns. A phase-diagram cell is
+one `phase_grid.json` record: the two order parameters of its clean Delta(t)
+series. An MPS point runs on the chain order `unroll` gives, as a position
+tuple, and keeps one checkpoint file, overwritten each cycle, with one array
+per channel and `TimeSeries` field.
 """
 from __future__ import annotations
 
@@ -50,10 +52,9 @@ from .circuit import (
 )
 from .config import RecoverySettings, RunConfig, point_tag
 from .exact import StateVector
-from .lattice import UnrollOrder, build_lattice, unroll
+from .lattice import build_lattice, unroll
 from .noise import corrupt_bits, corrupt_zz
 from .observables import (
-    PhasePoint,
     TimeSeries,
     chi,
     chi_from_matrix,
@@ -127,11 +128,6 @@ class PointResult:
     recovery: RecoveryReport | None = None
     raw: dict[str, np.ndarray] | None = None  # raw bundle of a noisy point
 
-    def phase_point(self) -> PhasePoint:
-        return phase_order_params(
-            self.clean.per_site_z, self.s0, epsilon=self.epsilon, phi=self.phi
-        )
-
 
 def _initial_state(config: RunConfig, lattice) -> ProductState:
     if config.initial_state == "neel":
@@ -166,10 +162,9 @@ def _simulate_system(
     backend; it is never checkpointed.
     """
     lattice = build_lattice(rows, cols)
-    order = unroll(lattice)
-    disorder = sample_disorder(lattice, config.seed)
-    params = FloquetParams(epsilon=eps, phi=phi)
-    cycle = build_cycle(lattice, disorder, params)
+    position = unroll(lattice)
+    couplings = sample_disorder(lattice, config.seed)
+    cycle = build_cycle(lattice, couplings, FloquetParams(epsilon=eps, phi=phi))
     s0 = _initial_state(config, lattice)
     noise_model = (
         config.noise.build(lattice.n_qubits, s0.spins) if config.noise else None
@@ -183,7 +178,7 @@ def _simulate_system(
     else:
         from .mps import MPSState
         state = MPSState(
-            s0, order, chi_max=config.mps.chi_max, cutoff=config.mps.cutoff
+            s0, position, chi_max=config.mps.chi_max, cutoff=config.mps.cutoff
         )
     clean = TimeSeries()
     noisy = TimeSeries() if noise_model else None
@@ -193,7 +188,7 @@ def _simulate_system(
     start_t = 0
     checkpointed = checkpoint and config.backend == "mps" and not clifford
     if checkpointed:
-        key = _checkpoint_key(config, rows, cols, eps, phi, order)
+        key = _checkpoint_key(config, rows, cols, eps, phi, position)
         path = os.path.join(config.output_dir, "checkpoints", f"{key}.npz")
         start_t = _try_resume(state, path, config.cycles, clean, noisy)
 
@@ -243,7 +238,6 @@ def _record(
     (None without shots).
     """
     zz_nn = zz[edges]
-    series.per_site_z.append(z)
     series.delta.append(delta(z, s0))
     series.chi_nn.append(chi(zz_nn))
     series.corr_avg.append(correlator_average(zz_nn))
@@ -359,10 +353,11 @@ def _recover(
     return report
 
 
-def run_phase_diagram(config: RunConfig) -> list[PhasePoint]:
-    """Order parameters over the (epsilon, phi) grid, optionally parallel."""
+def run_phase_diagram(config: RunConfig) -> list[dict]:
+    """Order parameters over the (epsilon, phi) grid, optionally parallel:
+    one `phase_grid.json` record per cell."""
     cells = [(eps, phi) for eps in config.epsilons for phi in config.phis]
-    # the grid only needs per-site z values; skip the expensive extras
+    # the grid only needs Delta(t); skip the expensive extras
     fast = replace(
         config, full_correlations=False, shots=0, noise=None, recovery=None
     )
@@ -382,9 +377,10 @@ def run_phase_diagram(config: RunConfig) -> list[PhasePoint]:
     return results
 
 
-def _phase_cell(args: tuple[RunConfig, float, float]) -> PhasePoint:
+def _phase_cell(args: tuple[RunConfig, float, float]) -> dict:
     config, eps, phi = args
-    return run_point(config, eps, phi).phase_point()
+    delta_mbl, delta_dtc = phase_order_params(run_point(config, eps, phi).clean.delta)
+    return {"eps": eps, "phi": phi, "delta_mbl": delta_mbl, "delta_dtc": delta_dtc}
 
 
 # --- output files ---
@@ -471,17 +467,8 @@ def write_recovery_report(report: RecoveryReport, tag: str, out_dir: str) -> str
     return path
 
 
-def write_phase_grid(points: list[PhasePoint], out_dir: str) -> str:
+def write_phase_grid(records: list[dict], out_dir: str) -> str:
     path = os.path.join(out_dir, "phase_grid.json")
-    records = [
-        {
-            "eps": p.epsilon,
-            "phi": p.phi,
-            "delta_mbl": p.delta_mbl,
-            "delta_dtc": p.delta_dtc,
-        }
-        for p in points
-    ]
     _write_atomic(path, json.dumps(records, indent=2))
     return path
 
@@ -572,7 +559,7 @@ def _checkpoint_key(
     cols: int,
     eps: float,
     phi: float,
-    order: UnrollOrder,
+    position: tuple[int, ...],
 ) -> str:
     """Name of a point's checkpoint file, without its ``.npz``.
 
@@ -584,7 +571,7 @@ def _checkpoint_key(
         "rows": rows,
         "cols": cols,
         # the chain position of each lattice qubit, which the tensors follow
-        "order": list(order.position),
+        "order": list(position),
         "initial_state": config.initial_state,
         "seed": config.seed,
         "eps": float(eps).hex(),

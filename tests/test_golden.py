@@ -4,7 +4,7 @@
 phase grid runs serially); ``tests/golden/<name>/`` holds what the CLI
 wrote for it: the ``simulate`` or ``phase-diagram`` files and, for a run
 with a raw bundle, the offline ``recover`` report in ``recovered/``.
-``python tests/golden/regenerate.py`` rewrites them.
+``python tests/golden/regenerate.py`` rewrites those that no longer match.
 
 Each file is compared by what its values are: the Hamming JSON, ``t``,
 flags and ``config.resolved.json`` (apart from ``output_dir``) as text,
@@ -87,7 +87,9 @@ def _close_json(got, want, where: str, n_bits: int) -> None:
 
 
 def _compare_csv(got: Path, want: Path, where: str) -> None:
-    got_rows, want_rows = (list(csv.reader(p.open())) for p in (got, want))
+    got_rows, want_rows = (
+        list(csv.reader(p.read_text().splitlines())) for p in (got, want)
+    )
     assert got_rows[0] == want_rows[0], where
     assert len(got_rows) == len(want_rows), where
     for got_row, want_row in zip(got_rows[1:], want_rows[1:]):
@@ -106,17 +108,14 @@ def _without_output_dir(path: Path) -> list[str]:
     ]
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_outputs_match_golden_files(name, tmp_path):
+def compare_with_golden(name: str, got_root: Path) -> None:
+    """Assert that the outputs in ``got_root`` match golden config ``name``'s."""
     want_root = GOLDEN / name
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", UserWarning)  # no numerical guard fires
-        produce(name, tmp_path)
-    assert _files(tmp_path) == _files(want_root)
+    assert _files(got_root) == _files(want_root)
     config = json.loads((GOLDEN / f"{name}.json").read_text())
     n_bits = build_lattice(config["rows"], config["cols"]).n_qubits
     for relative in sorted(_files(want_root)):
-        got, want = tmp_path / relative, want_root / relative
+        got, want = got_root / relative, want_root / relative
         if got.name == "config.resolved.json":
             assert _without_output_dir(got) == _without_output_dir(want), relative
         elif got.name.startswith("hamming_"):
@@ -128,3 +127,11 @@ def test_outputs_match_golden_files(name, tmp_path):
                 json.loads(got.read_text()), json.loads(want.read_text()),
                 relative, n_bits,
             )
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_outputs_match_golden_files(name, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # no numerical guard fires
+        produce(name, tmp_path)
+    compare_with_golden(name, tmp_path)

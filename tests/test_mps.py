@@ -16,7 +16,6 @@ from dtc2d import (
     unroll,
 )
 from dtc2d.exact import StateVector
-from dtc2d.lattice import UnrollOrder
 from dtc2d.mps import MPSState, _split_gate, _svd
 from dtc2d.observables import chi, chi_from_matrix, delta, qfi
 
@@ -26,7 +25,7 @@ def chain_statevector_from_lattice(sv: StateVector, order) -> np.ndarray:
     n = sv.n_qubits
     idx = np.arange(2**n)
     chain_idx = np.zeros_like(idx)
-    for pos, qubit in enumerate(order.qubit_at):
+    for pos, qubit in enumerate(np.argsort(order)):
         chain_idx |= ((idx >> qubit) & 1) << pos
     out = np.zeros_like(sv.amplitudes)
     out[chain_idx] = sv.amplitudes
@@ -133,7 +132,7 @@ def evolved_2x2(lattice, cycles, chi_max=32):
 
 def chain_state(state, chi_max=64):
     """MPS of a product state on a chain whose site i is lattice qubit i."""
-    return MPSState(state, UnrollOrder(tuple(range(state.n_qubits))), chi_max=chi_max)
+    return MPSState(state, tuple(range(state.n_qubits)), chi_max=chi_max)
 
 
 def apply_local(mps, site, gate):
@@ -219,7 +218,7 @@ class TestMPOConstruction:
             state = MPSState(neel_state(lattice_2x2), order, chi_max=256)
             state.apply_cycle(layer)
             spans = [
-                sorted((order.position[i], order.position[j]))
+                sorted((order[i], order[j]))
                 for i, j, _ in layer_gates
             ]
             for cut, bond in enumerate(state.bond_dims):
@@ -389,11 +388,12 @@ class TestApplyMPO:
         monkeypatch.setattr(np.linalg, "svd", counted)
         state = MPSState(neel_state(hexagon), hexagon_order, chi_max=8)
         state.apply_cycle(dtc_cycle)
-        position = hexagon_order.position
         gates = [(i, j) for layer in dtc_cycle.layers for i, j, _ in layer]
         # per gate: the split of the gate, then one truncating SVD per bond
         # of its span
-        assert len(calls) == sum(1 + abs(position[i] - position[j]) for i, j in gates)
+        assert len(calls) == sum(
+            1 + abs(hexagon_order[i] - hexagon_order[j]) for i, j in gates
+        )
 
     @pytest.mark.parametrize("shape", [(12, 5), (5, 12)])
     def test_svd_falls_back_when_the_driver_fails(self, monkeypatch, shape):
@@ -493,7 +493,7 @@ class TestExpectations:
         state.apply_cycle(dtc_cycle)
         z, _ = state.zz_matrix()
         for q in (0, 5, 11):
-            site = hexagon_order.position[q]
+            site = hexagon_order[q]
             assert abs(expect_z(state, site) - z[q]) < 1e-12
 
     def test_stacked_sweep_matches_row_restart(self, lattice_2x2):

@@ -58,23 +58,23 @@ class TestPhaseOrderParams:
     def test_flip_point(self):
         s0 = np.array([1, -1, 1, -1])
         z = np.array([(-1.0) ** t * s0 for t in range(11)])
-        point = phase_order_params(z, s0, epsilon=0.0, phi=np.pi / 2)
-        assert point.delta_mbl == pytest.approx(1.0, abs=1e-12)
-        assert point.delta_dtc == pytest.approx(1.0, abs=1e-12)
+        delta_mbl, delta_dtc = phase_order_params([delta(zt, s0) for zt in z])
+        assert delta_mbl == pytest.approx(1.0, abs=1e-12)
+        assert delta_dtc == pytest.approx(1.0, abs=1e-12)
 
     def test_glass_point_odd_horizon(self):
         # T odd: the alternating sum cancels exactly
         s0 = np.array([1, -1, 1, -1])
         z = np.array([s0.astype(float) for _ in range(10)])  # t = 0..9
-        point = phase_order_params(z, s0)
-        assert point.delta_mbl == pytest.approx(1.0, abs=1e-12)
-        assert point.delta_dtc == pytest.approx(0.0, abs=1e-12)
+        delta_mbl, delta_dtc = phase_order_params([delta(zt, s0) for zt in z])
+        assert delta_mbl == pytest.approx(1.0, abs=1e-12)
+        assert delta_dtc == pytest.approx(0.0, abs=1e-12)
 
     def test_glass_point_even_horizon(self):
         s0 = np.array([1, 1])
         z = np.array([s0.astype(float) for _ in range(11)])  # t = 0..10
-        point = phase_order_params(z, s0)
-        assert point.delta_dtc == pytest.approx(1.0 / 11.0, abs=1e-12)
+        _, delta_dtc = phase_order_params([delta(zt, s0) for zt in z])
+        assert delta_dtc == pytest.approx(1.0 / 11.0, abs=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -86,8 +86,8 @@ class TestPhaseOrderParams:
         rng = np.random.default_rng(seed)
         s0 = rng.choice([-1, 1], size=n)
         z = rng.uniform(-1, 1, size=(cycles + 1, n))
-        point = phase_order_params(z, s0)
-        assert abs(point.delta_dtc) <= point.delta_mbl + 1e-12
+        delta_mbl, delta_dtc = phase_order_params([delta(zt, s0) for zt in z])
+        assert abs(delta_dtc) <= delta_mbl + 1e-12
 
 
 class TestHamming:

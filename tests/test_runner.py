@@ -4,6 +4,7 @@ import os
 import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from dtc2d import runner
 from dtc2d.cli import main as cli_main
 from dtc2d.config import MPSOptions, RecoverySettings, RunConfig, point_tag
 from dtc2d.exact import CapacityError, StateVector
-from dtc2d.lattice import UnrollOrder
 from dtc2d.mps import MPSState
 from dtc2d.noise import NoiseSpec
 from dtc2d.observables import TimeSeries
@@ -408,13 +408,13 @@ class TestPhaseDiagram:
     def test_clifford_grid(self):
         config = small_config(cycles=9, epsilons=(0.0,), phis=(0.0, np.pi / 2))
         points = run_phase_diagram(config)
-        by_phi = {round(p.phi, 6): p for p in points}
+        by_phi = {round(p["phi"], 6): p for p in points}
         glass = by_phi[0.0]
         flip = by_phi[round(np.pi / 2, 6)]
-        assert glass.delta_mbl == pytest.approx(1.0, abs=1e-12)
-        assert abs(glass.delta_dtc) < 1e-12  # odd horizon cancels exactly
-        assert flip.delta_mbl == pytest.approx(1.0, abs=1e-12)
-        assert flip.delta_dtc == pytest.approx(1.0, abs=1e-12)
+        assert glass["delta_mbl"] == pytest.approx(1.0, abs=1e-12)
+        assert abs(glass["delta_dtc"]) < 1e-12  # odd horizon cancels exactly
+        assert flip["delta_mbl"] == pytest.approx(1.0, abs=1e-12)
+        assert flip["delta_dtc"] == pytest.approx(1.0, abs=1e-12)
 
     def test_parallel_matches_serial(self):
         config = small_config(cycles=3, epsilons=(0.0, 0.1), phis=(0.2, 1.2))
@@ -568,7 +568,7 @@ class TestOutputs:
         assert any(n.startswith("point_") and n.endswith(".csv") for n in names)
         assert any(n.startswith("hamming_") for n in names)
         csv_file = next(f for f in files if f.endswith(".csv"))
-        header = open(csv_file).readline().strip().split(",")
+        header = Path(csv_file).read_text().splitlines()[0].split(",")
         assert header[:7] == [
             "t", "delta", "chi_nn", "chi_sg", "qfi", "hamming_mean", "hamming_var",
         ]
@@ -647,7 +647,7 @@ class TestOutputs:
         reused = write_raw_bundle(result, str(tmp_path / "a"))
         bundle = _raw_bundle({"target": result, "reference": separate})
         fresh = write_raw_bundle(replace(result, raw=bundle), str(tmp_path / "b"))
-        assert open(reused, "rb").read() == open(fresh, "rb").read()
+        assert Path(reused).read_bytes() == Path(fresh).read_bytes()
 
 
     def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
@@ -655,7 +655,7 @@ class TestOutputs:
         result = run_point(config, 0.05, DTC_PHI)
         (point_csv,) = write_point_outputs(result, str(tmp_path))
         resolved = write_resolved_config(config, str(tmp_path))
-        before = {path: open(path, "rb").read() for path in (point_csv, resolved)}
+        before = {path: Path(path).read_bytes() for path in (point_csv, resolved)}
 
         def fail(src, dst):
             raise OSError("rename failed")
@@ -667,7 +667,7 @@ class TestOutputs:
         with pytest.raises(OSError, match="rename failed"):
             write_resolved_config(longer, str(tmp_path))
         for path, data in before.items():
-            assert open(path, "rb").read() == data
+            assert Path(path).read_bytes() == data
         assert sorted(os.listdir(tmp_path)) == sorted(map(os.path.basename, before))
 
 
@@ -727,7 +727,7 @@ class TestCheckpointing:
 
         def reversed_order(lattice):
             n = lattice.n_qubits
-            return UnrollOrder(tuple(n - 1 - p for p in column_sweep(lattice).position))
+            return tuple(n - 1 - p for p in column_sweep(lattice))
 
         monkeypatch.setattr(runner, "unroll", reversed_order)
         second = run_point(checkpointed, 0.05, DTC_PHI)
