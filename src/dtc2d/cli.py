@@ -31,11 +31,12 @@ from .runner import (
 )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, evolves: bool = True) -> None:
     parser.add_argument("--config", required=True, help="run config JSON")
-    parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument("--backend", choices=("exact", "mps"), default=None)
-    parser.add_argument("--chi-max", type=int, default=None, help="override MPS bond cap")
+    if evolves:  # overrides of the evolution, for a command that runs one
+        parser.add_argument("--seed", type=int, default=None, help="override config seed")
+        parser.add_argument("--backend", choices=("exact", "mps"), default=None)
+        parser.add_argument("--chi-max", type=int, default=None, help="override MPS bond cap")
     parser.add_argument("--out", default=None, help="override output directory")
 
 
@@ -46,15 +47,20 @@ def _parse_chi_sweep(text: str) -> list[int]:
         raise SystemExit(f"invalid --chi-sweep value {text!r}") from exc
     if not values:
         raise SystemExit("--chi-sweep needs at least one bond dimension")
+    for i, chi in enumerate(values):
+        if chi in values[:i]:
+            raise SystemExit(f"--chi-sweep repeats the bond cap {chi}")
     return values
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     """The config file with the given overrides, checked as a loaded config is."""
     config = RunConfig.load(args.config)
-    overrides = {"seed": args.seed, "backend": args.backend, "output_dir": args.out}
-    if args.chi_max is not None:
-        overrides["mps"] = replace(config.mps, chi_max=args.chi_max)
+    overrides = {"output_dir": args.out}
+    if "seed" in args:  # a command that evolves, with its overrides
+        overrides.update(seed=args.seed, backend=args.backend)
+        if args.chi_max is not None:
+            overrides["mps"] = replace(config.mps, chi_max=args.chi_max)
     config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     return config if config.output_dir else replace(config, output_dir="runs")
 
@@ -151,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_phase_diagram)
 
     p = sub.add_parser("recover", help="re-run recovery on an exported raw bundle")
-    _add_common(p)
+    _add_common(p, evolves=False)
     p.add_argument("--raw", required=True, help="raw bundle CSV from simulate")
     p.set_defaults(func=cmd_recover)
 

@@ -15,10 +15,10 @@ against the simulated series by a ridge solve and Gauss-Newton steps, and
 ``Ratio.apply`` recovers the series with them. The per-cycle flip
 probability is the binomial maximum-likelihood estimate from the Clifford
 reference's Hamming distribution. Hamming-distance distributions are
-recovered via the binomial flip kernel. Each kernel column is a reversed
-binomial pmf convolved with another; the kernel is diagonal in the
-Krawtchouk basis, with eigenvalues (1 - 2p)^j (MacWilliams & Sloane,
-1977). Deconvolution
+recovered via the binomial flip kernel. Each kernel column is the
+coefficient list of a product of two binomial generating functions; the
+kernel is diagonal in the Krawtchouk basis, with eigenvalues (1 - 2p)^j
+(MacWilliams & Sloane, 1977). Deconvolution
 fits a Gaussian-times-logistic trial distribution whose mean and variance
 are anchored to the recovered order parameter and the quantum Fisher
 information. That fit is one bounded least-squares problem over the
@@ -250,51 +250,23 @@ TRIAL_LOG_WEIGHT_FLOOR = -600.0
 TRIAL_SLOPE_BOUND = 100.0
 
 
-def _xlogy(k: np.ndarray, log_y: float) -> np.ndarray:
-    """k log(y) from log(y), 0 where k == 0 (also where log(y) is -inf)."""
-    return np.multiply(k, log_y, out=np.zeros(np.shape(k)), where=k != 0)
-
-
-def _binomial_pmfs(n: int, p: float) -> np.ndarray:
-    """Row m holds the Bin(m, p) pmf over k = 0..n, zero for k > m; m = 0..n."""
-    log_factorial = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
-    m = np.arange(n + 1)[:, None]
-    k = np.arange(n + 1)
-    rest = np.maximum(m - k, 0)
-    with np.errstate(divide="ignore"):
-        log_p, log_q = np.log(p), np.log1p(-p)
-    log_pmf = (
-        log_factorial[m]
-        - log_factorial[k]
-        - log_factorial[rest]
-        + _xlogy(k, log_p)
-        + _xlogy(rest, log_q)
-    )
-    return np.where(k <= m, np.exp(log_pmf), 0.0)
-
-
 def flip_kernel(n_bits: int, p: float) -> np.ndarray:
     """Full (N+1)x(N+1) flip kernel T[d_out, d_in] on Hamming-distance
     histograms; columns sum to 1.
 
-    T[d_out, d_in] = sum_x B[d_in, x] B[N - d_in, d_out - d_in + x], with
-    B the binomial table of ``_binomial_pmfs``: x of the d_in differing
-    spins flip back and d_out - d_in + x of the others flip. Row d_in of
-    ``shifted`` holds B[N - d_in] moved right by d_in, so the sum runs over a
-    window of it, without a copy.
+    Column d_in holds the coefficients of z^d_out in
+    (p + q z)^d_in (q + p z)^(N - d_in), q = 1 - p: each of the d_in
+    differing spins still differs unless it flips, each of the others
+    differs once it flips. (q + p z)^m is (p + q z)^m reversed.
     """
     if not 0 <= p <= 1:
         raise ValueError("flip probability must lie in [0, 1]")
-    pmfs = _binomial_pmfs(n_bits, p)
-    d_in = np.arange(n_bits + 1)[:, None]
-    offset = np.arange(2 * n_bits + 1) - d_in
-    shifted = np.where(
-        (offset >= 0) & (offset <= n_bits),
-        pmfs[n_bits - d_in, np.clip(offset, 0, n_bits)],
-        0.0,
+    powers = [np.ones(1)]  # (p + q z)^m, m = 0..N
+    for _ in range(n_bits):
+        powers.append(np.convolve(powers[-1], [p, 1 - p]))
+    return np.column_stack(
+        [np.convolve(powers[d], powers[n_bits - d][::-1]) for d in range(n_bits + 1)]
     )
-    windows = np.lib.stride_tricks.sliding_window_view(shifted, n_bits + 1, axis=1)
-    return np.einsum("ix,iox->oi", pmfs, windows)
 
 
 def learn_flip_schedule(

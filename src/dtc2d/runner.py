@@ -15,7 +15,8 @@ run's report exactly: parity offsets learned against a classically
 simulated system (optionally a smaller lattice, whose columns the bundle
 then holds), Clifford-point renormalization, correlator coefficients
 learned the same way, and, when the bundle holds Hamming histograms,
-per-cycle flip probabilities and the optional deconvolution.
+per-cycle flip probabilities and the optional deconvolution. Its report is
+the `recovery_<tag>.json` record itself, a dict of plain JSON values.
 
 All randomness is derived from the config seed plus the point coordinates
 and cycle index, so re-running any config reproduces its outputs byte for
@@ -67,7 +68,6 @@ from .observables import (
     qfi,
 )
 from .recovery import (
-    TrialDistribution,
     chi_ratio,
     clifford_delta,
     clifford_reference,
@@ -81,43 +81,6 @@ CSV_COLUMNS = ["delta", "chi_nn", "chi_sg", "qfi", "hamming_mean", "hamming_var"
 
 
 @dataclass
-class RecoveryReport:
-    # (target even, target odd, reference even, reference odd) parity offsets
-    offsets: tuple[float, float, float, float]
-    offsets_objective: float
-    # (c1, c2) of the target, then (c1', c2') of the reference; see chi_ratio
-    chi_coefficients: tuple[float, float, float, float]
-    chi_objective: float
-    delta_recovered: np.ndarray
-    delta_flags: np.ndarray
-    chi_recovered: np.ndarray
-    chi_flags: np.ndarray
-    flip_schedule: np.ndarray | None = None
-    # (trial, fit info) per cycle, as deconvolve_hamming returns them
-    deconvolved: list[tuple[TrialDistribution, dict]] | None = None
-
-    def to_dict(self) -> dict:
-        payload = {
-            "offsets": list(self.offsets),
-            "offsets_objective": self.offsets_objective,
-            "chi_coefficients": list(self.chi_coefficients),
-            "chi_objective": self.chi_objective,
-            "delta_recovered": self.delta_recovered.tolist(),
-            "delta_flags": self.delta_flags.astype(int).tolist(),
-            "chi_recovered": self.chi_recovered.tolist(),
-            "chi_flags": self.chi_flags.astype(int).tolist(),
-        }
-        if self.flip_schedule is not None:
-            payload["flip_schedule"] = self.flip_schedule.tolist()
-        if self.deconvolved is not None:
-            payload["deconvolved"] = [  # d0, sigma, k, q, at_bound
-                {**asdict(trial), "at_bound": info["at_bound"]}
-                for trial, info in self.deconvolved
-            ]
-        return payload
-
-
-@dataclass
 class PointResult:
     epsilon: float
     phi: float
@@ -125,7 +88,7 @@ class PointResult:
     s0: np.ndarray
     clean: TimeSeries
     noisy: TimeSeries | None = None
-    recovery: RecoveryReport | None = None
+    recovery: dict | None = None  # the recovery_<tag>.json record
     raw: dict[str, np.ndarray] | None = None  # raw bundle of a noisy point
 
 
@@ -283,7 +246,7 @@ def run_point(config: RunConfig, eps: float, phi: float) -> PointResult:
 
 def _recover(
     bundle: dict[str, np.ndarray], config: RunConfig, phi: float
-) -> RecoveryReport:
+) -> dict:
     """The recovery pipeline of both `simulate` and `recover`, on a raw bundle.
 
     Parity offsets and correlator coefficients are learned on the learn
@@ -293,7 +256,7 @@ def _recover(
     columns themselves. When the bundle carries the reference's noisy
     Hamming histograms, the per-cycle flip schedule is learned from them,
     and with ``deconvolve`` and a recorded QFI the target's histograms are
-    deconvolved.
+    deconvolved. The report returned is the `recovery_<tag>.json` record.
     """
     settings = config.recovery or RecoverySettings()
     n = build_lattice(config.rows, config.cols).n_qubits
@@ -319,16 +282,18 @@ def _recover(
         ratio.apply(params, settings.guard)
         for ratio, params in zip(ratios("", n), (offsets, coefficients))
     )
-    report = RecoveryReport(
-        offsets=offsets,
-        offsets_objective=offsets_objective,
-        chi_coefficients=coefficients,
-        chi_objective=chi_objective,
-        delta_recovered=delta_recovered,
-        delta_flags=delta_flags,
-        chi_recovered=chi_recovered,
-        chi_flags=chi_flags,
-    )
+    report = {
+        # (target even, target odd, reference even, reference odd) parity offsets
+        "offsets": list(offsets),
+        "offsets_objective": offsets_objective,
+        # (c1, c2) of the target, then (c1', c2') of the reference; see chi_ratio
+        "chi_coefficients": list(coefficients),
+        "chi_objective": chi_objective,
+        "delta_recovered": delta_recovered.tolist(),
+        "delta_flags": delta_flags.astype(int).tolist(),
+        "chi_recovered": chi_recovered.tolist(),
+        "chi_flags": chi_flags.astype(int).tolist(),
+    }
     if "hamming_noisy_ref_0" not in bundle:
         return report
 
@@ -337,19 +302,19 @@ def _recover(
         for name in ("hamming_noisy", "hamming_noisy_ref")
     )
     d_cliff = hamming_mean_from_delta(n, exact).astype(int)
-    report.flip_schedule = learn_flip_schedule(hamming_ref, d_cliff)
+    report["flip_schedule"] = learn_flip_schedule(hamming_ref, d_cliff).tolist()
     if settings.deconvolve and "qfi_sim" in bundle:
-        report.deconvolved = [
-            deconvolve_hamming(
+        report["deconvolved"] = []  # d0, sigma, k, q, at_bound per cycle
+        for t in range(cycles + 1):
+            trial, info = deconvolve_hamming(
                 hamming[t],
-                float(report.flip_schedule[t]),
+                report["flip_schedule"][t],
                 hamming_mean_from_delta(n, delta_recovered[t]),
                 bundle["qfi_sim"][t],
                 lambda_mean=settings.lambda_mean,
                 lambda_var=settings.lambda_var,
             )
-            for t in range(cycles + 1)
-        ]
+            report["deconvolved"].append({**asdict(trial), "at_bound": info["at_bound"]})
     return report
 
 
@@ -410,11 +375,11 @@ def point_csv_rows(result: PointResult) -> list[str]:
     rec = result.recovery
     if rec is not None:
         columns.update(
-            delta_recovered=rec.delta_recovered,
-            delta_recovered_flag=rec.delta_flags.astype(int),
-            chi_recovered=rec.chi_recovered,
-            chi_recovered_flag=rec.chi_flags.astype(int),
-            p_flip=nan if rec.flip_schedule is None else rec.flip_schedule,
+            delta_recovered=rec["delta_recovered"],
+            delta_recovered_flag=rec["delta_flags"],
+            chi_recovered=rec["chi_recovered"],
+            chi_recovered_flag=rec["chi_flags"],
+            p_flip=rec.get("flip_schedule", nan),
         )
     return _table(columns)
 
@@ -460,10 +425,10 @@ def write_point_outputs(result: PointResult, out_dir: str) -> list[str]:
     return written
 
 
-def write_recovery_report(report: RecoveryReport, tag: str, out_dir: str) -> str:
+def write_recovery_report(report: dict, tag: str, out_dir: str) -> str:
     path = os.path.join(out_dir, f"recovery_{tag}.json")
     # serialized before any file is opened, so a non-finite value leaves no file
-    _write_atomic(path, json.dumps(report.to_dict(), indent=2, allow_nan=False))
+    _write_atomic(path, json.dumps(report, indent=2, allow_nan=False))
     return path
 
 
@@ -529,7 +494,7 @@ def write_raw_bundle(result: PointResult, out_dir: str) -> str:
     return path
 
 
-def recover_from_raw(config: RunConfig, raw_path: str, phi: float) -> RecoveryReport:
+def recover_from_raw(config: RunConfig, raw_path: str, phi: float) -> dict:
     """Re-run the recovery of a run on the raw bundle it wrote.
 
     The bundle holds the learn pair's columns exactly when the config

@@ -191,8 +191,8 @@ def test_criterion_05_closed_loop_delta_recovery():
         )
         result = run_point(config, DTC_EPS, DTC_PHI)
         clean = np.array(result.clean.delta)
-        recovered = result.recovery.delta_recovered
-        flags = result.recovery.delta_flags
+        recovered = np.array(result.recovery["delta_recovered"])
+        flags = np.array(result.recovery["delta_flags"], dtype=bool)
         assert flags.mean() <= 0.10
         assert np.max(np.abs(recovered[~flags] - clean[~flags])) <= 0.02
 
@@ -209,8 +209,8 @@ def test_criterion_06_offset_transfer():
         )
         result = run_point(config, DTC_EPS, DTC_PHI)
         clean = np.array(result.clean.delta)
-        recovered = result.recovery.delta_recovered
-        keep = ~result.recovery.delta_flags
+        recovered = np.array(result.recovery["delta_recovered"])
+        keep = ~np.array(result.recovery["delta_flags"], dtype=bool)
         error_learned = np.mean(np.abs(recovered[keep] - clean[keep]))
 
         reference = _simulate_system(config, 2, 2, 0.0, clifford_reference(DTC_PHI))

@@ -369,8 +369,22 @@ class TestFlipKernel:
         np.testing.assert_allclose(kernel.sum(axis=0), 1.0, atol=1e-10)
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            flip_kernel(5, 1.5)
+        for p in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError):
+                flip_kernel(5, p)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("p", [0.0, 0.013, 0.3, 0.5, 0.77, 1.0])
+    def test_matches_a_sum_over_flip_patterns(self, n, p):
+        # every one of the 2^N patterns of flipped spins, applied to a
+        # bitstring that differs from s0 in its first d_in spins
+        flips = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+        chance = np.prod(np.where(flips == 1, p, 1 - p), axis=1)
+        expected = np.zeros((n + 1, n + 1))
+        for d_in in range(n + 1):
+            d_out = (flips ^ (np.arange(n) < d_in)).sum(axis=1)
+            expected[:, d_in] = np.bincount(d_out, weights=chance, minlength=n + 1)
+        np.testing.assert_allclose(flip_kernel(n, p), expected, rtol=0, atol=1e-14)
 
 
 def log_space_kernel_column(n_bits, p, d_in):

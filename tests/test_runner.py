@@ -339,8 +339,8 @@ class TestRunPoint:
         result = run_point(config, 0.05, DTC_PHI)
         assert result.recovery is not None
         clean = np.array(result.clean.delta)
-        rec = result.recovery.delta_recovered
-        keep = ~result.recovery.delta_flags
+        rec = np.array(result.recovery["delta_recovered"])
+        keep = ~np.array(result.recovery["delta_flags"], dtype=bool)
         assert np.max(np.abs(rec[keep] - clean[keep])) < 0.02
 
     @pytest.mark.parametrize("full", [True, False], ids=["full", "edges"])
@@ -594,10 +594,36 @@ class TestOutputs:
         assert any(trial["at_bound"] for trial in trials)
         assert not all(trial["at_bound"] for trial in trials)
 
-        broken = replace(result.recovery, offsets_objective=float("nan"))
+        broken = {**result.recovery, "offsets_objective": float("nan")}
         with pytest.raises(ValueError, match="JSON compliant"):
             write_recovery_report(broken, "broken", str(tmp_path))
         assert not (tmp_path / "recovery_broken.json").exists()
+
+    def test_in_run_report_is_plain_json(self, tmp_path):
+        config = small_config(
+            cycles=3,
+            shots=400,
+            noise=NoiseSpec(decay=0.97, bias_even=0.02, bias_odd=-0.02, flip_slope=0.01),
+            recovery=RecoverySettings(deconvolve=True),
+        )
+        report = run_point(config, 0.05, DTC_PHI).recovery
+        assert len(report["deconvolved"]) == 4
+
+        def leaves(value):
+            if isinstance(value, dict):
+                assert all(isinstance(key, str) for key in value)
+                value = list(value.values())
+            if isinstance(value, list):
+                for item in value:
+                    yield from leaves(item)
+            else:
+                yield value
+
+        # no numpy scalar: np.float64 subclasses float, so compare types
+        assert {type(leaf) for leaf in leaves(report)} <= {float, int, bool}
+        assert json.loads(json.dumps(report)) == report
+        path = write_recovery_report(report, "point", str(tmp_path))
+        assert Path(path).read_text() == json.dumps(report, indent=2)
 
     def test_raw_bundle_recovery_roundtrip(self, tmp_path):
         config = small_config(
@@ -609,7 +635,7 @@ class TestOutputs:
         raw = write_raw_bundle(result, str(tmp_path))
         report = recover_from_raw(config, raw, DTC_PHI)
         np.testing.assert_allclose(
-            report.delta_recovered, result.recovery.delta_recovered, atol=1e-9
+            report["delta_recovered"], result.recovery["delta_recovered"], atol=1e-9
         )
 
     def test_learned_offsets_outside_the_unit_interval_are_rejected(self):
@@ -631,7 +657,7 @@ class TestOutputs:
         }
         config = small_config(cycles=cycles, recovery=RecoverySettings())
         report = runner._recover(bundle, config, DTC_PHI)
-        assert np.max(np.abs(report.offsets)) < 1e-3
+        assert np.max(np.abs(report["offsets"])) < 1e-3
         bundle["delta_noisy"] = clean + 1.5
         with pytest.raises(ValueError, match=r"offsets .* within \[-1, 1\]"):
             runner._recover(bundle, config, DTC_PHI)
@@ -868,7 +894,7 @@ class TestCLI:
         assert os.listdir(out) == [name]
         report = json.loads((out / name).read_text())
         np.testing.assert_allclose(
-            report["delta_recovered"], result.recovery.delta_recovered, atol=1e-9
+            report["delta_recovered"], result.recovery["delta_recovered"], atol=1e-9
         )
 
     def test_recover_rejects_a_bundle_of_no_grid_point(self, tmp_path, capsys):
@@ -957,3 +983,27 @@ class TestCLI:
         with pytest.raises(ValueError, match="chi_max"):
             cli_main(["simulate", "--config", path, "--out", str(out), "--chi-sweep", "8,0"])
         assert not out.exists()
+
+    def test_chi_sweep_rejects_a_repeated_cap(self, tmp_path):
+        # two sub-runs into one chi_16/ would be one run done twice
+        path = self.write_config(tmp_path, cycles=1, full_correlations=False)
+        out = tmp_path / "sweep"
+        with pytest.raises(SystemExit, match="repeats the bond cap 16"):
+            cli_main(
+                ["simulate", "--config", path, "--out", str(out), "--chi-sweep", "16,4,16"]
+            )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag", [["--seed", "3"], ["--backend", "exact"], ["--chi-max", "8"]],
+        ids=["seed", "backend", "chi-max"],
+    )
+    def test_recover_takes_no_evolution_override(self, tmp_path, capsys, flag):
+        # recover evolves nothing, so an override of the evolution is an error
+        path = self.write_config(tmp_path)
+        raw = tmp_path / "raw_eps0.05_phi1.41372.csv"
+        raw.write_text("t\n0\n")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["recover", "--config", path, "--raw", str(raw), *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
