@@ -1,7 +1,7 @@
 """Command-line interface.
 
     dtc2d simulate --config run.json [--seed N] [--backend exact|mps]
-                   [--chi-max N] [--out DIR] [--chi-sweep 32,64,128]
+                   [--out DIR] [--chi-max N | --chi-sweep 32,64,128]
     dtc2d phase-diagram --config run.json [...]
     dtc2d recover --config run.json --raw raw_eps..._phi....csv [--out DIR]
     dtc2d export-lattice --rows R --cols C
@@ -66,6 +66,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.chi_sweep and (args.chi_max is not None or args.backend == "exact"):
+        flag = "--chi-max" if args.chi_max is not None else "--backend exact"
+        raise SystemExit(f"{flag} conflicts with --chi-sweep, which runs MPS at each cap")
     config = _load_config(args)
     if args.chi_sweep:
         # convergence protocol: one sub-run per bond cap, no automatic

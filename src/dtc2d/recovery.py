@@ -11,8 +11,8 @@ The same machinery recovers squared-correlator order parameters via two
 learned coefficients per run. Each estimate is one guarded ratio,
 ``Ratio``, with two parameters above and two below the line, made by
 ``delta_ratio`` or ``chi_ratio``: ``Ratio.fit`` learns its parameters
-against the simulated series by a ridge solve and Gauss-Newton steps, and
-``Ratio.apply`` recovers the series with them. The per-cycle flip
+against the simulated series by a ridge solve and Levenberg-Marquardt
+steps, and ``Ratio.apply`` recovers the series with them. The per-cycle flip
 probability is the binomial maximum-likelihood estimate from the Clifford
 reference's Hamming distribution. Hamming-distance distributions are
 recovered via the binomial flip kernel. Each kernel column is the
@@ -23,17 +23,17 @@ fits a Gaussian-times-logistic trial distribution whose mean and variance
 are anchored to the recovered order parameter and the quantum Fisher
 information. That fit is one bounded least-squares problem over the
 trial's natural parameters: it starts from the best cell of a fixed grid
-and takes Levenberg-Marquardt steps with the analytic Jacobian (Levenberg,
-Q. Appl. Math. 2, 164, 1944; Marquardt, J. SIAM 11, 431, 1963), in the
-step loop that ``Ratio.fit`` uses. That loop ends a fit whose objective
-has stalled over FIT_STALL_STEPS steps (Madsen, Nielsen & Tingleff,
-Methods for Non-Linear Least Squares Problems, 2004, sec. 3.2).
+and takes Levenberg-Marquardt steps with the analytic Jacobian. Both fits
+supply only their objective and its linearization to one loop,
+``_descend``, which owns the step rule (Levenberg, Q. Appl. Math. 2, 164,
+1944; Marquardt, J. SIAM 11, 431, 1963) and ends a fit whose objective has
+stalled over FIT_STALL_STEPS steps (Madsen, Nielsen & Tingleff, Methods for
+Non-Linear Least Squares Problems, 2004, sec. 3.2).
 Everything here runs in numpy.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,10 +121,12 @@ class Ratio:
         projection; Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973).
         The 41x41 grid of u is scored in one call, a cell with no usable
         cycle scoring inf. From the best cell (the first in u0-major order),
-        ``_descend`` takes Gauss-Newton steps on u, halving one that raises
-        the objective, with c solved again at each u (Kaufman, BIT 15, 49,
-        1975): with w = 1/denominator on usable cycles, dr/dc = w numerator
-        and dr/du = -w^2 (shift + numerator @ c) slope.
+        ``_descend`` takes Levenberg-Marquardt steps on u, with c solved
+        again at each u (Kaufman, BIT 15, 49, 1975): with w = 1/denominator
+        on usable cycles, dr/dc = w numerator and dr/du = -w^2 (shift +
+        numerator @ c) slope. The residual is stacked over sqrt(ridge) (c, u),
+        so its square is the objective, and its Jacobian on u is the u
+        columns less their part along the c columns.
         """
         if ridge <= 0:
             raise ValueError("ridge must be positive")
@@ -145,23 +147,21 @@ class Ratio:
             objective = np.sum(residual**2, axis=-1) + penalty
             return np.where(usable.any(axis=-1), objective, np.inf), c, w, residual
 
-        def halvings(u: np.ndarray, state: tuple) -> Iterator[np.ndarray]:
+        def linearize(u: np.ndarray, state: tuple) -> tuple[np.ndarray, np.ndarray]:
             _, c, w, residual = state
+            root, zeros = math.sqrt(ridge), np.zeros((2, 2))
+            inner = np.vstack([w[:, None] * self.numerator, root * np.eye(2), zeros])
             slope = -(w**2 * self.top(c))[:, None] * self.slope
-            jacobian = np.concatenate([w[:, None] * self.numerator, slope], axis=1)
-            gradient = jacobian.T @ residual + ridge * np.concatenate([c, u])
-            normal = jacobian.T @ jacobian + ridge * np.eye(4)
-            step = -np.linalg.solve(normal, gradient)[2:]
-            while True:
-                yield step
-                step = step / 2
+            outer = np.vstack([slope, zeros, root * np.eye(2)])
+            r = np.concatenate([residual, root * c, root * u])
+            return r, outer - inner @ np.linalg.solve(inner.T @ inner, inner.T @ outer)
 
         axis = np.linspace(
             -DEFAULT_GRID_HALF_WIDTH, DEFAULT_GRID_HALF_WIDTH, DEFAULT_GRID_POINTS
         )
         grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-        u, (objective, c, _, _) = _descend(
-            profile, halvings, grid[np.argmin(profile(grid)[0])]
+        u, (objective, c, _, _), _ = _descend(
+            profile, linearize, grid[np.argmin(profile(grid)[0])]
         )
         return (*map(float, c), *map(float, u)), float(objective)
 
@@ -196,36 +196,69 @@ def chi_ratio(chi_noisy, corr_noisy, chi_ref, corr_ref, n_qubits: int) -> Ratio:
     return Ratio(chi, columns[0], chi_ref, columns[1])
 
 
-def _descend(profile, proposals, x, lower=-np.inf, upper=np.inf) -> tuple:
-    """Minimize ``profile(x)[0]`` from x within lower <= x <= upper.
+def _descend(profile, linearize, x, lower=-np.inf, upper=np.inf) -> tuple:
+    """Minimize ``profile(x)[0]`` from x within lower <= x <= upper by
+    Levenberg-Marquardt steps, and return (x, state, steps taken).
 
-    ``profile(x)`` returns (objective, ...), the state at x.
-    ``proposals(x, state)`` yields steps from x, each a shorter or more
-    damped try than the last. The first whose end point, clipped into the
-    bounds, raises the objective by at most FIT_ROUNDING of it is taken.
-    The loop stops at a proposed step within FIT_STEP_FLOOR of x (relative
-    to each entry of x above 1), at a taken step that leaves the objective
-    above (1 - FIT_ROUNDING) times its value FIT_STALL_STEPS taken steps
-    before (it has stalled), or after FIT_MAX_STEPS steps, and returns
-    (x, state).
+    ``profile(x)`` returns (objective, ...), the state at x, and
+    ``linearize(x, state)`` the residual r, whose square is the objective,
+    and its Jacobian J. A step solves (J^T J + damping D) h = -J^T r with D
+    the diagonal of J^T J, floored at FIT_ROUNDING of its largest entry. A
+    parameter on a bound that the gradient pushes outward is held. A step
+    whose end point, clipped into the bounds, raises the objective by at
+    most FIT_ROUNDING of it is taken; a rejected one doubles the damping and
+    is solved again. The damping starts at FIT_ROUNDING; a taken step that
+    gains less than 1/4 of its predicted decrease doubles it, one that gains
+    more than 3/4 halves it. A decrease too small to measure (its prediction
+    below FIT_ROUNDING of the objective) counts as a full gain, so no choice
+    follows the last bits of the inputs.
+
+    The loop stops when no parameter is free to move, at a step within
+    FIT_STEP_FLOOR of x (relative to each entry of x above 1), at a taken
+    step that leaves the objective above (1 - FIT_ROUNDING) times its value
+    FIT_STALL_STEPS taken steps before (it has stalled), or after
+    FIT_MAX_STEPS steps. Without the stall window a fit can cycle in its
+    damping: once its steps gain too little to judge, the damping falls to
+    its floor, where a step grows until the gain ratio rejects it, and the
+    cycle repeats.
     """
     state = profile(x)
     objectives = [state[0]]  # after each taken step
-    for _ in range(FIT_MAX_STEPS):
-        for step in proposals(x, state):
+    damping = FIT_ROUNDING
+    for n_steps in range(FIT_MAX_STEPS):
+        r, jac = linearize(x, state)
+        gradient = jac.T @ r
+        held = ((x >= upper) & (gradient < 0)) | ((x <= lower) & (gradient > 0))
+        jac, gradient = jac * ~held, gradient * ~held
+        if not gradient.any():
+            return x, state, n_steps
+        normal = jac.T @ jac
+        diagonal = np.diag(normal)
+        scale = np.diag(np.maximum(diagonal, FIT_ROUNDING * diagonal.max()))
+        while True:
+            step = -np.linalg.solve(normal + damping * scale, gradient)
             if np.max(np.abs(step) / np.maximum(np.abs(x), 1.0)) <= FIT_STEP_FLOOR:
-                return x, state
+                return x, state, n_steps
             moved = np.clip(x + step, lower, upper)
             trial = profile(moved)
             if trial[0] <= state[0] * (1 + FIT_ROUNDING):
                 break
+            damping *= 2
+        predicted = -(2 * gradient @ step + step @ normal @ step)
+        gain = 1.0
+        if predicted > FIT_ROUNDING * state[0]:
+            gain = (state[0] - trial[0]) / predicted
+        if gain > 0.75:
+            damping = max(damping / 2, FIT_ROUNDING)
+        elif gain < 0.25:
+            damping *= 2
         x, state = moved, trial
         objectives.append(state[0])
         if len(objectives) > FIT_STALL_STEPS and not (
             state[0] < (1 - FIT_ROUNDING) * objectives[-1 - FIT_STALL_STEPS]
         ):
-            break
-    return x, state
+            return x, state, n_steps + 1
+    return x, state, FIT_MAX_STEPS
 
 
 # --- Hamming-distance recovery ---
@@ -355,20 +388,7 @@ def deconvolve_hamming(
 
     It scores the cells of ``_trial_cells`` in one call and starts from the
     best. From there ``_descend`` takes Levenberg-Marquardt steps with the
-    analytic Jacobian J, solving (J^T J + damping D) h = -J^T r with D the
-    diagonal of J^T J, floored at FIT_ROUNDING of its largest entry. A
-    parameter on a bound that the gradient pushes outward is held. The
-    damping starts at FIT_ROUNDING; a rejected try doubles it, and so does a
-    step that gains less than 1/4 of its predicted decrease; one that gains
-    more than 3/4 halves it. A decrease too small to measure (its prediction
-    below FIT_ROUNDING of the objective) counts as a full gain, so no choice
-    follows the last bits of the inputs. The fit stops at a step predicted
-    to lower the objective by at most FIT_ROUNDING^2 of it (the residual
-    would move by at most FIT_ROUNDING of its length), or once
-    ``_descend`` finds the objective stalled. Without that a fit can cycle
-    in its damping: once its steps gain too little to judge, the damping
-    falls to its floor, where a step grows until the gain ratio rejects
-    it, and the cycle repeats.
+    analytic Jacobian.
 
     The info dict holds the objective, the number of steps and ``at_bound``,
     true when beta ended on its bound.
@@ -407,13 +427,14 @@ def deconvolve_hamming(
         )
         return np.sum(r**2, axis=-1), r, pmf, z
 
-    def jacobian(theta: np.ndarray, r: np.ndarray, pmf: np.ndarray, z) -> np.ndarray:
+    def linearize(theta: np.ndarray, state: tuple) -> tuple[np.ndarray, np.ndarray]:
+        _, r, pmf, z = state
         alpha, beta = theta[:2]
         expit_z = np.exp(-np.logaddexp(0.0, -z))
         dlog_w = np.stack([x, x**2, -expit_z * x, -expit_z], axis=1)
         dpmf = pmf[:, None] * (dlog_w - pmf @ dlog_w)  # through the softmax
         dtop = pmf @ dlog_w + [alpha / (2 * beta), -(alpha**2) / (4 * beta**2), 0, 0]
-        return np.vstack(
+        return r, np.vstack(
             [
                 -kernel @ dpmf,
                 root_mean * (d @ dpmf),
@@ -424,44 +445,9 @@ def deconvolve_hamming(
 
     lower = np.array([-np.inf, -np.inf, -TRIAL_SLOPE_BOUND, -np.inf])
     upper = np.array([np.inf, -TRIAL_CURVATURE_FLOOR, TRIAL_SLOPE_BOUND, np.inf])
-    damping = FIT_ROUNDING
-    last = None  # (objective, predicted decrease) of the last try
-    n_steps = 0
-
-    def levenberg_marquardt(theta: np.ndarray, state: tuple) -> Iterator[np.ndarray]:
-        nonlocal damping, last, n_steps
-        objective, r, pmf, z = state
-        if last is not None:
-            n_steps += 1
-            before, predicted = last
-            gain = 1.0
-            if predicted > FIT_ROUNDING * before:
-                gain = (before - objective) / predicted
-            if gain > 0.75:
-                damping = max(damping / 2, FIT_ROUNDING)
-            elif gain < 0.25:
-                damping *= 2
-        jac = jacobian(theta, r, pmf, z)
-        gradient = jac.T @ r
-        held = ((theta >= upper) & (gradient < 0)) | ((theta <= lower) & (gradient > 0))
-        jac, gradient = jac * ~held, gradient * ~held
-        normal = jac.T @ jac
-        diagonal = np.diag(normal)
-        scale = np.diag(np.maximum(diagonal, FIT_ROUNDING * diagonal.max()))
-        while True:
-            step = np.zeros(4)
-            if gradient.any():
-                h = -np.linalg.solve(normal + damping * scale, gradient)
-                predicted = -(2 * gradient @ h + h @ normal @ h)
-                if predicted > FIT_ROUNDING**2 * objective:
-                    step = h
-                last = (objective, predicted)
-            yield step
-            damping *= 2
-
     cells = _trial_cells(n_bits, mu_target, var_target)
-    theta, (objective, *_) = _descend(
-        profile, levenberg_marquardt, cells[np.argmin(profile(cells)[0])], lower, upper
+    theta, (objective, *_), n_steps = _descend(
+        profile, linearize, cells[np.argmin(profile(cells)[0])], lower, upper
     )
     if not np.isfinite(objective):
         raise RuntimeError("trial-distribution fit failed")

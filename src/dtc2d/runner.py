@@ -84,8 +84,6 @@ CSV_COLUMNS = ["delta", "chi_nn", "chi_sg", "qfi", "hamming_mean", "hamming_var"
 class PointResult:
     epsilon: float
     phi: float
-    n_qubits: int
-    s0: np.ndarray
     clean: TimeSeries
     noisy: TimeSeries | None = None
     recovery: dict | None = None  # the recovery_<tag>.json record
@@ -178,8 +176,6 @@ def _simulate_system(
     return PointResult(
         epsilon=eps,
         phi=phi,
-        n_qubits=lattice.n_qubits,
-        s0=s0.spins,
         clean=clean,
         noisy=noisy,
     )

@@ -296,7 +296,7 @@ LEARNER_CASES = {
 @pytest.mark.parametrize("case", sorted(LEARNER_CASES))
 def test_learned_parameters_do_not_follow_the_last_bit_of_the_inputs(case):
     # a fit that stops on objective values fixes its denominator pair only
-    # to about sqrt(eps); Gauss-Newton resolves it to rounding
+    # to about sqrt(eps); Levenberg-Marquardt steps resolve it to rounding
     learner, make_inputs = LEARNER_CASES[case]
     inputs = make_inputs()
     base = np.array(learner(*inputs)[0])
@@ -579,29 +579,54 @@ DENSE12_T2 = (
 
 
 class TestDescend:
-    """The shared step loop ends a fit whose objective has stalled."""
+    """The shared Levenberg-Marquardt loop and its stop rules."""
 
     @staticmethod
-    def walk(objective) -> int:
-        """Steps taken from x = 0 by unit steps on a 1-parameter objective."""
+    def descend(residual, jacobian, x0, lower=-np.inf, upper=np.inf) -> tuple:
+        """(x, steps taken) of the loop on |residual(x)|^2 from x0."""
 
         def profile(x):
-            return (objective(float(x[0])),)
+            r = residual(x)
+            return (float(r @ r), r)
 
-        def unit_steps(x, state):
-            while True:
-                yield np.ones(1)
+        def linearize(x, state):
+            return state[1], jacobian(x)
 
-        x, _ = recovery._descend(profile, unit_steps, np.zeros(1))
-        return int(x[0])
+        x, _, n_steps = recovery._descend(
+            profile, linearize, np.array(x0, dtype=float), lower, upper
+        )
+        return x, n_steps
 
     def test_a_plateau_ends_within_the_stall_window(self):
-        plateau = 10  # the objective falls by 1 per step to here, then stays
-        steps = self.walk(lambda x: 1.0 + max(plateau - x, 0.0))
-        assert steps == plateau + recovery.FIT_STALL_STEPS
+        # every step is taken (the objective does not rise) and none gains
+        _, n_steps = self.descend(lambda x: np.ones(1), lambda x: np.ones((1, 1)), [0.0])
+        assert n_steps == recovery.FIT_STALL_STEPS
 
     def test_a_steady_descent_runs_to_the_cap(self):
-        assert self.walk(lambda x: np.exp(-1e-3 * x)) == recovery.FIT_MAX_STEPS
+        # each step adds about 1 to x and lowers the objective by e^-2
+        x, n_steps = self.descend(
+            lambda x: np.exp(-x), lambda x: -np.exp(-x)[:, None], [0.0]
+        )
+        assert n_steps == recovery.FIT_MAX_STEPS
+        assert x[0] == pytest.approx(recovery.FIT_MAX_STEPS, rel=1e-2)
+
+    def test_a_start_held_on_its_bound_takes_no_step(self):
+        # the gradient of (x - 2)^2 pushes x = 1 out through its upper bound
+        x, n_steps = self.descend(
+            lambda x: x - 2.0, lambda x: np.ones((1, 1)), [1.0], upper=np.array([1.0])
+        )
+        assert n_steps == 0
+        assert x[0] == 1.0
+
+    def test_two_residuals_converge(self):
+        # Rosenbrock's valley, minimum at (1, 1)
+        x, n_steps = self.descend(
+            lambda x: np.array([1.0 - x[0], 10.0 * (x[1] - x[0] ** 2)]),
+            lambda x: np.array([[-1.0, 0.0], [-20.0 * x[0], 10.0]]),
+            [-1.2, 1.0],
+        )
+        assert n_steps < recovery.FIT_MAX_STEPS
+        np.testing.assert_allclose(x, [1.0, 1.0], rtol=0, atol=1e-12)
 
 
 class TestDeconvolveHamming:

@@ -13,6 +13,7 @@ from dtc2d import runner
 from dtc2d.cli import main as cli_main
 from dtc2d.config import MPSOptions, RecoverySettings, RunConfig, point_tag
 from dtc2d.exact import CapacityError, StateVector
+from dtc2d.lattice import build_lattice
 from dtc2d.mps import MPSState
 from dtc2d.noise import NoiseSpec
 from dtc2d.observables import TimeSeries
@@ -396,12 +397,15 @@ class TestRunPoint:
         assert len(result.raw["delta_noisy_ref"]) == config.cycles + 1
 
     def test_initial_state_options(self):
+        # the t = 0 correlator average is the mean of s_i s_j over the lattice
+        # edges of the initial state: 1 when polarized, -2/3 for this bitstring
         polarized = run_point(small_config(initial_state="polarized"), 0.0, 0.0)
-        assert np.all(polarized.s0 == 1)
-        custom = run_point(
-            small_config(initial_state="010101010101"), 0.0, 0.0
-        )
-        assert np.sum(custom.s0) == 0
+        assert polarized.clean.corr_avg[0] == pytest.approx(1.0)
+        bits = "010101010101"
+        spins = np.array([1 - 2 * int(b) for b in bits])
+        i, j = np.array(build_lattice(1, 1).edges).T
+        custom = run_point(small_config(initial_state=bits), 0.0, 0.0)
+        assert custom.clean.corr_avg[0] == pytest.approx(np.mean(spins[i] * spins[j]))
 
 
 class TestPhaseDiagram:
@@ -587,7 +591,8 @@ class TestOutputs:
             trials = json.load(fh)["deconvolved"]
         assert len(trials) == 7
         # sigma = N / sqrt(2 delta) exactly when beta ended on -delta
-        sigma_at_bound = result.n_qubits / math.sqrt(2 * TRIAL_CURVATURE_FLOOR)
+        n_qubits = build_lattice(config.rows, config.cols).n_qubits
+        sigma_at_bound = n_qubits / math.sqrt(2 * TRIAL_CURVATURE_FLOOR)
         for trial in trials:
             assert set(trial) == {"d0", "sigma", "k", "q", "at_bound"}
             assert trial["at_bound"] is (trial["sigma"] == pytest.approx(sigma_at_bound))
@@ -991,6 +996,19 @@ class TestCLI:
         with pytest.raises(SystemExit, match="repeats the bond cap 16"):
             cli_main(
                 ["simulate", "--config", path, "--out", str(out), "--chi-sweep", "16,4,16"]
+            )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag", [["--chi-max", "8"], ["--backend", "exact"]], ids=["chi-max", "backend"]
+    )
+    def test_chi_sweep_rejects_an_override_it_would_drop(self, tmp_path, flag):
+        # each sub-run sets its own backend and bond cap
+        path = self.write_config(tmp_path, cycles=1, full_correlations=False)
+        out = tmp_path / "sweep"
+        with pytest.raises(SystemExit, match=f"{flag[0]}.*--chi-sweep"):
+            cli_main(
+                ["simulate", "--config", path, "--out", str(out), "--chi-sweep", "16", *flag]
             )
         assert not out.exists()
 
