@@ -2,10 +2,12 @@
 
 The numpy wheel bundles OpenBLAS with a thread pool of one thread per
 core. Every process then runs such a pool, every phase-diagram worker
-included, so the workers oversubscribe the cores. `limit_blas_threads`
-sets the pool to one thread. It runs in `cli.main` and in every
-phase-diagram pool worker, not on import, so a library user keeps the
-process-wide setting they chose.
+included, so the workers oversubscribe the cores. `one_thread_at_load`
+has the library load with one thread; it runs when `dtc2d.cli` is
+imported, before numpy. `limit_blas_threads` sets a loaded pool to one
+thread; it runs in `cli.main` and in every phase-diagram pool worker.
+Neither runs on `import dtc2d`, so a library user keeps the process-wide
+setting they chose.
 
 OpenBLAS reads OPENBLAS_NUM_THREADS and OMP_NUM_THREADS when it loads; if
 either is set, the user's value stands. A numpy without bundled OpenBLAS
@@ -16,8 +18,7 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
-
-import numpy as np
+import sys
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -29,6 +30,8 @@ _OPENBLAS = "lib*openblas64_-*.so"
 def _thread_functions() -> tuple | None:
     """(get, set) thread-count functions of numpy's bundled OpenBLAS, or
     None without one."""
+    import numpy as np  # here, so that one_thread_at_load can run before numpy loads
+
     site = os.path.dirname(os.path.dirname(np.__file__))
     paths = sorted(glob.glob(os.path.join(site, "numpy.libs", _OPENBLAS)))
     try:
@@ -42,6 +45,17 @@ def _thread_functions() -> tuple | None:
     getter.argtypes, getter.restype = [], ctypes.c_int
     setter.argtypes, setter.restype = [ctypes.c_int], None
     return getter, setter
+
+
+def one_thread_at_load() -> None:
+    """Have numpy's OpenBLAS load with one thread, unless numpy has loaded
+    or a thread variable is set (an empty one counts as unset). Loaded with
+    one thread per core, the library starts idle threads that spin about
+    0.1 s of CPU before they first sleep."""
+    if "numpy" not in sys.modules and not any(
+        os.environ.get(name) for name in THREAD_VARIABLES
+    ):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 
 def blas_threads() -> dict[str, int]:

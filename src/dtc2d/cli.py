@@ -17,7 +17,9 @@ import os
 import sys
 from dataclasses import replace
 
-from .blas import limit_blas_threads
+from .blas import limit_blas_threads, one_thread_at_load
+
+one_thread_at_load()  # before the first import that loads numpy
 from .config import RunConfig, point_tag
 from .lattice import build_lattice
 from .runner import (

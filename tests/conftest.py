@@ -8,16 +8,10 @@ import numpy as np
 import pytest
 
 import dtc2d
-from dtc2d import (
-    FloquetParams,
-    build_cycle,
-    build_lattice,
-    neel_state,
-    sample_disorder,
-    unroll,
-)
 from dtc2d.blas import THREAD_VARIABLES, limit_blas_threads
+from dtc2d.circuit import FloquetParams, build_cycle, neel_state, sample_disorder
 from dtc2d.exact import StateVector
+from dtc2d.lattice import build_lattice, unroll
 
 # the suite runs with the program's own thread policy, as the CLI does
 limit_blas_threads()
@@ -68,17 +62,18 @@ def evolve():
 
 @pytest.fixture(scope="session")
 def fresh_python():
-    """``run(code)`` runs ``code`` in a new interpreter that imports dtc2d
-    from this tree, with no BLAS thread variable set, and returns the JSON
-    value of its last output line."""
+    """``run(code, **variables)`` runs ``code`` in a new interpreter that
+    imports dtc2d from this tree, with no BLAS thread variable set but the
+    given environment ``variables``, and returns the JSON value of its last
+    output line."""
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
     paths = [str(Path(dtc2d.__file__).resolve().parents[1]), env.get("PYTHONPATH")]
     env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
 
-    def run(code):
+    def run(code, **variables):
         done = subprocess.run(
             [sys.executable, "-c", code],
-            env=env,
+            env={**env, **variables},
             capture_output=True,
             text=True,
             timeout=300,

@@ -10,16 +10,10 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from dtc2d import (
-    FloquetParams,
-    build_cycle,
-    build_lattice,
-    neel_state,
-    sample_disorder,
-    unroll,
-)
+from dtc2d.circuit import FloquetParams, build_cycle, neel_state, sample_disorder
 from dtc2d.config import MPSOptions, RecoverySettings, RunConfig
 from dtc2d.exact import StateVector
+from dtc2d.lattice import build_lattice, unroll
 from dtc2d.mps import MPSState
 from dtc2d.noise import NoiseSpec, corrupt_bits
 from dtc2d.observables import (

@@ -90,3 +90,62 @@ def test_phase_diagram_workers_run_one_thread(two_threads, monkeypatch):
     assert len({pid for pid, _ in reports}) == 2
     for _, counts in reports:
         assert counts == {"numpy": 1}
+
+
+# the state of a new process after `import_line`: whether numpy has loaded,
+# its OS threads (None without /proc), numpy's thread count and the thread
+# variables it holds
+_REPORT = """
+import json, os, sys
+{import_line}
+numpy_loaded = "numpy" in sys.modules
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+from dtc2d.blas import THREAD_VARIABLES, blas_threads
+print(json.dumps({{
+    "numpy_loaded": numpy_loaded,
+    "tasks": tasks,
+    "blas": blas_threads(),
+    "variables": {{name: os.environ.get(name) for name in THREAD_VARIABLES}},
+}}))
+"""
+
+
+@pytest.fixture
+def after_import(fresh_python):
+    """``report(import_line, **variables)``: `_REPORT` in a new process."""
+    if not blas_threads():
+        pytest.skip("numpy has no bundled OpenBLAS")
+
+    def report(import_line, **variables):
+        return fresh_python(_REPORT.format(import_line=import_line), **variables)
+
+    return report
+
+
+def test_package_import_loads_no_numpy(after_import):
+    assert after_import("import dtc2d")["numpy_loaded"] is False
+
+
+@pytest.mark.parametrize("variables", [{}, {"OPENBLAS_NUM_THREADS": ""}])
+def test_cli_loads_blas_with_one_thread(after_import, variables):
+    report = after_import("import dtc2d.cli", **variables)
+    assert report["blas"] == {"numpy": 1}
+    # the library started no idle thread of its own
+    if report["tasks"] is not None and (os.cpu_count() or 1) > 1:
+        assert report["tasks"] == 1
+
+
+def test_cli_keeps_a_set_thread_count(after_import):
+    bare = after_import("import numpy", OPENBLAS_NUM_THREADS="2")
+    cli = after_import("import dtc2d.cli", OPENBLAS_NUM_THREADS="2")
+    assert cli["blas"] == bare["blas"]
+    assert cli["variables"]["OPENBLAS_NUM_THREADS"] == "2"
+
+
+# a library import, and the CLI module imported after numpy has loaded
+@pytest.mark.parametrize("import_line", ["import dtc2d.runner", "import numpy, dtc2d.cli"])
+def test_library_import_keeps_the_thread_setting(after_import, import_line):
+    bare = after_import("import numpy")
+    library = after_import(import_line)
+    assert library["blas"] == bare["blas"]
+    assert library["variables"] == dict.fromkeys(THREAD_VARIABLES)

@@ -2,18 +2,20 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dtc2d import (
+from dtc2d.circuit import (
+    CliffordState,
     FloquetParams,
+    ProductState,
     build_cycle,
-    build_lattice,
+    custom_state,
     neel_state,
     polarized_state,
     sample_disorder,
     x_kick_gate,
     xxz_gate,
 )
-from dtc2d.circuit import CliffordState, ProductState, custom_state
 from dtc2d.exact import StateVector
+from dtc2d.lattice import build_lattice
 from dtc2d.mps import MPSState
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)

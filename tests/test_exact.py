@@ -3,10 +3,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dtc2d import FloquetParams, build_cycle, build_lattice, neel_state, sample_disorder
 from dtc2d import exact
-from dtc2d.circuit import GateSequence, ProductState, x_kick_gate, xxz_gate
+from dtc2d.circuit import (
+    FloquetParams,
+    GateSequence,
+    ProductState,
+    build_cycle,
+    neel_state,
+    sample_disorder,
+    x_kick_gate,
+    xxz_gate,
+)
 from dtc2d.exact import MAX_QUBITS, CapacityError, StateVector
+from dtc2d.lattice import build_lattice
 from dtc2d.observables import delta
 
 # frozen regression value: 12-qubit hexagon, seed 7, (eps, phi) = (0.05, 0.45*pi)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from dtc2d import build_lattice, unroll
+from dtc2d.lattice import build_lattice, unroll
 
 # reference geometries and their qubit counts
 GEOMETRIES = {(1, 1): 12, (2, 2): 35, (3, 3): 68, (3, 7): 144}

@@ -5,17 +5,16 @@ import warnings
 import numpy as np
 import pytest
 
-from dtc2d import (
+from dtc2d.circuit import (
     FloquetParams,
     GateSequence,
     ProductState,
     build_cycle,
-    build_lattice,
     neel_state,
     sample_disorder,
-    unroll,
 )
 from dtc2d.exact import StateVector
+from dtc2d.lattice import build_lattice, unroll
 from dtc2d.mps import MPSState, _split_gate, _svd
 from dtc2d.observables import chi, chi_from_matrix, delta, qfi
 

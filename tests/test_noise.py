@@ -3,7 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from dtc2d import build_lattice, neel_state
+from dtc2d.circuit import neel_state
+from dtc2d.lattice import build_lattice
 from dtc2d.noise import NoiseSpec, corrupt_bits, corrupt_zz
 from dtc2d.observables import delta, hamming_distribution
 from dtc2d.recovery import flip_kernel
