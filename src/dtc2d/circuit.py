@@ -173,19 +173,21 @@ def build_cycle(
     return GateSequence(n_qubits=lattice.n_qubits, kick=kick, layers=tuple(layers))
 
 
-def neel_state(lattice: HeavyHexLattice) -> ProductState:
-    """Alternating state: +1 on sublattice A, -1 on sublattice B."""
-    spins = np.where(np.array(lattice.bipartition) == 0, 1, -1)
-    return ProductState(spins=spins)
+def initial_state(lattice: HeavyHexLattice, spec: str) -> ProductState:
+    """The product state ``spec`` names on ``lattice``.
 
-
-def polarized_state(lattice: HeavyHexLattice) -> ProductState:
-    return ProductState(spins=np.ones(lattice.n_qubits, dtype=np.int64))
-
-
-def custom_state(bitstring: str) -> ProductState:
-    """Product state from a 0/1 string; bit i gives qubit i (0 -> spin +1)."""
-    if not set(bitstring) <= {"0", "1"}:
-        raise ValueError("bitstring must contain only 0 and 1")
-    spins = np.array([1 if b == "0" else -1 for b in bitstring], dtype=np.int64)
-    return ProductState(spins=spins)
+    "neel" puts +1 on sublattice A and -1 on sublattice B, "polarized" +1 on
+    every qubit, and a 0/1 string of one bit per qubit gives qubit i its
+    bit i (0 -> spin +1).
+    """
+    if spec == "neel":
+        return ProductState(spins=np.where(np.array(lattice.bipartition) == 0, 1, -1))
+    if spec == "polarized":
+        return ProductState(spins=np.ones(lattice.n_qubits, dtype=np.int64))
+    if set(spec) - {"0", "1"} or len(spec) != lattice.n_qubits:
+        raise ValueError(
+            f"initial_state must be 'neel', 'polarized' or a 0/1 string of "
+            f"{lattice.n_qubits} bits for the {lattice.rows}x{lattice.cols} "
+            f"lattice, got {spec!r}"
+        )
+    return ProductState(spins=np.array([1 - 2 * int(b) for b in spec]))

@@ -95,20 +95,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _simulate_config(config: RunConfig) -> None:
     out = config.output_dir
     write_resolved_config(config, out)
-    for eps in config.epsilons:
-        for phi in config.phis:
-            result = run_point(config, eps, phi)
-            for path in write_point_outputs(result, out):
-                print(path)
+    for eps, phi in config.points:
+        for path in write_point_outputs(run_point(config, eps, phi), out):
+            print(path)
 
 
 def cmd_phase_diagram(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    out = config.output_dir
-    write_resolved_config(config, out)
-    points = run_phase_diagram(config)
-    path = write_phase_grid(points, out)
-    print(path)
+    write_resolved_config(config, config.output_dir)
+    print(write_phase_grid(run_phase_diagram(config), config.output_dir))
     return 0
 
 
@@ -116,12 +111,7 @@ def _bundle_point(config: RunConfig, raw_path: str) -> tuple[float, float]:
     """The grid point whose tag the raw bundle's name raw_<tag>.csv carries."""
     name = os.path.basename(raw_path)
     tag = name.removeprefix("raw_").removesuffix(".csv")
-    matches = [
-        (eps, phi)
-        for eps in config.epsilons
-        for phi in config.phis
-        if point_tag(eps, phi) == tag
-    ]
+    matches = [point for point in config.points if point_tag(*point) == tag]
     if len(matches) != 1:
         raise SystemExit(
             f"raw bundle {name!r}: {len(matches)} grid points of the config "

@@ -10,7 +10,7 @@ from functools import cache
 
 import numpy as np
 
-from .circuit import FloquetParams
+from .circuit import FloquetParams, initial_state
 from .exact import check_capacity
 from .lattice import build_lattice
 from .noise import NoiseSpec
@@ -119,48 +119,50 @@ class RunConfig:
         _check_fields(self)
         if self.backend not in ("exact", "mps"):
             raise ValueError(f"unknown backend {self.backend!r}")
-        n_qubits = build_lattice(self.rows, self.cols).n_qubits
+        lattice = build_lattice(self.rows, self.cols)
         if self.noise is not None:
-            self.noise.build(n_qubits)  # raises what the noise model rejects
+            self.noise.build(lattice.n_qubits)  # raises what the noise model rejects
         if self.backend == "exact":
-            for rows, cols in {(self.rows, self.cols), self.learn_lattice}:
-                check_capacity(build_lattice(rows, cols).n_qubits)
+            check_capacity(lattice.n_qubits)
+            if self.learn_lattice != (self.rows, self.cols):
+                check_capacity(build_lattice(*self.learn_lattice).n_qubits)
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "phis", tuple(float(p) for p in self.phis))
         if not (self.epsilons and self.phis):
             raise ValueError("epsilons and phis must each list at least one value")
-        if self.initial_state not in ("neel", "polarized"):
-            bits = self.initial_state
-            if set(bits) - {"0", "1"} or len(bits) != n_qubits:
-                raise ValueError(
-                    f"initial_state must be 'neel', 'polarized' or a 0/1 string "
-                    f"of {n_qubits} bits for the {self.rows}x{self.cols} "
-                    f"lattice, got {bits!r}"
-                )
-            if self.learn_lattice != (self.rows, self.cols):
-                raise ValueError(
-                    "a bitstring initial_state fits only the run's own lattice, "
-                    "but recovery.learn_rows/learn_cols select %dx%d"
-                    % self.learn_lattice
-                )
+        initial_state(lattice, self.initial_state)  # raises on a spec it rejects
+        # a bitstring of the right length for an equal-sized learn lattice
+        # (1x2 and 2x1 both have 21 qubits) would still name other qubits
+        bitstring = self.initial_state not in ("neel", "polarized")
+        if bitstring and self.learn_lattice != (self.rows, self.cols):
+            raise ValueError(
+                "a bitstring initial_state fits only the run's own lattice, "
+                "but recovery.learn_rows/learn_cols select %dx%d" % self.learn_lattice
+            )
         if self.recovery is not None and self.recovery.deconvolve:
             if self.shots == 0 or not self.full_correlations:
                 raise ValueError(
                     "recovery.deconvolve needs shots > 0 and full_correlations"
                 )
         # each point must make a Floquet cycle and tag its output files uniquely
-        points: dict[str, tuple[float, float]] = {}
-        for eps in self.epsilons:
-            for phi in self.phis:
-                FloquetParams(eps, phi)  # raises outside its ranges
-                tag = point_tag(eps, phi)
-                if tag in points:
-                    raise ValueError(
-                        f"grid points {points[tag]} and {(eps, phi)} share the "
-                        f"file tag {tag!r}; eps and phi values must differ in "
-                        "their first 6 significant digits"
-                    )
-                points[tag] = (eps, phi)
+        tags: dict[str, tuple[float, float]] = {}
+        for point in self.points:
+            FloquetParams(*point)  # raises outside its ranges
+            tag = point_tag(*point)
+            if tag in tags:
+                raise ValueError(
+                    f"grid points {tags[tag]} and {point} share the "
+                    f"file tag {tag!r}; eps and phi values must differ in "
+                    "their first 6 significant digits"
+                )
+            tags[tag] = point
+
+    @property
+    def points(self) -> list[tuple[float, float]]:
+        """The (epsilon, phi) grid, epsilon-major: every phi of the first
+        epsilon, then every phi of the next. Runs, output order and the
+        phase grid's records all follow it."""
+        return [(eps, phi) for eps in self.epsilons for phi in self.phis]
 
     @property
     def learn_lattice(self) -> tuple[int, int]:

@@ -25,9 +25,10 @@ as every Clifford reference, needs no backend: a `CliffordState` gives its
 reads exactly. The point CSV holds, per channel, the first six `TimeSeries`
 fields (`CSV_COLUMNS`), then the recovered columns. A phase-diagram cell is
 one `phase_grid.json` record: the two order parameters of its clean Delta(t)
-series. An MPS point runs on the chain order `unroll` gives, as a position
-tuple, and keeps one checkpoint file, overwritten each cycle, with one array
-per channel and `TimeSeries` field.
+series. Every run starts from `initial_state` of the config's spec. An MPS
+point runs on the chain order `unroll` gives, as a position tuple, and keeps
+one checkpoint file, overwritten each cycle, with one array per channel and
+`TimeSeries` field; its name hashes the config record less `_UNKEYED`.
 """
 from __future__ import annotations
 
@@ -44,11 +45,8 @@ from .blas import limit_blas_threads
 from .circuit import (
     CliffordState,
     FloquetParams,
-    ProductState,
     build_cycle,
-    custom_state,
-    neel_state,
-    polarized_state,
+    initial_state,
     sample_disorder,
 )
 from .config import RecoverySettings, RunConfig, point_tag
@@ -90,14 +88,6 @@ class PointResult:
     raw: dict[str, np.ndarray] | None = None  # raw bundle of a noisy point
 
 
-def _initial_state(config: RunConfig, lattice) -> ProductState:
-    if config.initial_state == "neel":
-        return neel_state(lattice)
-    if config.initial_state == "polarized":
-        return polarized_state(lattice)
-    return custom_state(config.initial_state)
-
-
 def _shot_seed(config: RunConfig, eps: float, phi: float, t: int, channel: int) -> int:
     parts = [
         config.seed,
@@ -126,7 +116,7 @@ def _simulate_system(
     position = unroll(lattice)
     couplings = sample_disorder(lattice, config.seed)
     cycle = build_cycle(lattice, couplings, FloquetParams(epsilon=eps, phi=phi))
-    s0 = _initial_state(config, lattice)
+    s0 = initial_state(lattice, config.initial_state)
     noise_model = (
         config.noise.build(lattice.n_qubits, s0.spins) if config.noise else None
     )
@@ -149,7 +139,7 @@ def _simulate_system(
     start_t = 0
     checkpointed = checkpoint and config.backend == "mps" and not clifford
     if checkpointed:
-        key = _checkpoint_key(config, rows, cols, eps, phi, position)
+        key = _checkpoint_key(config, eps, phi, position)
         path = os.path.join(config.output_dir, "checkpoints", f"{key}.npz")
         start_t = _try_resume(state, path, config.cycles, clean, noisy)
 
@@ -317,11 +307,9 @@ def _recover(
 def run_phase_diagram(config: RunConfig) -> list[dict]:
     """Order parameters over the (epsilon, phi) grid, optionally parallel:
     one `phase_grid.json` record per cell."""
-    cells = [(eps, phi) for eps in config.epsilons for phi in config.phis]
     # the grid only needs Delta(t); skip the expensive extras
-    fast = replace(
-        config, full_correlations=False, shots=0, noise=None, recovery=None
-    )
+    fast = replace(config, full_correlations=False, shots=0, noise=None, recovery=None)
+    cells = [(fast, eps, phi) for eps, phi in config.points]
     # a forked pool starts all its workers up front, so none may lack a cell
     workers = min(config.workers, len(cells))
     if workers > 1:
@@ -332,10 +320,8 @@ def run_phase_diagram(config: RunConfig) -> list[dict]:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=limit_blas_threads
         ) as pool:
-            results = list(pool.map(_phase_cell, [(fast, e, p) for e, p in cells]))
-    else:
-        results = [_phase_cell((fast, e, p)) for e, p in cells]
-    return results
+            return list(pool.map(_phase_cell, cells))
+    return [_phase_cell(cell) for cell in cells]
 
 
 def _phase_cell(args: tuple[RunConfig, float, float]) -> dict:
@@ -514,38 +500,28 @@ def recover_from_raw(config: RunConfig, raw_path: str, phi: float) -> dict:
 # --- MPS checkpointing ---
 
 
-def _checkpoint_key(
-    config: RunConfig,
-    rows: int,
-    cols: int,
-    eps: float,
-    phi: float,
-    position: tuple[int, ...],
-) -> str:
-    """Name of a point's checkpoint file, without its ``.npz``.
+# config fields that do not shape a point's evolved series: the grid (the
+# key takes the point itself), the cycle count (a longer run resumes a
+# shorter one), and what only schedules, writes or recovers the run
+_UNKEYED = ("epsilons", "phis", "cycles", "workers", "output_dir", "checkpoint", "recovery")
 
-    It hashes every setting that determines the evolved state and the
-    recorded series, so a checkpoint resumes only the run it was written by.
-    The cycle count is left out: a longer run resumes a shorter one.
+
+def _checkpoint_key(
+    config: RunConfig, eps: float, phi: float, position: tuple[int, ...]
+) -> str:
+    """Name of the target run's checkpoint file, without its ``.npz``.
+
+    It hashes the config record less `_UNKEYED`, plus the point, the chain
+    position of each qubit (which the tensors follow) and the checkpoint
+    layout (one array per channel and `TimeSeries` field), so a checkpoint
+    resumes only the run it was written by.
     """
-    spec = {
-        "rows": rows,
-        "cols": cols,
-        # the chain position of each lattice qubit, which the tensors follow
-        "order": list(position),
-        "initial_state": config.initial_state,
-        "seed": config.seed,
-        "eps": float(eps).hex(),
-        "phi": float(phi).hex(),
-        "chi_max": config.mps.chi_max,
-        "cutoff": float(config.mps.cutoff).hex(),
-        "noise": asdict(config.noise) if config.noise else None,
-        "shots": config.shots,
-        "full_correlations": config.full_correlations,
-        # the checkpoint layout: one array per channel and series field
-        "series": sorted(vars(TimeSeries())),
-    }
-    digest = hashlib.sha256(json.dumps(spec, sort_keys=True).encode()).hexdigest()
+    record = {k: v for k, v in asdict(config).items() if k not in _UNKEYED}
+    record.update(
+        eps=float(eps), phi=float(phi), order=list(position),
+        series=sorted(vars(TimeSeries())),
+    )
+    digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
     return f"{point_tag(eps, phi)}_{digest[:16]}"
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import dtc2d
 from dtc2d.blas import THREAD_VARIABLES, limit_blas_threads
-from dtc2d.circuit import FloquetParams, build_cycle, neel_state, sample_disorder
+from dtc2d.circuit import FloquetParams, build_cycle, initial_state, sample_disorder
 from dtc2d.exact import StateVector
 from dtc2d.lattice import build_lattice, unroll
 
@@ -42,7 +42,7 @@ def dtc_cycle(hexagon):
 
 @pytest.fixture(scope="session")
 def hexagon_neel(hexagon):
-    return neel_state(hexagon)
+    return initial_state(hexagon, "neel")
 
 
 @pytest.fixture(scope="session")

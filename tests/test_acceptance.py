@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from dtc2d.circuit import FloquetParams, build_cycle, neel_state, sample_disorder
+from dtc2d.circuit import FloquetParams, build_cycle, initial_state, sample_disorder
 from dtc2d.config import MPSOptions, RecoverySettings, RunConfig
 from dtc2d.exact import StateVector
 from dtc2d.lattice import build_lattice, unroll
@@ -65,7 +65,7 @@ def mps_deltas(rows, cols, eps, phi, cycles, chi_max=8):
     cycle = build_cycle(
         lattice, sample_disorder(lattice, SEED), FloquetParams(eps, phi)
     )
-    s0 = neel_state(lattice)
+    s0 = initial_state(lattice, "neel")
     state = MPSState(s0, order, chi_max=chi_max)
     z_rows = [state.zz_matrix()[0]]
     for _ in range(cycles):
@@ -102,7 +102,7 @@ def test_criterion_02_oracle_equivalence():
         lattice = build_lattice(1, 1)
         order = unroll(lattice)
         disorder = sample_disorder(lattice, 13)
-        s0 = neel_state(lattice)
+        s0 = initial_state(lattice, "neel")
         edges = list(lattice.edges)
         rng = np.random.default_rng(21)
         for _ in range(5):
@@ -130,7 +130,7 @@ def test_criterion_03_subharmonic_response():
         cycle = build_cycle(
             lattice, sample_disorder(lattice, SEED), FloquetParams(DTC_EPS, DTC_PHI)
         )
-        s0 = neel_state(lattice)
+        s0 = initial_state(lattice, "neel")
         sv = StateVector.from_product(s0)
         deltas = [delta(sv.zz_matrix()[0], s0.spins)]
         for _ in range(50):
@@ -160,7 +160,7 @@ def test_criterion_04_kernel_properties():
         cycle = build_cycle(
             lattice, sample_disorder(lattice, SEED), FloquetParams(DTC_EPS, DTC_PHI)
         )
-        s0 = neel_state(lattice)
+        s0 = initial_state(lattice, "neel")
         sv = StateVector.from_product(s0)
         for _ in range(3):
             sv.apply_cycle(cycle)
@@ -292,7 +292,7 @@ def test_criterion_11_consistency_identities():
         cycle = build_cycle(
             lattice, sample_disorder(lattice, SEED), FloquetParams(DTC_EPS, DTC_PHI)
         )
-        s0 = neel_state(lattice)
+        s0 = initial_state(lattice, "neel")
         sv = StateVector.from_product(s0)
         for t in range(1, 6):
             sv.apply_cycle(cycle)

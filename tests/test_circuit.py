@@ -7,9 +7,7 @@ from dtc2d.circuit import (
     FloquetParams,
     ProductState,
     build_cycle,
-    custom_state,
-    neel_state,
-    polarized_state,
+    initial_state,
     sample_disorder,
     x_kick_gate,
     xxz_gate,
@@ -142,24 +140,28 @@ class TestBuildCycle:
 
 class TestInitialStates:
     def test_polarized(self, lattice_2x2):
-        state = polarized_state(lattice_2x2)
+        state = initial_state(lattice_2x2, "polarized")
         assert np.all(state.spins == 1)
 
     def test_neel_alternates_on_every_edge(self, lattice_2x2):
-        state = neel_state(lattice_2x2)
+        state = initial_state(lattice_2x2, "neel")
         for i, j in lattice_2x2.edges:
             assert state.spins[i] * state.spins[j] == -1
 
     def test_neel_on_hexagon(self, hexagon):
-        state = neel_state(hexagon)
+        state = initial_state(hexagon, "neel")
         assert np.sum(state.spins) == 0  # balanced around the 12-cycle
 
-    def test_custom_state(self):
-        state = custom_state("0110")
-        np.testing.assert_array_equal(state.spins, [1, -1, -1, 1])
-        np.testing.assert_array_equal(state.bits, [0, 1, 1, 0])
-        with pytest.raises(ValueError):
-            custom_state("01x")
+    def test_custom_state(self, hexagon):
+        bits = "011000000001"
+        state = initial_state(hexagon, bits)
+        np.testing.assert_array_equal(state.spins, [1, -1, -1] + [1] * 8 + [-1])
+        np.testing.assert_array_equal(state.bits, [int(b) for b in bits])
+
+    @pytest.mark.parametrize("bits", ["0110", "01x000000001"], ids=["too-short", "not-0/1"])
+    def test_custom_state_rejected_names_the_lattice(self, hexagon, bits):
+        with pytest.raises(ValueError, match=r"initial_state .* 12 bits for the 1x1 lattice"):
+            initial_state(hexagon, bits)
 
     def test_spin_validation(self):
         with pytest.raises(ValueError):
@@ -168,10 +170,12 @@ class TestInitialStates:
 
 class TestCliffordState:
     @pytest.mark.parametrize("phi", [0.0, np.pi / 2])
-    @pytest.mark.parametrize("initial", [neel_state, polarized_state])
+    @pytest.mark.parametrize(
+        "initial", ["neel", "polarized"], ids=["neel_state", "polarized_state"]
+    )
     def test_matches_both_backends(self, hexagon, hexagon_order, initial, phi):
         cycle = build_cycle(hexagon, sample_disorder(hexagon, seed=7), FloquetParams(0.0, phi))
-        s0 = initial(hexagon)
+        s0 = initial_state(hexagon, initial)
         clifford = CliffordState(s0)
         backends = [StateVector.from_product(s0), MPSState(s0, hexagon_order)]
         for t in range(5):
@@ -192,7 +196,7 @@ class TestCliffordState:
     def test_rejects_a_cycle_that_mixes_basis_states(self, hexagon, eps, phi):
         cycle = build_cycle(hexagon, sample_disorder(hexagon, seed=7), FloquetParams(eps, phi))
         with pytest.raises(ValueError):
-            CliffordState(neel_state(hexagon)).apply_cycle(cycle)
+            CliffordState(initial_state(hexagon, "neel")).apply_cycle(cycle)
 
 
 class TestParams:

@@ -9,7 +9,7 @@ from dtc2d.circuit import (
     GateSequence,
     ProductState,
     build_cycle,
-    neel_state,
+    initial_state,
     sample_disorder,
     x_kick_gate,
     xxz_gate,
@@ -243,7 +243,7 @@ class TestGateApplication:
         lattice = build_lattice(1, 2)
         params = FloquetParams(0.05, 0.45 * np.pi)
         cycle = build_cycle(lattice, sample_disorder(lattice, seed=7), params)
-        sv = StateVector.from_product(neel_state(lattice))
+        sv = StateVector.from_product(initial_state(lattice, "neel"))
         passes = []
 
         def counted(method):
@@ -294,7 +294,7 @@ class TestInPlacePasses:
         cycle = build_cycle(lattice, sample_disorder(lattice, seed=7), params)
         tracemalloc.start()
         try:
-            sv = StateVector.from_product(neel_state(lattice))
+            sv = StateVector.from_product(initial_state(lattice, "neel"))
             sv.apply_cycle(cycle)
             sv.zz_matrix()
             _, peak = tracemalloc.get_traced_memory()
@@ -349,7 +349,7 @@ class TestInPlacePasses:
 
 class TestCycle:
     def test_perfect_flip_maps_neel_to_antineel(self, hexagon, evolve):
-        s0 = neel_state(hexagon)
+        s0 = initial_state(hexagon, "neel")
         disorder = sample_disorder(hexagon, seed=1)
         cycle = build_cycle(hexagon, disorder, FloquetParams(0.0, np.pi / 2))
         sv = evolve(s0, cycle, 1)
@@ -357,7 +357,7 @@ class TestCycle:
         assert abs(abs(sv.amplitudes[flipped_index]) - 1.0) < 1e-12
 
     def test_glass_point_preserves_basis_states(self, hexagon, evolve):
-        s0 = neel_state(hexagon)
+        s0 = initial_state(hexagon, "neel")
         disorder = sample_disorder(hexagon, seed=1)
         cycle = build_cycle(hexagon, disorder, FloquetParams(0.0, 0.0))
         sv = evolve(s0, cycle, 3)

@@ -10,7 +10,7 @@ from dtc2d.circuit import (
     GateSequence,
     ProductState,
     build_cycle,
-    neel_state,
+    initial_state,
     sample_disorder,
 )
 from dtc2d.exact import StateVector
@@ -121,7 +121,7 @@ def evolved_2x2(lattice, cycles, chi_max=32):
     """
     disorder = sample_disorder(lattice, seed=7)
     cycle = build_cycle(lattice, disorder, FloquetParams(0.05, 0.45 * np.pi))
-    state = MPSState(neel_state(lattice), unroll(lattice), chi_max=chi_max)
+    state = MPSState(initial_state(lattice, "neel"), unroll(lattice), chi_max=chi_max)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for _ in range(cycles):
@@ -178,7 +178,7 @@ class TestMPOConstruction:
         np.testing.assert_allclose(rebuilt, gate, atol=1e-12)
 
     def test_empty_layer_is_identity(self, hexagon, hexagon_order, dtc_cycle):
-        state = MPSState(neel_state(hexagon), hexagon_order, chi_max=64)
+        state = MPSState(initial_state(hexagon, "neel"), hexagon_order, chi_max=64)
         state.apply_cycle(dtc_cycle)
         before = to_statevector(state)
         idle = GateSequence(12, np.eye(2, dtype=complex), ((), (), ()))
@@ -193,7 +193,7 @@ class TestMPOConstruction:
                 GateSequence(12, np.eye(2, dtype=complex), (layer,))
 
     def test_layer_mpo_matches_dense_action(self, hexagon, hexagon_order, dtc_cycle):
-        s0 = neel_state(hexagon)
+        s0 = initial_state(hexagon, "neel")
         for layer_gates in dtc_cycle.layers:
             layer = GateSequence(12, np.eye(2, dtype=complex), (layer_gates,))
             state = MPSState(s0, hexagon_order, chi_max=256)
@@ -214,7 +214,7 @@ class TestMPOConstruction:
         cycle = build_cycle(lattice_2x2, disorder, FloquetParams(0.3, 0.25 * np.pi))
         for layer_gates in cycle.layers:
             layer = GateSequence(cycle.n_qubits, cycle.kick, (layer_gates,))
-            state = MPSState(neel_state(lattice_2x2), order, chi_max=256)
+            state = MPSState(initial_state(lattice_2x2, "neel"), order, chi_max=256)
             state.apply_cycle(layer)
             spans = [
                 sorted((order[i], order[j]))
@@ -291,7 +291,7 @@ class TestApplyMPO:
         # order whose gates span up to 11. The bound sits between the two.
         disorder = sample_disorder(lattice_2x2, seed=7)
         cycle = build_cycle(lattice_2x2, disorder, FloquetParams(0.05, 0.45 * np.pi))
-        state = MPSState(neel_state(lattice_2x2), unroll(lattice_2x2), chi_max=32)
+        state = MPSState(initial_state(lattice_2x2, "neel"), unroll(lattice_2x2), chi_max=32)
         tracemalloc.start()
         try:
             for _ in range(2):
@@ -329,7 +329,7 @@ class TestApplyMPO:
         assert max(defects) <= 1e-12
 
     def test_identity_leaves_state_unchanged(self, hexagon, hexagon_order, dtc_cycle):
-        state = MPSState(neel_state(hexagon), hexagon_order, chi_max=64)
+        state = MPSState(initial_state(hexagon, "neel"), hexagon_order, chi_max=64)
         state.apply_cycle(dtc_cycle)
         before = to_statevector(state)
         state._apply_2q(0, 11, np.eye(4, dtype=complex))
@@ -345,13 +345,13 @@ class TestApplyMPO:
         assert max(mps.bond_dims) == 1
 
     def test_no_truncation_when_chi_unbinding(self, hexagon, hexagon_order, dtc_cycle):
-        state = MPSState(neel_state(hexagon), hexagon_order, chi_max=256)
+        state = MPSState(initial_state(hexagon, "neel"), hexagon_order, chi_max=256)
         for _ in range(3):
             state.apply_cycle(dtc_cycle)
         assert state.truncation_error < 1e-20
 
     def test_truncation_error_monotone(self, hexagon, hexagon_order, dtc_cycle):
-        state = MPSState(neel_state(hexagon), hexagon_order, chi_max=4)
+        state = MPSState(initial_state(hexagon, "neel"), hexagon_order, chi_max=4)
         errors = []
         for _ in range(6):
             state.apply_cycle(dtc_cycle)
@@ -360,14 +360,14 @@ class TestApplyMPO:
         assert errors[-1] > 0
 
     def test_canonical_form_after_evolution(self, hexagon, hexagon_order, dtc_cycle):
-        state = MPSState(neel_state(hexagon), hexagon_order, chi_max=16)
+        state = MPSState(initial_state(hexagon, "neel"), hexagon_order, chi_max=16)
         for _ in range(4):
             state.apply_cycle(dtc_cycle)
         assert canonical_defect(state) < 1e-10
         assert abs(norm(state) - 1.0) < 1e-8
 
     def test_bond_cap_respected(self, hexagon, hexagon_order, dtc_cycle):
-        state = MPSState(neel_state(hexagon), hexagon_order, chi_max=8)
+        state = MPSState(initial_state(hexagon, "neel"), hexagon_order, chi_max=8)
         for _ in range(5):
             state.apply_cycle(dtc_cycle)
         assert max(state.bond_dims) <= 8
@@ -385,7 +385,7 @@ class TestApplyMPO:
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
-        state = MPSState(neel_state(hexagon), hexagon_order, chi_max=8)
+        state = MPSState(initial_state(hexagon, "neel"), hexagon_order, chi_max=8)
         state.apply_cycle(dtc_cycle)
         gates = [(i, j) for layer in dtc_cycle.layers for i, j, _ in layer]
         # per gate: the split of the gate, then one truncating SVD per bond
@@ -422,7 +422,7 @@ class TestApplyMPO:
 class TestCliffordEvolution:
     @pytest.mark.parametrize("chi_max", [1, 16])
     def test_flip_point_period_doubling(self, hexagon, hexagon_order, chi_max):
-        s0 = neel_state(hexagon)
+        s0 = initial_state(hexagon, "neel")
         disorder = sample_disorder(hexagon, seed=3)
         cycle = build_cycle(hexagon, disorder, FloquetParams(0.0, np.pi / 2))
         state = MPSState(s0, hexagon_order, chi_max=chi_max)
@@ -435,7 +435,7 @@ class TestCliffordEvolution:
 class TestOracleEquivalence:
     def test_random_points_match_exact(self, hexagon, hexagon_order):
         # chain cap 2^(N/2) makes the MPS exact on 12 qubits
-        s0 = neel_state(hexagon)
+        s0 = initial_state(hexagon, "neel")
         disorder = sample_disorder(hexagon, seed=13)
         rng = np.random.default_rng(21)
         for _ in range(5):
@@ -459,7 +459,7 @@ class TestOracleEquivalence:
     def test_21_qubit_cycle_matches_exact(self):
         # one cycle on 1x2 keeps every bond <= 32, so chi 64 discards nothing
         lattice = build_lattice(1, 2)
-        s0 = neel_state(lattice)
+        s0 = initial_state(lattice, "neel")
         disorder = sample_disorder(lattice, seed=13)
         cycle = build_cycle(lattice, disorder, FloquetParams(0.3, 0.3 * np.pi))
         sv = StateVector.from_product(s0)
@@ -479,7 +479,7 @@ class TestOracleEquivalence:
 
 class TestExpectations:
     def test_product_state_recovery(self, hexagon, hexagon_order):
-        s0 = neel_state(hexagon)
+        s0 = initial_state(hexagon, "neel")
         state = MPSState(s0, hexagon_order, chi_max=4)
         edges = list(hexagon.edges)
         z, zz = state.zz_matrix(edges)
@@ -488,7 +488,7 @@ class TestExpectations:
             assert zz[i, j] == s0.spins[i] * s0.spins[j]
 
     def test_single_site_matches_sweep(self, hexagon, hexagon_order, dtc_cycle):
-        state = MPSState(neel_state(hexagon), hexagon_order, chi_max=64)
+        state = MPSState(initial_state(hexagon, "neel"), hexagon_order, chi_max=64)
         state.apply_cycle(dtc_cycle)
         z, _ = state.zz_matrix()
         for q in (0, 5, 11):
@@ -518,7 +518,7 @@ class TestExpectations:
         np.testing.assert_allclose(pruned, expected, rtol=0, atol=1e-14)
 
     def test_values_beyond_one_warn_before_clipping(self, hexagon, hexagon_order, dtc_cycle):
-        state = MPSState(neel_state(hexagon), hexagon_order, chi_max=64)
+        state = MPSState(initial_state(hexagon, "neel"), hexagon_order, chi_max=64)
         state.apply_cycle(dtc_cycle)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -531,7 +531,7 @@ class TestExpectations:
         assert np.abs(z).max() == 1.0 and np.abs(zz).max() == 1.0
 
     def test_zz_pairs_match_zz_matrix(self, hexagon, hexagon_order, dtc_cycle):
-        s0 = neel_state(hexagon)
+        s0 = initial_state(hexagon, "neel")
         edges = list(hexagon.edges)
         flipped = [(j, i) for i, j in edges] + [(3, 3), (0, 11), (6, 0)]
         sv = StateVector.from_product(s0)
@@ -554,13 +554,13 @@ class TestExpectations:
 
 class TestSampling:
     def test_product_state_sampling(self, hexagon, hexagon_order):
-        s0 = neel_state(hexagon)
+        s0 = initial_state(hexagon, "neel")
         state = MPSState(s0, hexagon_order, chi_max=4)
         bits = state.sample_bits(shots=64, seed=1)
         np.testing.assert_array_equal(bits, np.tile(s0.bits, (64, 1)))
 
     def test_statistics_match_exact(self, hexagon, hexagon_order, dtc_cycle):
-        s0 = neel_state(hexagon)
+        s0 = initial_state(hexagon, "neel")
         sv = StateVector.from_product(s0)
         state = MPSState(s0, hexagon_order, chi_max=64)
         for _ in range(2):

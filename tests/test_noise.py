@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from dtc2d.circuit import neel_state
+from dtc2d.circuit import initial_state
 from dtc2d.lattice import build_lattice
 from dtc2d.noise import NoiseSpec, corrupt_bits, corrupt_zz
 from dtc2d.observables import delta, hamming_distribution
@@ -92,7 +92,7 @@ def test_built_models_are_pinned(case):
     fields, shape, *digests = PINNED_MODELS[case]
     lattice = build_lattice(*shape)
     n = lattice.n_qubits
-    model = NoiseSpec(**fields).build(n, neel_state(lattice).spins)
+    model = NoiseSpec(**fields).build(n, initial_state(lattice, "neel").spins)
     arrays = (model.decay, model.bias_even, model.bias_odd)
     assert all(a.dtype == np.float64 and a.shape == (n,) for a in arrays)
     assert [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays] == digests

@@ -247,6 +247,15 @@ class TestConfig:
                 "initial_state",
                 id="bits-on-another-learn-lattice",
             ),
+            pytest.param(
+                {  # 2x1 has the 21 qubits of 1x2, but they are other qubits
+                    "cols": 2,
+                    "initial_state": "01" * 10 + "0",
+                    "recovery": {"learn_rows": 2, "learn_cols": 1},
+                },
+                "initial_state",
+                id="bits-on-an-equal-sized-learn-lattice",
+            ),
         ],
     )
     def test_bad_config_rejected_before_any_evolution(self, override, message):
@@ -791,6 +800,37 @@ class TestCheckpointing:
         for key in vars(TimeSeries()):
             got, want = getattr(shorter.clean, key), getattr(fresh.clean, key)
             np.testing.assert_array_equal(got, want, err_msg=key)
+
+    def test_key_follows_exactly_the_settings_that_shape_the_state(self):
+        base = small_config(
+            backend="mps", epsilons=(0.05, 0.1), shots=20, noise=NoiseSpec(decay=0.97)
+        )
+        order = runner.unroll(build_lattice(1, 1))
+
+        def key(config=base, eps=0.05, phi=DTC_PHI, position=order):
+            return runner._checkpoint_key(config, eps, phi, position)
+
+        shaping = [
+            key(replace(base, seed=8)),
+            key(replace(base, shots=21)),
+            key(replace(base, full_correlations=False)),
+            key(replace(base, initial_state="polarized")),
+            key(replace(base, mps=MPSOptions(chi_max=32))),
+            key(replace(base, mps=MPSOptions(cutoff=1e-10))),
+            key(replace(base, noise=NoiseSpec(decay=0.96))),
+            key(eps=0.1),
+            key(phi=1.0),
+            key(position=order[::-1]),
+        ]
+        assert len({key(), *shaping}) == len(shaping) + 1
+        idle = [
+            replace(base, cycles=9),
+            replace(base, workers=2),
+            replace(base, output_dir="elsewhere"),
+            replace(base, recovery=RecoverySettings(ridge=1e-3)),
+            replace(base, epsilons=(0.05,), phis=(DTC_PHI, 1.0)),
+        ]
+        assert {key(config) for config in idle} == {key()}
 
     def test_checkpoint_without_output_dir_fails_before_evolving(self, monkeypatch):
         config = small_config(backend="mps", mps=MPSOptions(chi_max=32), checkpoint=True)
