@@ -1,4 +1,6 @@
-"""The run config, its sections and JSON loader, and the rule of each field."""
+"""The run config, its ``mps``, ``noise`` and ``recovery`` sections, and
+their JSON loader. Each field declares its rule beside it, and each section
+checks its fields when built. ``NoiseSpec.build`` makes a ``NoiseModel``."""
 from __future__ import annotations
 
 import json
@@ -13,7 +15,7 @@ import numpy as np
 from .circuit import FloquetParams, initial_state
 from .exact import check_capacity
 from .lattice import build_lattice
-from .noise import NoiseSpec
+from .noise import NoiseModel
 
 # what a value of each kind of field must be, as an error message says
 _MUST_BE = {int: "an integer", float: "a JSON number", bool: "a JSON boolean",
@@ -47,23 +49,25 @@ def _fits(kind: type, value) -> bool:
 
 
 def _check_fields(config, prefix: str = "") -> None:
-    """Raise ValueError naming the first key of ``config`` or its sections
-    whose value is neither of its field's kind nor an allowed null, or is out
-    of its field's bound."""
+    """Raise ValueError naming the first key of ``config`` whose value is
+    neither of its field's kind nor an allowed null, or is out of its
+    field's bound. A section in a field checked itself when it was built."""
     for name, kind, nullable, bound in _rules(type(config)):
         key, value = prefix + name, getattr(config, name)
         if value is None and nullable:
             continue
         if not _fits(kind, value):
             raise ValueError(f"{key} must be {_MUST_BE.get(kind, 'a JSON object')}, got {value!r}")
-        if is_dataclass(kind):
-            _check_fields(value, key + ".")
         if "least" in bound and value < bound["least"]:
             raise ValueError(f"{key} must be >= {bound['least']}")
+        if "most" in bound and value > bound["most"]:
+            raise ValueError(f"{key} must be <= {bound['most']}")
         if bound.get("positive") and not value > 0:
             raise ValueError(f"{key} must be positive")
         if bound.get("nonempty") and not value:
             raise ValueError(f"{key} must not be empty")
+        if "choices" in bound and value not in bound["choices"]:
+            raise ValueError(f"{key} must be one of {', '.join(bound['choices'])}, got {value!r}")
 
 
 def _section(cls, payload, prefix: str = ""):
@@ -84,6 +88,56 @@ class MPSOptions:
     chi_max: int = field(default=64, metadata={"least": 1})
     cutoff: float = field(default=1e-12, metadata={"least": 0})
 
+    def __post_init__(self) -> None:
+        _check_fields(self, "mps.")
+
+
+@dataclass(frozen=True)
+class NoiseSpec:
+    """Size-generic description of a noise model, built per lattice.
+
+    The ``uniform`` kind realizes exactly the model the recovery stack
+    assumes, so closed-loop tests isolate recovery-code correctness; the
+    ``mismatched`` kind draws qubit-dependent schedules that break the
+    uniformity assumptions to probe robustness. Every field is checked,
+    whether or not the kind reads it.
+
+    ``align_bias_with_initial`` ties per-qubit biases to the initial spins
+    so the collective offset of the order parameter equals the configured
+    bias values exactly; required for transferring learned offsets between
+    lattice sizes.
+    """
+
+    kind: str = field(default="uniform", metadata={"choices": ("uniform", "mismatched")})
+    decay: float = field(default=0.97, metadata={"least": 0, "most": 1})
+    bias_even: float = field(default=0.0, metadata={"least": -1, "most": 1})
+    bias_odd: float = field(default=0.0, metadata={"least": -1, "most": 1})
+    align_bias_with_initial: bool = True
+    flip_slope: float = field(default=0.0, metadata={"least": 0})
+    flip_cap: float = field(default=0.5, metadata={"least": 0, "most": 0.5})
+    readout_flip: float = field(default=0.0, metadata={"least": 0, "most": 0.5})
+    seed: int = field(default=0, metadata={"least": 0})
+    decay_spread: float = field(default=0.02, metadata={"least": 0})
+    bias_scale: float = field(default=0.05, metadata={"least": 0, "most": 1})
+
+    def __post_init__(self) -> None:
+        _check_fields(self, "noise.")
+
+    def build(self, n_qubits: int, s0: np.ndarray | None = None) -> NoiseModel:
+        if self.kind == "uniform":
+            aligned = s0 is not None and self.align_bias_with_initial
+            weight = np.asarray(s0, dtype=float) if aligned else np.ones(n_qubits)
+            decay = np.full(n_qubits, self.decay, dtype=float)
+            even, odd = self.bias_even * weight, self.bias_odd * weight
+        else:  # mismatched: decay, then bias_even, then bias_odd, per qubit
+            low = max(0.0, self.decay - self.decay_spread)
+            high = min(1.0, self.decay + self.decay_spread)
+            rng = np.random.default_rng(self.seed)
+            decay = rng.uniform(low, high, size=n_qubits)
+            even = rng.uniform(-self.bias_scale, self.bias_scale, size=n_qubits)
+            odd = rng.uniform(-self.bias_scale, self.bias_scale, size=n_qubits)
+        return NoiseModel(decay, even, odd, self.flip_slope, self.flip_cap, self.readout_flip)
+
 
 @dataclass(frozen=True)
 class RecoverySettings:
@@ -95,16 +149,19 @@ class RecoverySettings:
     learn_cols: int | None = field(default=None, metadata={"least": 1})
     deconvolve: bool = False
 
+    def __post_init__(self) -> None:
+        _check_fields(self, "recovery.")
+
 
 @dataclass(frozen=True)
 class RunConfig:
     rows: int = field(default=1, metadata={"least": 1})
     cols: int = field(default=1, metadata={"least": 1})
-    epsilons: tuple[float, ...] = (0.05,)
-    phis: tuple[float, ...] = (0.45 * np.pi,)
+    epsilons: tuple[float, ...] = field(default=(0.05,), metadata={"nonempty": True})
+    phis: tuple[float, ...] = field(default=(0.45 * np.pi,), metadata={"nonempty": True})
     cycles: int = field(default=10, metadata={"least": 1})
     initial_state: str = "neel"  # "neel" | "polarized" | 0/1 bitstring
-    backend: str = "exact"  # "exact" | "mps"
+    backend: str = field(default="exact", metadata={"choices": ("exact", "mps")})
     mps: MPSOptions = field(default_factory=MPSOptions)
     shots: int = field(default=0, metadata={"least": 0})
     seed: int = field(default=0, metadata={"least": 0})
@@ -117,19 +174,13 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         _check_fields(self)
-        if self.backend not in ("exact", "mps"):
-            raise ValueError(f"unknown backend {self.backend!r}")
         lattice = build_lattice(self.rows, self.cols)
-        if self.noise is not None:
-            self.noise.build(lattice.n_qubits)  # raises what the noise model rejects
         if self.backend == "exact":
             check_capacity(lattice.n_qubits)
             if self.learn_lattice != (self.rows, self.cols):
                 check_capacity(build_lattice(*self.learn_lattice).n_qubits)
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "phis", tuple(float(p) for p in self.phis))
-        if not (self.epsilons and self.phis):
-            raise ValueError("epsilons and phis must each list at least one value")
         initial_state(lattice, self.initial_state)  # raises on a spec it rejects
         # a bitstring of the right length for an equal-sized learn lattice
         # (1x2 and 2x1 both have 21 qubits) would still name other qubits

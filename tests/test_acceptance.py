@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from dtc2d.circuit import FloquetParams, build_cycle, initial_state, sample_disorder
-from dtc2d.config import MPSOptions, RecoverySettings, RunConfig
+from dtc2d.config import MPSOptions, NoiseSpec, RecoverySettings, RunConfig
 from dtc2d.exact import StateVector
 from dtc2d.lattice import build_lattice, unroll
 from dtc2d.mps import MPSState
-from dtc2d.noise import NoiseSpec, corrupt_bits
+from dtc2d.noise import corrupt_bits
 from dtc2d.observables import (
     chi,
     chi_from_matrix,

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from dtc2d.circuit import initial_state
+from dtc2d.config import NoiseSpec
 from dtc2d.lattice import build_lattice
-from dtc2d.noise import NoiseSpec, corrupt_bits, corrupt_zz
+from dtc2d.noise import corrupt_bits, corrupt_zz
 from dtc2d.observables import delta, hamming_distribution
 from dtc2d.recovery import flip_kernel
 
@@ -53,9 +54,8 @@ class TestNoiseModel:
     def test_bias_scale_checked_before_the_draws(self, scale):
         # on one qubit, seed 3 draws biases inside [-1, 1] even at scale 1.02;
         # the check must not depend on what the lattice happens to draw
-        spec = NoiseSpec(kind="mismatched", seed=3, bias_scale=scale)
         with pytest.raises(ValueError, match="bias_scale"):
-            spec.build(1)
+            NoiseSpec(kind="mismatched", seed=3, bias_scale=scale).build(1)
 
 
 # sha256 of (decay, bias_even, bias_odd) as built on the lattice's Neel

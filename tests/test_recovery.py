@@ -8,8 +8,8 @@ from scipy.special import expit, gammaln, logsumexp
 from scipy.stats import binom
 
 from dtc2d import recovery
-from dtc2d.config import RecoverySettings
-from dtc2d.noise import NoiseSpec, corrupt_bits
+from dtc2d.config import NoiseSpec, RecoverySettings
+from dtc2d.noise import corrupt_bits
 from dtc2d.observables import distribution_mean_var, hamming_distribution
 from dtc2d.recovery import (
     TRIAL_CURVATURE_FLOOR,

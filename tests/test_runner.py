@@ -11,11 +11,10 @@ import pytest
 
 from dtc2d import runner
 from dtc2d.cli import main as cli_main
-from dtc2d.config import MPSOptions, RecoverySettings, RunConfig, point_tag
+from dtc2d.config import MPSOptions, NoiseSpec, RecoverySettings, RunConfig, point_tag
 from dtc2d.exact import CapacityError, StateVector
 from dtc2d.lattice import build_lattice
 from dtc2d.mps import MPSState
-from dtc2d.noise import NoiseSpec
 from dtc2d.observables import TimeSeries
 from dtc2d.recovery import TRIAL_CURVATURE_FLOOR, clifford_delta
 from dtc2d.runner import (
@@ -150,6 +149,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(shots=-1)
 
+    @pytest.mark.parametrize(
+        "section, fields, message",
+        [
+            pytest.param(MPSOptions, {"chi_max": 0}, "^mps.chi_max must", id="mps"),
+            pytest.param(RecoverySettings, {"ridge": 0}, "^recovery.ridge must", id="recovery"),
+            pytest.param(NoiseSpec, {"flip_cap": 0.7}, "^noise.flip_cap must", id="noise"),
+        ],
+    )
+    def test_section_checks_itself_when_built(self, section, fields, message):
+        with pytest.raises(ValueError, match=message):
+            section(**fields)
+
     def test_point_tag_collision_rejected(self):
         with pytest.raises(ValueError, match="file tag"):
             small_config(phis=(1.2345671, 1.2345674))
@@ -227,6 +238,13 @@ class TestConfig:
                 {"recovery": {"ridge": 10**400}}, "recovery.ridge", id="ridge-huge-int"
             ),
             pytest.param({"output_dir": ""}, "output_dir", id="empty-output-dir"),
+            pytest.param({"backend": "gpu"}, "^backend must be one of", id="backend-gpu"),
+            pytest.param({"noise": {"kind": "bogus"}}, "^noise.kind", id="noise-kind-bogus"),
+            pytest.param(  # a field the kind ignores is still checked
+                {"noise": {"kind": "mismatched", "bias_even": 2}},
+                "^noise.bias_even",
+                id="mismatched-bias-even-2",
+            ),
             pytest.param(
                 {"initial_state": "0101010101x1"}, "initial_state", id="bits-not-0/1"
             ),
