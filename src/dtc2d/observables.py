@@ -8,8 +8,6 @@ Fisher information of the sampled distribution).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 
@@ -119,21 +117,3 @@ def fourier_spectrum(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     omega = 2.0 * np.pi * np.arange(len(coef)) / len(series)
     return omega, np.abs(coef)
 
-
-@dataclass
-class TimeSeries:
-    """Per-cycle record of every diagnostic for one evolution channel.
-
-    The first six fields are the channel's columns of the point CSV, in file
-    order. A field the run does not record (chi_sg and qfi without full
-    correlations, the Hamming fields without shots) stays empty.
-    """
-
-    delta: list[float] = field(default_factory=list)
-    chi_nn: list[float] = field(default_factory=list)
-    chi_sg: list[float] = field(default_factory=list)
-    qfi: list[float] = field(default_factory=list)
-    hamming_mean: list[float] = field(default_factory=list)
-    hamming_var: list[float] = field(default_factory=list)
-    corr_avg: list[float] = field(default_factory=list)
-    hamming: list[np.ndarray] = field(default_factory=list)

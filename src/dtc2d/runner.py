@@ -3,32 +3,37 @@
 A run evolves one (epsilon, phi) point for T cycles. Each cycle reads
 <Z> and the <ZZ> matrix in one backend call (`zz_matrix`; without full
 correlations only the lattice edges are filled) and the sampled
-bitstrings once, and one record (`_record`) appends every diagnostic of a
-channel: the noiseless channel records them as read, the noisy one after
-the per-qubit noise channel has corrupted them. Recovery adds a third,
-recovered channel. With noise, the point's reference run at the nearest
-Clifford point is recorded too, and the series recovery reads make up the
-point's raw bundle (`RAW_COLUMNS` maps each column to its run, channel and
-`TimeSeries` field). Recovery is one pipeline on that bundle, run by
-`simulate` and by `recover` on the written file, so `recover` repeats every
-run's report exactly: parity offsets learned against a classically
-simulated system (optionally a smaller lattice, whose columns the bundle
-then holds), Clifford-point renormalization, correlator coefficients
-learned the same way, and, when the bundle holds Hamming histograms,
-per-cycle flip probabilities and the optional deconvolution. Its report is
-the `recovery_<tag>.json` record itself, a dict of plain JSON values.
+bitstrings once, and one record (`_record`) gives every diagnostic of a
+channel by name: the noiseless channel's as read, the noisy one's after
+the per-qubit noise channel has corrupted them. A run's record is one
+dict of named per-cycle series, `PointResult.series`: `<name>` for the
+noiseless channel and `<name>_noisy` for the noisy one, for each name in
+`SERIES`. Recovery adds a third, recovered channel. With noise, the
+point's reference run at the nearest Clifford point is recorded too, and
+the series recovery reads make up the point's raw bundle (`RAW_COLUMNS`
+maps each column to its run and series). Recovery is one pipeline on
+that bundle, run by `simulate` and by `recover` on the written file, so
+`recover` repeats every run's report exactly: parity offsets learned
+against a classically simulated system (optionally a smaller lattice,
+whose columns the bundle then holds), Clifford-point renormalization,
+correlator coefficients learned the same way, and, when the bundle holds
+Hamming histograms, per-cycle flip probabilities and the optional
+deconvolution. Its report is the `recovery_<tag>.json` record itself, a
+dict of plain JSON values.
 
 All randomness is derived from the config seed plus the point coordinates
 and cycle index, so re-running any config reproduces its outputs byte for
 byte, serial or parallel. A point at epsilon = 0 and phi = 0 or pi/2, such
 as every Clifford reference, needs no backend: a `CliffordState` gives its
-reads exactly. The point CSV holds, per channel, the first six `TimeSeries`
-fields (`CSV_COLUMNS`), then the recovered columns. A phase-diagram cell is
-one `phase_grid.json` record: the two order parameters of its clean Delta(t)
+reads exactly. The point CSV holds the series of `CSV_COLUMNS`, under
+their series names, then the recovered columns; the Hamming JSON names
+its channels ``clean`` and ``noisy``. A phase-diagram cell is one
+`phase_grid.json` record: the two order parameters of its clean Delta(t)
 series. Every run starts from `initial_state` of the config's spec. An MPS
-point runs on the chain order `unroll` gives, as a position tuple, and keeps
-one checkpoint file, overwritten each cycle, with one array per channel and
-`TimeSeries` field; its name hashes the config record less `_UNKEYED`.
+point runs on the chain order `unroll` gives, as a position tuple, and
+keeps one checkpoint file, overwritten each cycle, with one array per
+recorded series under its series name; the file name hashes the config
+record less `_UNKEYED`.
 """
 from __future__ import annotations
 
@@ -54,7 +59,6 @@ from .exact import StateVector
 from .lattice import build_lattice, unroll
 from .noise import corrupt_bits, corrupt_zz
 from .observables import (
-    TimeSeries,
     chi,
     chi_from_matrix,
     correlator_average,
@@ -74,16 +78,21 @@ from .recovery import (
     learn_flip_schedule,
 )
 
-# each channel's columns of the point CSV: the first six TimeSeries fields
+# each channel's columns of the point CSV
 CSV_COLUMNS = ["delta", "chi_nn", "chi_sg", "qfi", "hamming_mean", "hamming_var"]
+# every per-cycle series of a channel: its CSV columns, the nearest-neighbor
+# correlator average and the Hamming histograms
+SERIES = (*CSV_COLUMNS, "corr_avg", "hamming")
 
 
 @dataclass
 class PointResult:
     epsilon: float
     phi: float
-    clean: TimeSeries
-    noisy: TimeSeries | None = None
+    # <name> of the clean channel and <name>_noisy of the noisy one (with
+    # noise), for each name in SERIES; a series the run does not record
+    # (chi_sg and qfi without full correlations, Hamming without shots) is empty
+    series: dict[str, list]
     recovery: dict | None = None  # the recovery_<tag>.json record
     raw: dict[str, np.ndarray] | None = None  # raw bundle of a noisy point
 
@@ -131,8 +140,8 @@ def _simulate_system(
         state = MPSState(
             s0, position, chi_max=config.mps.chi_max, cutoff=config.mps.cutoff
         )
-    clean = TimeSeries()
-    noisy = TimeSeries() if noise_model else None
+    channels = ("", "_noisy") if noise_model else ("",)
+    series = {name + suffix: [] for suffix in channels for name in SERIES}
     full = config.full_correlations
     edges = tuple(np.transpose(lattice.edges))  # (rows, cols) index arrays
 
@@ -141,7 +150,7 @@ def _simulate_system(
     if checkpointed:
         key = _checkpoint_key(config, eps, phi, position)
         path = os.path.join(config.output_dir, "checkpoints", f"{key}.npz")
-        start_t = _try_resume(state, path, config.cycles, clean, noisy)
+        start_t = _try_resume(state, path, config.cycles, series)
 
     for t in range(start_t, config.cycles + 1):
         if t > 0:
@@ -152,52 +161,46 @@ def _simulate_system(
             samples = state.sample_bits(
                 config.shots, _shot_seed(config, eps, phi, t, 0)
             )
-        _record(clean, z, zz, edges, full, samples, s0.spins)
+        reads = [("", z, zz, samples)]
         if noise_model is not None:
             samples_noisy = None
             if samples is not None:
                 rng = np.random.default_rng(_shot_seed(config, eps, phi, t, 1))
                 samples_noisy = corrupt_bits(samples, noise_model, t, rng)
-            noisy_z, noisy_zz = corrupt_zz(z, zz, noise_model, t)
-            _record(noisy, noisy_z, noisy_zz, edges, full, samples_noisy, s0.spins)
+            reads.append(("_noisy", *corrupt_zz(z, zz, noise_model, t), samples_noisy))
+        for suffix, *read in reads:
+            for name, value in _record(*read, edges, full, s0.spins).items():
+                series[name + suffix].append(value)
         if checkpointed:
-            _save_checkpoint(state, path, t, clean, noisy)
+            _save_checkpoint(state, path, t, series)
 
-    return PointResult(
-        epsilon=eps,
-        phi=phi,
-        clean=clean,
-        noisy=noisy,
-    )
+    return PointResult(epsilon=eps, phi=phi, series=series)
 
 
 def _record(
-    series: TimeSeries,
     z: np.ndarray,
     zz: np.ndarray,
+    samples: np.ndarray | None,
     edges: tuple[np.ndarray, np.ndarray],
     full: bool,
-    samples: np.ndarray | None,
     s0: np.ndarray,
-) -> None:
-    """Append one cycle of one channel: everything its measurements give.
+) -> dict:
+    """One cycle of one channel: everything its measurements give, by series name.
 
     ``zz`` is the correlator matrix: complete when ``full``, otherwise
     filled only on the lattice ``edges``. ``samples`` holds the bitstrings
     (None without shots).
     """
     zz_nn = zz[edges]
-    series.delta.append(delta(z, s0))
-    series.chi_nn.append(chi(zz_nn))
-    series.corr_avg.append(correlator_average(zz_nn))
+    values = {
+        "delta": delta(z, s0), "chi_nn": chi(zz_nn), "corr_avg": correlator_average(zz_nn)
+    }
     if full:
-        series.chi_sg.append(chi_from_matrix(zz))
-        series.qfi.append(qfi(z, zz, s0))
+        values.update(chi_sg=chi_from_matrix(zz), qfi=qfi(z, zz, s0))
     if samples is not None:
-        series.hamming.append(hamming_distribution(samples, s0))
-        mean, var = distribution_mean_var(series.hamming[-1])
-        series.hamming_mean.append(mean)
-        series.hamming_var.append(var)
+        hamming = values["hamming"] = hamming_distribution(samples, s0)
+        values["hamming_mean"], values["hamming_var"] = distribution_mean_var(hamming)
+    return values
 
 
 def run_point(config: RunConfig, eps: float, phi: float) -> PointResult:
@@ -326,7 +329,7 @@ def run_phase_diagram(config: RunConfig) -> list[dict]:
 
 def _phase_cell(args: tuple[RunConfig, float, float]) -> dict:
     config, eps, phi = args
-    delta_mbl, delta_dtc = phase_order_params(run_point(config, eps, phi).clean.delta)
+    delta_mbl, delta_dtc = phase_order_params(run_point(config, eps, phi).series["delta"])
     return {"eps": eps, "phi": phi, "delta_mbl": delta_mbl, "delta_dtc": delta_dtc}
 
 
@@ -347,13 +350,12 @@ def _table(columns: dict) -> list[str]:
 
 def point_csv_rows(result: PointResult) -> list[str]:
     """Each channel's `CSV_COLUMNS` (NaN where unrecorded), then recovery's."""
-    nan = [math.nan] * len(result.clean.delta)
-    columns = {}
-    for suffix, series in (("", result.clean), ("_noisy", result.noisy)):
-        if series is not None:
-            columns.update(
-                {name + suffix: getattr(series, name) or nan for name in CSV_COLUMNS}
-            )
+    nan = [math.nan] * len(result.series["delta"])
+    columns = {
+        key: values or nan
+        for key, values in result.series.items()
+        if key.removesuffix("_noisy") in CSV_COLUMNS
+    }
     rec = result.recovery
     if rec is not None:
         columns.update(
@@ -389,11 +391,10 @@ def write_point_outputs(result: PointResult, out_dir: str) -> list[str]:
     _write_atomic(csv_path, "\n".join(point_csv_rows(result)) + "\n")
     written = [csv_path]
 
-    channels = {"clean": result.clean, "noisy": result.noisy}
-    payload = {
-        name: {str(t): dist.tolist() for t, dist in enumerate(series.hamming)}
-        for name, series in channels.items()
-        if series is not None and series.hamming
+    payload = {  # the file's keys name the channels
+        channel: {str(t): dist.tolist() for t, dist in enumerate(result.series[key])}
+        for channel, key in (("clean", "hamming"), ("noisy", "hamming_noisy"))
+        if result.series.get(key)
     }
     if payload:
         ham_path = os.path.join(out_dir, f"hamming_{tag}.json")
@@ -428,29 +429,29 @@ def write_resolved_config(config: RunConfig, out_dir: str) -> str:
 
 # --- the raw bundle: the one input of recovery, written for `recover` ---
 
-# the columns of a target/reference pair: (run, channel, TimeSeries field)
+# the columns of a target/reference pair: (run, series)
 _PAIR_COLUMNS = {
-    "delta_noisy": ("target", "noisy", "delta"),
-    "delta_noisy_ref": ("reference", "noisy", "delta"),
-    "delta_sim": ("target", "clean", "delta"),
-    "chi_noisy": ("target", "noisy", "chi_nn"),
-    "corr_noisy": ("target", "noisy", "corr_avg"),
-    "chi_noisy_ref": ("reference", "noisy", "chi_nn"),
-    "corr_noisy_ref": ("reference", "noisy", "corr_avg"),
-    "chi_sim": ("target", "clean", "chi_nn"),
+    "delta_noisy": ("target", "delta_noisy"),
+    "delta_noisy_ref": ("reference", "delta_noisy"),
+    "delta_sim": ("target", "delta"),
+    "chi_noisy": ("target", "chi_nn_noisy"),
+    "corr_noisy": ("target", "corr_avg_noisy"),
+    "chi_noisy_ref": ("reference", "chi_nn_noisy"),
+    "corr_noisy_ref": ("reference", "corr_avg_noisy"),
+    "chi_sim": ("target", "chi_nn"),
 }
 
-# every bundle column after "t", in file order. A Hamming field gives one
+# every bundle column after "t", in file order. A Hamming series gives one
 # column per distance d, named <column>_<d>; the learn pair's columns
 # exist only when recovery learns on another lattice.
 RAW_COLUMNS = {
     **_PAIR_COLUMNS,
-    "qfi_sim": ("target", "clean", "qfi"),
-    "hamming_noisy": ("target", "noisy", "hamming"),
-    "hamming_noisy_ref": ("reference", "noisy", "hamming"),
+    "qfi_sim": ("target", "qfi"),
+    "hamming_noisy": ("target", "hamming_noisy"),
+    "hamming_noisy_ref": ("reference", "hamming_noisy"),
     **{
-        f"learn_{name}": (f"learn_{run}", channel, series)
-        for name, (run, channel, series) in _PAIR_COLUMNS.items()
+        f"learn_{name}": (f"learn_{run}", series)
+        for name, (run, series) in _PAIR_COLUMNS.items()
     },
 }
 
@@ -458,9 +459,8 @@ RAW_COLUMNS = {
 def _raw_bundle(runs: dict[str, PointResult]) -> dict[str, np.ndarray]:
     """Each `RAW_COLUMNS` column whose run and series exist, by name."""
     bundle = {}
-    for name, (run, channel, series) in RAW_COLUMNS.items():
-        values = getattr(getattr(runs[run], channel), series) if run in runs else []
-        array = np.array(values)
+    for name, (run, series) in RAW_COLUMNS.items():
+        array = np.array(runs[run].series[series] if run in runs else [])
         if array.ndim == 2:
             bundle.update({f"{name}_{d}": array[:, d] for d in range(array.shape[1])})
         elif len(array):
@@ -513,39 +513,31 @@ def _checkpoint_key(
 
     It hashes the config record less `_UNKEYED`, plus the point, the chain
     position of each qubit (which the tensors follow) and the checkpoint
-    layout (one array per channel and `TimeSeries` field), so a checkpoint
-    resumes only the run it was written by.
+    layout (the array name of each series), so a checkpoint resumes only
+    the run it was written by.
     """
     record = {k: v for k, v in asdict(config).items() if k not in _UNKEYED}
     record.update(
         eps=float(eps), phi=float(phi), order=list(position),
-        series=sorted(vars(TimeSeries())),
+        arrays=[name + suffix for suffix in ("", "_noisy") for name in SERIES],
     )
     digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
     return f"{point_tag(eps, phi)}_{digest[:16]}"
 
 
-def _save_checkpoint(state, path, t, clean, noisy) -> None:
-    arrays = {
-        f"{channel}_{name}": np.array(values)
-        for channel, series in (("clean", clean), ("noisy", noisy))
-        if series is not None
-        for name, values in vars(series).items()
-        if values
-    }
-    tensors = {f"site_{i}": a for i, a in enumerate(state.tensors)}
+def _save_checkpoint(state, path, t, series) -> None:
     buffer = io.BytesIO()
     np.savez(
         buffer,
         t=np.array(t),
         truncation_error=np.array(state.truncation_error),
-        **tensors,
-        **arrays,
+        **{f"site_{i}": a for i, a in enumerate(state.tensors)},
+        **{key: np.array(values) for key, values in series.items() if values},
     )
     _write_atomic(path, buffer.getvalue())
 
 
-def _try_resume(state, path, cycles, clean, noisy) -> int:
+def _try_resume(state, path, cycles, series) -> int:
     """The first cycle to run: the one after the checkpoint's, or 0 (a fresh
     start, which replaces the file) without a checkpoint of this run's cycles."""
     if not os.path.exists(path):
@@ -556,9 +548,6 @@ def _try_resume(state, path, cycles, clean, noisy) -> int:
             return 0
         state.tensors = [data[f"site_{i}"] for i in range(len(state.tensors))]
         state.truncation_error = float(data["truncation_error"])
-        channels = {"clean": clean, "noisy": noisy}
-        for key in data.files:  # <channel>_<TimeSeries field>, the series saved
-            channel, _, name = key.partition("_")
-            if channel in channels:
-                setattr(channels[channel], name, list(data[key]))
+        for key in series.keys() & data.files:  # the series saved
+            series[key] = list(data[key])
     return t + 1

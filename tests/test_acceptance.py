@@ -184,7 +184,7 @@ def test_criterion_05_closed_loop_delta_recovery():
             recovery=RecoverySettings(ridge=1e-4),
         )
         result = run_point(config, DTC_EPS, DTC_PHI)
-        clean = np.array(result.clean.delta)
+        clean = np.array(result.series["delta"])
         recovered = np.array(result.recovery["delta_recovered"])
         flags = np.array(result.recovery["delta_flags"], dtype=bool)
         assert flags.mean() <= 0.10
@@ -202,15 +202,15 @@ def test_criterion_06_offset_transfer():
             recovery=RecoverySettings(ridge=1e-4, learn_rows=1, learn_cols=1),
         )
         result = run_point(config, DTC_EPS, DTC_PHI)
-        clean = np.array(result.clean.delta)
+        clean = np.array(result.series["delta"])
         recovered = np.array(result.recovery["delta_recovered"])
         keep = ~np.array(result.recovery["delta_flags"], dtype=bool)
         error_learned = np.mean(np.abs(recovered[keep] - clean[keep]))
 
         reference = _simulate_system(config, 2, 2, 0.0, clifford_reference(DTC_PHI))
         zero_recovered, zero_flags = delta_ratio(
-            np.array(result.noisy.delta),
-            np.array(reference.noisy.delta),
+            np.array(result.series["delta_noisy"]),
+            np.array(reference.series["delta_noisy"]),
             clifford_delta(np.pi / 2, config.cycles),
         ).apply((0.0, 0.0, 0.0, 0.0), config.recovery.guard)
         error_zero = np.mean(
@@ -279,8 +279,8 @@ def test_criterion_10_polarized_state_stability():
                 backend="exact", seed=SEED, initial_state=init,
                 full_correlations=False, shots=0,
             )
-            clean = run_point(config, 0.25, 0.4 * np.pi).clean
-            results[init] = abs(phase_order_params(clean.delta)[1])
+            deltas = run_point(config, 0.25, 0.4 * np.pi).series["delta"]
+            results[init] = abs(phase_order_params(deltas)[1])
         assert results["polarized"] > results["neel"]
 
 

@@ -1,9 +1,15 @@
-"""The outputs of the three benchmark configs, against committed golden files.
+"""The outputs of six small configs, against committed golden files.
 
-``tests/golden/<name>.json`` is a benchmark config at config seed 7 (the
-phase grid runs serially); ``tests/golden/<name>/`` holds what the CLI
-wrote for it: the ``simulate`` or ``phase-diagram`` files and, for a run
-with a raw bundle, the offline ``recover`` report in ``recovered/``.
+``tests/golden/<name>.json`` is a config at config seed 7 (the phase grid
+runs serially): the three benchmark configs, then three that run the
+branches those skip. ``dense12-mismatched`` has a Clifford reference at
+phi0 = 0, the ``polarized`` state, ``mismatched`` noise with readout flips
+and deconvolution; ``mps12-edges`` an MPS run from a bitstring state that
+reads only the lattice edges (NaN ``chi_sg`` and ``qfi``); ``dense21-learn``
+an exact run that learns on 1x1, with noise but no shots (no Hamming JSON,
+NaN Hamming columns). ``tests/golden/<name>/`` holds what the CLI wrote for
+it: the ``simulate`` or ``phase-diagram`` files and, for a run with a raw
+bundle, the offline ``recover`` report in ``recovered/``.
 ``python tests/golden/regenerate.py`` rewrites those that no longer match.
 
 Each file is compared by what its values are: the Hamming JSON, ``t``,
@@ -31,6 +37,9 @@ COMMANDS = {
     "dense12-recover": "simulate",
     "mps35-chi32": "simulate",
     "dense21-phase": "phase-diagram",
+    "dense12-mismatched": "simulate",
+    "mps12-edges": "simulate",
+    "dense21-learn": "simulate",
 }
 FLOAT_TOL = 1e-12
 PMF_TV_TOL = 1e-10

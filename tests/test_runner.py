@@ -15,7 +15,6 @@ from dtc2d.config import MPSOptions, NoiseSpec, RecoverySettings, RunConfig, poi
 from dtc2d.exact import CapacityError, StateVector
 from dtc2d.lattice import build_lattice
 from dtc2d.mps import MPSState
-from dtc2d.observables import TimeSeries
 from dtc2d.recovery import TRIAL_CURVATURE_FLOOR, clifford_delta
 from dtc2d.runner import (
     point_csv_rows,
@@ -331,7 +330,7 @@ class TestRunPoint:
         config = small_config(cycles=6)
         result = run_point(config, 0.0, np.pi / 2)
         np.testing.assert_allclose(
-            result.clean.delta, (-1.0) ** np.arange(7), atol=1e-12
+            result.series["delta"], (-1.0) ** np.arange(7), atol=1e-12
         )
 
     def test_emits_t_plus_one_rows(self):
@@ -347,10 +346,8 @@ class TestRunPoint:
             0.05,
             DTC_PHI,
         )
-        for field in ("delta", "chi_nn", "chi_sg", "qfi"):
-            np.testing.assert_allclose(
-                getattr(exact.clean, field), getattr(mps.clean, field), atol=1e-6
-            )
+        for key in ("delta", "chi_nn", "chi_sg", "qfi"):
+            np.testing.assert_allclose(exact.series[key], mps.series[key], atol=1e-6)
 
     def test_deterministic_rerun(self, tmp_path):
         config = small_config(shots=200, noise=NoiseSpec(decay=0.96, flip_slope=0.01))
@@ -366,7 +363,7 @@ class TestRunPoint:
         )
         result = run_point(config, 0.05, DTC_PHI)
         assert result.recovery is not None
-        clean = np.array(result.clean.delta)
+        clean = np.array(result.series["delta"])
         rec = np.array(result.recovery["delta_recovered"])
         keep = ~np.array(result.recovery["delta_flags"], dtype=bool)
         assert np.max(np.abs(rec[keep] - clean[keep])) < 0.02
@@ -392,10 +389,10 @@ class TestRunPoint:
             warnings.simplefilter("error", RuntimeWarning)
             result = _simulate_system(config, 1, 1, 0.05, DTC_PHI)
         assert reads == [full] * (config.cycles + 1)
-        for series in (result.clean, result.noisy):
-            assert np.all(np.isfinite(series.chi_nn))
-            assert np.all(np.isfinite(series.corr_avg))
-            assert len(series.qfi) == (config.cycles + 1 if full else 0)
+        for suffix in ("", "_noisy"):
+            assert np.all(np.isfinite(result.series["chi_nn" + suffix]))
+            assert np.all(np.isfinite(result.series["corr_avg" + suffix]))
+            assert len(result.series["qfi" + suffix]) == (config.cycles + 1 if full else 0)
 
     @pytest.mark.parametrize("learn", [False, True], ids=["self", "learn-1x1"])
     @pytest.mark.parametrize("backend", ["exact", "mps"])
@@ -427,12 +424,12 @@ class TestRunPoint:
         # the t = 0 correlator average is the mean of s_i s_j over the lattice
         # edges of the initial state: 1 when polarized, -2/3 for this bitstring
         polarized = run_point(small_config(initial_state="polarized"), 0.0, 0.0)
-        assert polarized.clean.corr_avg[0] == pytest.approx(1.0)
+        assert polarized.series["corr_avg"][0] == pytest.approx(1.0)
         bits = "010101010101"
         spins = np.array([1 - 2 * int(b) for b in bits])
         i, j = np.array(build_lattice(1, 1).edges).T
         custom = run_point(small_config(initial_state=bits), 0.0, 0.0)
-        assert custom.clean.corr_avg[0] == pytest.approx(np.mean(spins[i] * spins[j]))
+        assert custom.series["corr_avg"][0] == pytest.approx(np.mean(spins[i] * spins[j]))
 
 
 class TestPhaseDiagram:
@@ -730,11 +727,21 @@ class TestOutputs:
 
 
 class TestCheckpointing:
-    def test_resume_extends_run(self, tmp_path):
+    @pytest.mark.parametrize(
+        "settings, empty",
+        [
+            (dict(full_correlations=True, shots=50), ()),
+            (
+                dict(full_correlations=False, shots=0),
+                ("chi_sg", "qfi", "hamming_mean", "hamming_var", "hamming"),
+            ),
+        ],
+        ids=["full", "edges-no-shots"],
+    )
+    def test_resume_extends_run(self, tmp_path, settings, empty):
         base = dict(
             rows=1, cols=1, epsilons=(0.05,), phis=(DTC_PHI,),
-            backend="mps", mps=MPSOptions(chi_max=32), seed=7,
-            full_correlations=True, shots=50,
+            backend="mps", mps=MPSOptions(chi_max=32), seed=7, **settings,
             noise=NoiseSpec(decay=0.97, bias_even=0.03, flip_slope=0.02),
             output_dir=str(tmp_path), checkpoint=True,
         )
@@ -747,13 +754,16 @@ class TestCheckpointing:
 
         fresh_cfg = RunConfig(**{**base, "cycles": 6, "checkpoint": False})
         fresh = run_point(fresh_cfg, 0.05, DTC_PHI)
-        # every field of both channels, restored and then extended, exactly
-        for channel in ("clean", "noisy"):
-            for name in vars(TimeSeries()):
-                got = getattr(getattr(resumed, channel), name)
-                want = getattr(getattr(fresh, channel), name)
-                assert len(want) == 7, (channel, name)
-                np.testing.assert_array_equal(got, want, err_msg=f"{channel}.{name}")
+        # every series of both channels, restored and then extended, exactly;
+        # one the run does not record stays empty
+        assert resumed.series.keys() == fresh.series.keys()
+        for key, want in fresh.series.items():
+            assert len(want) == (0 if key.removesuffix("_noisy") in empty else 7), key
+            np.testing.assert_array_equal(resumed.series[key], want, err_msg=key)
+        assert point_csv_rows(resumed) == point_csv_rows(fresh)
+        assert resumed.raw.keys() == fresh.raw.keys()
+        for name, want in fresh.raw.items():
+            np.testing.assert_array_equal(resumed.raw[name], want, err_msg=name)
 
     def test_other_initial_state_does_not_resume(self, tmp_path):
         base = dict(
@@ -767,7 +777,7 @@ class TestCheckpointing:
             RunConfig(**checkpointed, initial_state="polarized"), 0.05, DTC_PHI
         )
         fresh = run_point(RunConfig(**base, initial_state="polarized"), 0.05, DTC_PHI)
-        np.testing.assert_array_equal(second.clean.delta, fresh.clean.delta)
+        np.testing.assert_array_equal(second.series["delta"], fresh.series["delta"])
         assert len(os.listdir(tmp_path / "checkpoints")) == 2
 
     def test_other_chain_order_does_not_resume(self, monkeypatch, tmp_path):
@@ -791,9 +801,8 @@ class TestCheckpointing:
         second = run_point(checkpointed, 0.05, DTC_PHI)
         fresh = run_point(RunConfig(**base), 0.05, DTC_PHI)
         assert len(os.listdir(tmp_path / "checkpoints")) == 2
-        for name in vars(TimeSeries()):
-            got, want = getattr(second.clean, name), getattr(fresh.clean, name)
-            np.testing.assert_array_equal(got, want, err_msg=name)
+        for key, want in fresh.series.items():
+            np.testing.assert_array_equal(second.series[key], want, err_msg=key)
 
 
     def test_one_file_per_point_and_a_shorter_run_starts_fresh(self, tmp_path):
@@ -815,11 +824,10 @@ class TestCheckpointing:
         assert os.listdir(tmp_path / "checkpoints") == [name]
         with np.load(path) as data:
             assert int(data["t"]) == 2
-        for key in vars(TimeSeries()):
-            got, want = getattr(shorter.clean, key), getattr(fresh.clean, key)
-            np.testing.assert_array_equal(got, want, err_msg=key)
+        for key, want in fresh.series.items():
+            np.testing.assert_array_equal(shorter.series[key], want, err_msg=key)
 
-    def test_key_follows_exactly_the_settings_that_shape_the_state(self):
+    def test_key_follows_exactly_the_settings_that_shape_the_state(self, monkeypatch):
         base = small_config(
             backend="mps", epsilons=(0.05, 0.1), shots=20, noise=NoiseSpec(decay=0.97)
         )
@@ -849,6 +857,10 @@ class TestCheckpointing:
             replace(base, epsilons=(0.05,), phis=(DTC_PHI, 1.0)),
         ]
         assert {key(config) for config in idle} == {key()}
+        # the layout: the checkpoint holds one array per series, by name
+        unpatched = key()
+        monkeypatch.setattr(runner, "SERIES", runner.SERIES[:-1])
+        assert key() != unpatched
 
     def test_checkpoint_without_output_dir_fails_before_evolving(self, monkeypatch):
         config = small_config(backend="mps", mps=MPSOptions(chi_max=32), checkpoint=True)
